@@ -25,8 +25,6 @@ from .entanglement import (
 from .states import (
     DensityOperator,
     bloch_decode,
-    fano_compose,
-    fano_decompose,
     maximally_mixed,
     partial_trace,
     purity,
@@ -40,6 +38,8 @@ from .states import (
 from .sweep import AxisSpec, SweepGrid, grid_sweep, wedge_field
 from .tensors import (
     defining_representation,
+    fano_compose,
+    fano_decompose,
     product_representation,
     quadratic_invariant,
     split_sym_antisym,

@@ -20,7 +20,7 @@ from .entanglement import (
     classify,
     concurrence_variant,
     concurrence_wootters,
-    d_measure,
+    d_from_covariance_invariant,
     octahedron_check,
     ppt_check,
     tr_rho_rhotilde,
@@ -30,6 +30,7 @@ from .errors import (
     DimensionError,
     DomainError,
     FormatError,
+    NonFiniteError,
     NormalizationError,
     PositivityError,
     ResolutionError,
@@ -39,9 +40,7 @@ from .errors import (
 from .linalg import hermitian_eigenvalues
 from .states import (
     DensityOperator,
-    fano_decompose,
     load_state,
-    local_dimension,
     purity,
     save_state,
     schmidt_mix,
@@ -59,13 +58,7 @@ from .sweep import (
     write_csv,
     write_svg,
 )
-from .tensors import (
-    covariance_coefficients,
-    product_representation,
-    quadratic_invariant,
-    split_sym_antisym,
-    tensor_coefficients,
-)
+from .tensors import inner_product, moments, representation_for, split_sym_antisym
 
 USAGE_EXIT = 64
 
@@ -108,6 +101,8 @@ def _load_checked(path: str) -> DensityOperator:
         return load_state(path)
     except (json.JSONDecodeError, FormatError) as exc:
         raise _Exit(2, "parse", f"{path}: {exc}")
+    except NonFiniteError as exc:
+        raise _Exit(3, "validation", f"{path}: finiteness: {exc}")
     except SymmetryError as exc:
         raise _Exit(3, "validation", f"{path}: hermiticity: {exc}")
     except NormalizationError as exc:
@@ -141,23 +136,22 @@ def _complex_pairs(matrix: np.ndarray) -> list:
 
 def analysis_report(state: DensityOperator, tol: float) -> dict:
     """Full analysis payload for a bipartite state."""
-    n = local_dimension(state.dim)
-    rep = product_representation(n)
-    t = tensor_coefficients(state, rep, order=2)
-    l_sym, omega = split_sym_antisym(t)
-    k = covariance_coefficients(state, rep)
-    fano = fano_decompose(state)
+    mom = moments(state, representation_for(state))
+    n = mom.rep.n
+    l_sym, omega = split_sym_antisym(mom.second)
+    k = mom.covariance()
+    fano = mom.fano()
     report = {
         "dim": state.dim,
         "n_local": n,
         "purity": purity(state),
         "linear_entropy": 1.0 - purity(state),
-        "f2_linear": quadratic_invariant(state, "linear"),
-        "f2_covariance": quadratic_invariant(state, "covariance"),
+        "f2_linear": inner_product(mom.second),
+        "f2_covariance": inner_product(k),
     }
     if n == 2:
         report["tr_rho_rhotilde"] = tr_rho_rhotilde(state)
-        report["d_measure"] = d_measure(state)
+        report["d_measure"] = d_from_covariance_invariant(report["f2_covariance"])
         report["concurrence_wootters"] = concurrence_wootters(state)
         report["concurrence_variant"] = concurrence_variant(state)
     report["bloch_a"] = [float(v) for v in fano.nvec]
@@ -388,7 +382,7 @@ def run(argv) -> int:
     except (json.JSONDecodeError, FormatError) as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 2
-    except (SymmetryError, NormalizationError) as exc:
+    except (NonFiniteError, SymmetryError, NormalizationError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 3
     except (

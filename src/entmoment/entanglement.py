@@ -12,13 +12,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import CrossCheckError, DimensionError, DomainError
 from .linalg import hermitian_eigenvalues, psd_sqrt, singular_values
 from .states import (
     as_matrix,
     bell_state,
-    fano_decompose,
-    local_dimension,
     maximally_mixed,
     partial_transpose,
     spin_flip,
@@ -26,9 +24,12 @@ from .states import (
     standard_form_state,
 )
 from .tensors import (
+    FanoForm,
     covariance_coefficients,
     inner_product,
+    moments,
     product_representation,
+    representation_for,
     split_sym_antisym,
     tensor_coefficients,
 )
@@ -78,6 +79,14 @@ class PptResult(NamedTuple):
 class OctahedronResult(NamedTuple):
     separable: bool
     l1: float
+
+
+class _Evaluation(NamedTuple):
+    fano: FanoForm
+    omega_max: float
+    necessary: NecessaryResult
+    sufficient: SufficientResult
+    omega: OmegaResult
 
 
 class LtildeSignature(NamedTuple):
@@ -159,34 +168,59 @@ def d_measure(state) -> float:
     product states and 1 on Bell states.
     """
     rho = _require_two_qubits(state)
-    rep = product_representation(2)
-    return inner_product(covariance_coefficients(rho, rep)) / 8.0 - 0.5
+    k = covariance_coefficients(rho, product_representation(2))
+    return d_from_covariance_invariant(inner_product(k))
+
+
+def d_from_covariance_invariant(f2_covariance: float) -> float:
+    """:func:`d_measure` from an already evaluated two-qubit covariance invariant."""
+    return f2_covariance / 8.0 - 0.5
 
 
 def correlation_block(state) -> np.ndarray:
-    """A-B cross block of the symmetric order-2 coefficients.
+    """A-B cross block of the order-2 coefficients.
 
     Entries are the raw traces Tr(rho sigma_j x sigma_k); for n=2 this is
     the Fano correlation matrix.
     """
-    rho = as_matrix(state)
-    n = local_dimension(rho.shape[0])
-    rep = product_representation(n)
-    l_sym, _ = split_sym_antisym(tensor_coefficients(rho, rep, order=2))
-    count = n * n - 1
-    return l_sym[:count, count:]
+    return moments(state, representation_for(state)).correlation_block()
+
+
+def _criteria(state, tol: float) -> _Evaluation:
+    """One moment evaluation and one Ky Fan solve feed all three criteria.
+
+    The raw correlation block is (4/n^2) times the Fano C, so its Ky Fan
+    norm is (4/n^2) ||C||_KF.
+    """
+    mom = moments(state, representation_for(state))
+    f = mom.fano()
+    n = f.n
+    fano_kyfan = kyfan_norm(f.C)
+    raw_kyfan = (4.0 / (n * n)) * fano_kyfan
+    bound = n * (n - 1) / 2.0
+    quad = 2.0 * (n - 1) / n
+    value = np.sqrt(quad) * (
+        float(np.linalg.norm(f.nvec)) + float(np.linalg.norm(f.mvec))
+    ) + quad * fano_kyfan
+    _, omega = split_sym_antisym(mom.second)
+    omega_abs_max = float(np.max(np.abs(omega)))
+    applicable = omega_abs_max < tol
+    return _Evaluation(
+        fano=f,
+        omega_max=omega_abs_max,
+        necessary=NecessaryResult(bool(raw_kyfan <= bound + tol), raw_kyfan, bound),
+        sufficient=SufficientResult(bool(value <= 1.0 + tol), value),
+        omega=OmegaResult(applicable, bool(applicable and quad * raw_kyfan <= 1.0 + tol)),
+    )
 
 
 def devicente_necessary(state, tol: float = DEFAULT_TOL) -> NecessaryResult:
     """Necessary criterion ||C||_KF <= n(n-1)/2 (de Vicente, QIC 7, 624 (2007)).
 
-    A violation certifies entanglement; passing decides nothing.
+    C here is the raw-trace correlation block.  A violation certifies
+    entanglement; passing decides nothing.
     """
-    rho = as_matrix(state)
-    n = local_dimension(rho.shape[0])
-    value = kyfan_norm(correlation_block(rho))
-    bound = n * (n - 1) / 2.0
-    return NecessaryResult(passes=bool(value <= bound + tol), value=value, bound=bound)
+    return _criteria(state, tol).necessary
 
 
 def devicente_sufficient(state, tol: float = DEFAULT_TOL) -> SufficientResult:
@@ -195,38 +229,17 @@ def devicente_sufficient(state, tol: float = DEFAULT_TOL) -> SufficientResult:
     Satisfying the inequality certifies separability; failing it decides
     nothing.  Evaluated with the expansion-convention Fano coefficients.
     """
-    rho = as_matrix(state)
-    f = fano_decompose(rho)
-    n = f.n
-    lin = np.sqrt(2.0 * (n - 1) / n)
-    quad = 2.0 * (n - 1) / n
-    value = lin * (
-        float(np.linalg.norm(f.nvec)) + float(np.linalg.norm(f.mvec))
-    ) + quad * kyfan_norm(f.C)
-    return SufficientResult(passes=bool(value <= 1.0 + tol), value=value)
-
-
-def omega_max(state) -> float:
-    """Largest antisymmetric order-2 coefficient magnitude."""
-    rho = as_matrix(state)
-    rep = product_representation(local_dimension(rho.shape[0]))
-    _, omega = split_sym_antisym(tensor_coefficients(rho, rep, order=2))
-    return float(np.max(np.abs(omega)))
+    return _criteria(state, tol).sufficient
 
 
 def omega_sufficient(state, tol: float = DEFAULT_TOL) -> OmegaResult:
     """Sufficient criterion (2(n-1)/n)||C||_KF <= 1 for vanishing Omega.
 
-    Applicable only when the antisymmetric coefficients vanish, which is
-    equivalent to both reduced states being maximally mixed.
+    C here is the raw-trace correlation block.  Applicable only when the
+    antisymmetric coefficients vanish, which is equivalent to both
+    reduced states being maximally mixed.
     """
-    rho = as_matrix(state)
-    n = local_dimension(rho.shape[0])
-    applicable = omega_max(rho) < tol
-    if not applicable:
-        return OmegaResult(applicable=False, passes=False)
-    value = (2.0 * (n - 1) / n) * kyfan_norm(correlation_block(rho))
-    return OmegaResult(applicable=True, passes=bool(value <= 1.0 + tol))
+    return _criteria(state, tol).omega
 
 
 def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
@@ -246,7 +259,9 @@ def octahedron_check(d, tol: float = DEFAULT_TOL) -> OctahedronResult:
     d = np.asarray(d, dtype=float)
     standard_form_state(d)  # validates tetrahedron membership
     l1 = float(np.sum(np.abs(d)))
-    assert abs(l1 - kyfan_norm(np.diag(d))) < 1e-12
+    kyfan = kyfan_norm(np.diag(d))
+    if not abs(l1 - kyfan) < 1e-12:
+        raise CrossCheckError(f"l1 norm {l1!r} differs from the Ky Fan norm {kyfan!r} of diag(d)")
     return OctahedronResult(separable=bool(l1 <= 1.0 + tol), l1=l1)
 
 
@@ -284,19 +299,14 @@ def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
     sufficient ones (a pass settles Separable), then, for two qubits,
     the decisive partial-transpose test.
     """
-    rho = as_matrix(state)
-    n = local_dimension(rho.shape[0])
-    f = fano_decompose(rho)
-    necessary = devicente_necessary(rho, tol)
-    sufficient = devicente_sufficient(rho, tol)
-    omega = omega_sufficient(rho, tol)
+    f, omega_abs_max, necessary, sufficient, omega = _criteria(state, tol)
     witnesses = {
         "c_kyfan": necessary.value,
         "necessary_bound": necessary.bound,
         "sufficient_value": sufficient.value,
         "bloch_norm_a": float(np.linalg.norm(f.nvec)),
         "bloch_norm_b": float(np.linalg.norm(f.mvec)),
-        "omega_max": omega_max(rho),
+        "omega_max": omega_abs_max,
         "tolerance": tol,
     }
     if not necessary.passes:
@@ -305,8 +315,8 @@ def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
         return SeparabilityVerdict(SEPARABLE, "devicente_sufficient", witnesses)
     if omega.applicable and omega.passes:
         return SeparabilityVerdict(SEPARABLE, "omega_sufficient", witnesses)
-    if n == 2:
-        ppt = ppt_check(rho, tol)
+    if f.n == 2:
+        ppt = ppt_check(state, tol)
         witnesses["pt_min_eigenvalue"] = ppt.min_eigenvalue
         status = SEPARABLE if ppt.separable else ENTANGLED
         return SeparabilityVerdict(status, "ppt", witnesses)

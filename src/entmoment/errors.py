@@ -25,6 +25,10 @@ class PositivityError(ValueError):
         self.min_eigenvalue = min_eigenvalue
 
 
+class NonFiniteError(ValueError):
+    """Array holds NaN or infinite entries."""
+
+
 class SymmetryError(ValueError):
     """Matrix fails a required Hermitian symmetry."""
 
@@ -47,3 +51,7 @@ class BasisConsistencyError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """Iterative solver failed to converge within its sweep budget."""
+
+
+class CrossCheckError(RuntimeError):
+    """Two computations of the same quantity disagree."""

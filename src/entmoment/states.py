@@ -1,14 +1,10 @@
 """Density-operator algebra for n-level and n x n bipartite systems.
 
-Bloch and correlation coefficients follow the expansion convention:
-``rho = (1/n)(sigma_0 + m_j sigma_j)`` for a single system and
-
-``rho = (1/n^2)(sigma_0 x sigma_0 + n_j sigma_j x sigma_0
-        + m_k sigma_0 x sigma_k + C_jk sigma_j x sigma_k)``
-
-for a bipartite one.  For n=2 these coefficients coincide with the raw
-traces ``Tr(rho sigma_j x 1)`` etc.; for n>2 they differ by powers of
-(2/n) and the expansion convention is the one used everywhere here.
+Bloch coefficients follow the expansion convention
+``rho = (1/n)(sigma_0 + m_j sigma_j)``.  For n=2 they coincide with the
+raw traces ``Tr(rho sigma_j)``; for n>2 they differ by a factor (2/n) and
+the expansion convention is the one used everywhere here (the bipartite
+Fano form is in :mod:`entmoment.tensors`).
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ from .errors import (
     DimensionError,
     DomainError,
     FormatError,
+    NonFiniteError,
     NormalizationError,
     PositivityError,
     ShapeError,
@@ -46,9 +43,9 @@ def as_matrix(state) -> np.ndarray:
 class DensityOperator:
     """Validated density operator: Hermitian, unit trace, PSD.
 
-    Construction raises :class:`SymmetryError`, :class:`NormalizationError`
-    or :class:`PositivityError` naming the violated invariant, so loaders
-    can report exactly which check failed.
+    Construction raises :class:`NonFiniteError`, :class:`SymmetryError`,
+    :class:`NormalizationError` or :class:`PositivityError` naming the
+    violated invariant, so loaders can report exactly which check failed.
     """
 
     dim: int
@@ -58,6 +55,9 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape != (self.dim, self.dim):
             raise ShapeError(f"expected a {self.dim}x{self.dim} matrix, got shape {m.shape}")
+        # NaN compares False against every tolerance below, so it must be caught first.
+        if not np.all(np.isfinite(m)):
+            raise NonFiniteError("matrix has NaN or infinite entries")
         dev = float(np.max(np.abs(m - m.conj().T)))
         if dev > HERMITICITY_TOL:
             raise SymmetryError(f"matrix is not Hermitian (max deviation {dev:.3e})")
@@ -101,36 +101,12 @@ class BlochVector:
     m: np.ndarray
 
 
-@dataclass(frozen=True)
-class FanoForm:
-    """Local Bloch vectors and correlation matrix of a bipartite state."""
-
-    n: int
-    nvec: np.ndarray
-    mvec: np.ndarray
-    C: np.ndarray
-
-
 def local_dimension(dim: int) -> int:
     """Local dimension n for a bipartite dim = n*n system."""
     n = math.isqrt(dim)
     if n < 2 or n * n != dim:
         raise ShapeError(f"dimension {dim} is not a perfect square n*n with n >= 2")
     return n
-
-
-@lru_cache(maxsize=None)
-def _bipartite_ops(n: int):
-    """Stacked sigma_a x 1, 1 x sigma_b, sigma_a x sigma_b for dimension n."""
-    sigma = generate_basis(n).sigma
-    eye = np.eye(n, dtype=complex)
-    gen = sigma[1:]
-    ka = np.stack([np.kron(g, eye) for g in gen])
-    kb = np.stack([np.kron(eye, g) for g in gen])
-    kab = np.stack([np.stack([np.kron(ga, gb) for gb in gen]) for ga in gen])
-    for arr in (ka, kb, kab):
-        arr.setflags(write=False)
-    return ka, kb, kab
 
 
 def bloch_encode(n: int, m) -> np.ndarray:
@@ -162,28 +138,6 @@ def bloch_decode(state) -> BlochVector:
     sigma = generate_basis(n).sigma
     m = (n / 2.0) * np.einsum("ab,jba->j", rho, sigma[1:]).real
     return BlochVector(n=n, m=m)
-
-
-def fano_decompose(state) -> FanoForm:
-    """Local Bloch vectors and correlation matrix of a bipartite state."""
-    rho = as_matrix(state)
-    n = local_dimension(rho.shape[0])
-    ka, kb, kab = _bipartite_ops(n)
-    nvec = (n / 2.0) * np.einsum("ab,jba->j", rho, ka).real
-    mvec = (n / 2.0) * np.einsum("ab,jba->j", rho, kb).real
-    corr = (n * n / 4.0) * np.einsum("ab,jkba->jk", rho, kab).real
-    return FanoForm(n=n, nvec=nvec, mvec=mvec, C=corr)
-
-
-def fano_compose(f: FanoForm) -> DensityOperator:
-    """Rebuild the state from its Fano coefficients."""
-    n = f.n
-    ka, kb, kab = _bipartite_ops(n)
-    m = np.eye(n * n, dtype=complex)
-    m += np.einsum("j,jab->ab", np.asarray(f.nvec, dtype=float), ka)
-    m += np.einsum("k,kab->ab", np.asarray(f.mvec, dtype=float), kb)
-    m += np.einsum("jk,jkab->ab", np.asarray(f.C, dtype=float), kab)
-    return DensityOperator.from_matrix(m / (n * n))
 
 
 def partial_trace(state, subsystem: str = "A") -> DensityOperator:

@@ -1,14 +1,11 @@
 """Parameter sweeps over state families and finite-difference wedge fields.
 
-Rows are evaluated independently (optionally across IOVT_THREADS worker
-threads) and assembled in lexicographic grid order, so output is bitwise
-reproducible regardless of scheduling.
+Rows are evaluated independently and assembled in lexicographic grid
+order, so output is bitwise reproducible.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -142,14 +139,6 @@ class SweepTable:
     rows: np.ndarray
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("IOVT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def grid_sweep(grid: SweepGrid) -> SweepTable:
     """Evaluate every requested quantity at every grid point.
 
@@ -164,12 +153,7 @@ def grid_sweep(grid: SweepGrid) -> SweepTable:
         rho = build_state(grid.family, dict(zip(names, point)))
         return [float(v) for v in point] + [float(f(rho)) for f in funcs]
 
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, points))
-    else:
-        rows = [evaluate(p) for p in points]
+    rows = [evaluate(p) for p in points]
     columns = tuple(names) + tuple(grid.quantities)
     return SweepTable(columns=columns, rows=np.array(rows, dtype=float))
 
@@ -307,21 +291,3 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def default_figure_grid(family: str = "schmidt", count: int = 101) -> SweepGrid:
-    """Desk-scale default grids used by the figure-reproduction script."""
-    if family == "werner":
-        return SweepGrid(
-            family="werner",
-            axes=(AxisSpec("x", 0.0, 1.0, 201),),
-            quantities=("concurrence_wootters", "purity", "tr_rho_rhotilde"),
-        )
-    return SweepGrid(
-        family="schmidt",
-        axes=(
-            AxisSpec("x", 0.0, 1.0, count),
-            AxisSpec("alpha", 0.0, np.pi / 2, count),
-        ),
-        quantities=("concurrence_variant", "d_measure"),
-    )

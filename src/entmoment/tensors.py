@@ -7,18 +7,22 @@ halved commutator expectation (antisymmetric, Omega), so T = L + i Omega.
 The covariance variant subtracts first moments:
 ``K_jk = T_jk - Tr(rho R_j) Tr(rho R_k)``; its antisymmetric part equals
 Omega and its symmetric part is written G.
+
+:func:`moments` evaluates the first and second moments of a state once;
+L, Omega, K, the Fano form and the correlation block are all read from
+that one evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .basis import generate_basis
 from .errors import DomainError, ShapeError
-from .states import as_matrix, local_dimension
+from .states import DensityOperator, as_matrix, local_dimension
 
 MAX_ORDER = 4
 
@@ -42,6 +46,13 @@ class Representation:
     @property
     def count(self) -> int:
         return self.ops.shape[0]
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        """conj(R_j) flattened row by row, so ``dual @ X.ravel()`` gives Tr(R_j X)."""
+        dual = self.ops.reshape(self.count, -1).conj()
+        dual.setflags(write=False)
+        return dual
 
 
 @dataclass(frozen=True)
@@ -85,18 +96,9 @@ def representation_for(state) -> Representation:
     return product_representation(local_dimension(as_matrix(state).shape[0]))
 
 
-@lru_cache(maxsize=None)
-def _pair_products(kind: str, n: int) -> np.ndarray:
-    rep = product_representation(n) if kind == "product" else defining_representation(n)
-    prod = np.einsum("jab,kbc->jkac", rep.ops, rep.ops)
-    prod.setflags(write=False)
-    return prod
-
-
 def first_moments(state, rep: Representation) -> np.ndarray:
     """Expectation values Tr(rho R_j), real for Hermitian generators."""
-    rho = as_matrix(state)
-    return np.einsum("ab,jba->j", rho, rep.ops).real
+    return (rep.dual @ as_matrix(state).ravel()).real
 
 
 def tensor_coefficients(state, rep: Representation, order: int = 2) -> TensorCoefficients:
@@ -109,23 +111,87 @@ def tensor_coefficients(state, rep: Representation, order: int = 2) -> TensorCoe
             f"state dimension {rho.shape[0]} does not match representation "
             f"dimension {rep.ops.shape[1]}"
         )
-    if order == 1:
-        values = np.einsum("ab,jba->j", rho, rep.ops)
-    elif order == 2:
-        values = np.einsum("ab,jkba->jk", rho, _pair_products(rep.kind, rep.n))
-    else:
-        letters = "jklm"[:order]
-        operands = []
-        script = ["ab"]
-        prev = "b"
-        for i, letter in enumerate(letters):
-            nxt = "a" if i == order - 1 else "cde"[i]
-            script.append(f"{letter}{prev}{nxt}")
-            operands.append(rep.ops)
-            prev = nxt
-        expr = ",".join(script) + "->" + letters
-        values = np.einsum(expr, rho, *operands, optimize=True)
+    # Tr(rho R_i1 ... R_ik) = Tr(R_i1 (R_i2 ... R_ik rho)): batched products build the
+    # right factor and one GEMM with the dual closes the trace.  Order 2 needs
+    # O(m d^2) memory and no cached operator products.
+    d = rho.shape[0]
+    right = rho
+    for _ in range(order - 1):
+        right = (rep.ops[:, None] @ right).reshape(-1, d, d)
+    values = (rep.dual @ right.reshape(-1, d * d).T).reshape((rep.count,) * order)
     return TensorCoefficients(order=order, dim_index=rep.count, values=values)
+
+
+@dataclass(frozen=True)
+class FanoForm:
+    """Local Bloch vectors and correlation matrix of a bipartite state.
+
+    Expansion convention: ``rho = (1/n^2)(sigma_0 x sigma_0 + n_j sigma_j
+    x sigma_0 + m_k sigma_0 x sigma_k + C_jk sigma_j x sigma_k)``.  For n=2
+    the coefficients coincide with the raw traces ``Tr(rho sigma_j x 1)``
+    etc.; for n>2 they differ by powers of (2/n).
+    """
+
+    n: int
+    nvec: np.ndarray
+    mvec: np.ndarray
+    C: np.ndarray
+
+
+@dataclass(frozen=True)
+class Moments:
+    """First and second moments of one state over one representation.
+
+    ``first[j] = Tr(rho R_j)`` (real) and ``second.values[j, k] =
+    Tr(rho R_j R_k)``.
+    """
+
+    rep: Representation
+    first: np.ndarray
+    second: TensorCoefficients
+
+    def covariance(self) -> TensorCoefficients:
+        """K_jk = <R_j R_k> - <R_j><R_k>."""
+        values = self.second.values - np.outer(self.first, self.first)
+        return TensorCoefficients(order=2, dim_index=self.second.dim_index, values=values)
+
+    def correlation_block(self) -> np.ndarray:
+        """A-B cross block of T: the raw traces Tr(rho sigma_j x sigma_k).
+
+        The two sides commute, so the block is real (T_AB = L_AB).
+        """
+        if self.rep.kind != "product":
+            raise ShapeError("the correlation block needs the product representation")
+        count = self.rep.count // 2
+        return self.second.values[:count, count:].real
+
+    def fano(self) -> FanoForm:
+        """Expansion coefficients: (n/2) first moments and (n^2/4) correlation block."""
+        n, count = self.rep.n, self.rep.count // 2
+        local = (n / 2.0) * self.first
+        return FanoForm(n, local[:count], local[count:], (n * n / 4.0) * self.correlation_block())
+
+
+def moments(state, rep: Representation) -> Moments:
+    """Evaluate the first and second moments of ``state`` once."""
+    second = tensor_coefficients(state, rep, order=2)
+    return Moments(rep=rep, first=first_moments(state, rep), second=second)
+
+
+def fano_decompose(state) -> FanoForm:
+    """Local Bloch vectors and correlation matrix of a bipartite state."""
+    return moments(state, representation_for(state)).fano()
+
+
+def fano_compose(f: FanoForm) -> DensityOperator:
+    """Rebuild the state from its Fano coefficients in the local basis."""
+    n = f.n
+    nvec, mvec, corr = (np.asarray(v, dtype=float) for v in (f.nvec, f.mvec, f.C))
+    coef = np.block([[1.0, mvec], [nvec[:, None], corr]])
+    sigma = generate_basis(n).sigma
+    # sum_ab coef_ab sigma_a x sigma_b, with kron(A, B)[(i,k),(j,l)] = A_ij B_kl.
+    m = np.einsum("ab,aij,bkl->ikjl", coef, sigma, sigma, optimize=True)
+    return DensityOperator.from_matrix(m.reshape(n * n, n * n) / (n * n))
 
 
 def split_sym_antisym(t: TensorCoefficients) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +206,7 @@ def split_sym_antisym(t: TensorCoefficients) -> tuple[np.ndarray, np.ndarray]:
 
 def covariance_coefficients(state, rep: Representation) -> TensorCoefficients:
     """Second moments minus products of first moments, K_jk = <R_j R_k> - <R_j><R_k>."""
-    t = tensor_coefficients(state, rep, order=2)
-    mom = first_moments(state, rep)
-    return TensorCoefficients(
-        order=2, dim_index=t.dim_index, values=t.values - np.outer(mom, mom)
-    )
+    return moments(state, rep).covariance()
 
 
 def inner_product(t: TensorCoefficients) -> float:
@@ -174,13 +236,10 @@ def monotone_candidate(state, mode: str, order: int, coefficients) -> float:
     invariant is recovered with ``mode='linear'``, ``order=2``,
     ``coefficients=(0, 1)``.
     """
-    rep = representation_for(state)
     if mode == "linear":
-        ip = inner_product(tensor_coefficients(state, rep, order=order))
-    elif mode == "covariance":
-        if order != 2:
-            raise DomainError("covariance coefficients are defined for order 2 only")
-        ip = inner_product(covariance_coefficients(state, rep))
+        ip = inner_product(tensor_coefficients(state, representation_for(state), order=order))
+    elif mode == "covariance" and order != 2:
+        raise DomainError("covariance coefficients are defined for order 2 only")
     else:
-        raise DomainError(f"mode must be 'linear' or 'covariance', got {mode!r}")
+        ip = quadratic_invariant(state, mode)  # rejects unknown modes
     return float(sum(a * ip**i for i, a in enumerate(coefficients)))

@@ -187,6 +187,16 @@ def test_exit_codes(capsys, tmp_path):
     )
     code, _, err = invoke(capsys, "analyze", "--state", str(invalid))
     assert code == 3 and err.startswith("error: validation:")
+    # non-finite entry -> validation error naming the file
+    nan_file = tmp_path / "nan.json"
+    nan_file.write_text(
+        json.dumps(
+            {"dim": 2, "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+        )
+    )
+    code, out, err = invoke(capsys, "analyze", "--state", str(nan_file))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: validation: {nan_file}: ")
     # domain violation -> nonzero with machine-parsable line
     code, _, err = invoke(capsys, "analyze", "--family", "werner", "--x", "1.5")
     assert code == 1 and err.startswith("error: domain:")

@@ -22,11 +22,11 @@ from entmoment.entanglement import (
     tr_rho_rhotilde,
     werner_ltilde_signature,
 )
-from entmoment.errors import DimensionError, DomainError, PositivityError
+from entmoment import entanglement
+from entmoment.errors import CrossCheckError, DimensionError, DomainError, PositivityError
 from entmoment.states import (
     DensityOperator,
     bell_state,
-    fano_decompose,
     maximally_mixed,
     purity,
     random_density,
@@ -37,6 +37,7 @@ from entmoment.states import (
     standard_form_state,
     werner,
 )
+from entmoment.tensors import fano_decompose
 
 TETRAHEDRON_VERTICES = np.array(
     [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]]
@@ -246,6 +247,13 @@ def test_octahedron_cases():
     assert sep and l1 == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(PositivityError):
         octahedron_check((1.0, 1.0, 1.0))
+
+
+def test_octahedron_cross_check_raises(monkeypatch):
+    # A plain assert would vanish under python -O; the check must raise.
+    monkeypatch.setattr(entanglement, "kyfan_norm", lambda c: 0.5)
+    with pytest.raises(CrossCheckError):
+        octahedron_check((0.1, -0.2, 0.3))
 
 
 @settings(max_examples=60, deadline=None)

