@@ -18,8 +18,7 @@ from . import acceptance
 from .basis import basis_to_dict, generate_basis
 from .entanglement import (
     classify,
-    concurrence_variant,
-    concurrence_wootters,
+    concurrences,
     d_from_covariance_invariant,
     octahedron_check,
     ppt_check,
@@ -152,8 +151,7 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
     if n == 2:
         report["tr_rho_rhotilde"] = tr_rho_rhotilde(state)
         report["d_measure"] = d_from_covariance_invariant(report["f2_covariance"])
-        report["concurrence_wootters"] = concurrence_wootters(state)
-        report["concurrence_variant"] = concurrence_variant(state)
+        report["concurrence_wootters"], report["concurrence_variant"] = concurrences(state)
     report["bloch_a"] = [float(v) for v in fano.nvec]
     report["bloch_b"] = [float(v) for v in fano.mvec]
     report["correlation"] = [[float(v) for v in row] for row in fano.C]
@@ -246,14 +244,15 @@ def _sweep_grid(args, quantities) -> SweepGrid:
 
 
 def _emit_table(table: SweepTable, args) -> None:
+    # The SVG goes first: a table it rejects then leaves no CSV behind.
+    if args.svg:
+        write_svg(table, args.svg)
     if args.out:
         write_csv(table, args.out)
     else:
         sys.stdout.write(",".join(table.columns) + "\n")
         for row in table.rows:
             sys.stdout.write(",".join(format_float(v) for v in row) + "\n")
-    if args.svg:
-        write_svg(table, args.svg)
 
 
 def cmd_sweep(args) -> int:

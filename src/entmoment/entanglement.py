@@ -19,16 +19,14 @@ from .states import (
     bell_state,
     maximally_mixed,
     partial_transpose,
-    spin_flip,
     spin_flip_matrix,
     standard_form_state,
 )
 from .tensors import (
     FanoForm,
-    covariance_coefficients,
-    inner_product,
     moments,
     product_representation,
+    quadratic_invariant_stack,
     representation_for,
     split_sym_antisym,
     tensor_coefficients,
@@ -96,10 +94,19 @@ class LtildeSignature(NamedTuple):
 
 
 def _require_two_qubits(state) -> np.ndarray:
+    """The state's matrix, checked to be two-qubit."""
     rho = as_matrix(state)
     if rho.shape != (4, 4):
-        raise DimensionError(f"operation requires dimension 4, got {rho.shape[0]}")
+        raise DimensionError(f"operation requires a 4x4 matrix, got shape {rho.shape}")
     return rho
+
+
+def _require_two_qubit_stack(rhos) -> np.ndarray:
+    """A stack of matrices, checked to have shape ``(B, 4, 4)``."""
+    rhos = as_matrix(rhos)
+    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
+        raise DimensionError(f"operation requires a stack of 4x4 matrices, got shape {rhos.shape}")
+    return rhos
 
 
 def kyfan_norm(c) -> float:
@@ -117,24 +124,47 @@ def kyfan_norm(c) -> float:
     return float(np.sum(np.sqrt(w)))
 
 
+def tr_rho_rhotilde_stack(rhos) -> np.ndarray:
+    """:func:`tr_rho_rhotilde` of each matrix of a stack ``(B, 4, 4)``."""
+    rho = _require_two_qubit_stack(rhos)
+    return np.trace(rho @ spin_flip_matrix(rho), axis1=-2, axis2=-1).real
+
+
 def tr_rho_rhotilde(state) -> float:
     """Overlap Tr(rho rho~) with the spin-flipped state."""
-    rho = _require_two_qubits(state)
-    return float(np.trace(rho @ spin_flip(rho).matrix).real)
+    return float(tr_rho_rhotilde_stack(_require_two_qubits(state)[None])[0])
 
 
-def _flip_singular_values(state) -> np.ndarray:
-    """Descending singular values of sqrt(rho) sqrt(rho~).
+def _wootters(sq: np.ndarray) -> np.ndarray:
+    """Wootters concurrence from a stack of square roots sqrt(rho).
 
-    These are exactly the square roots of the eigenvalues of
-    sqrt(rho) rho~ sqrt(rho); the Hermitian block embedding keeps their
-    absolute error at machine-epsilon level even for rank-deficient rho,
-    where squaring-then-rooting would lose half the digits.
+    l1 .. l4 are the descending singular values of sqrt(rho) sqrt(rho~),
+    exactly the square roots of the eigenvalues of sqrt(rho) rho~ sqrt(rho);
+    the Hermitian block embedding keeps their absolute error at
+    machine-epsilon level even for rank-deficient rho, where
+    squaring-then-rooting would lose half the digits.
     """
-    rho = _require_two_qubits(state)
-    sq = psd_sqrt(rho)
-    sq_tilde = spin_flip_matrix(sq)  # sqrt commutes with the flip map on PSD input
-    return singular_values(sq @ sq_tilde)
+    # sqrt commutes with the flip map on PSD input
+    lam = np.clip(singular_values(sq @ spin_flip_matrix(sq)), 0.0, None)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
+def _variant(rho: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """No-square-root concurrence from stacks of rho and sqrt(rho)."""
+    m = sq @ spin_flip_matrix(rho) @ sq
+    ev = np.clip(hermitian_eigenvalues(m)[..., ::-1], 0.0, None)
+    return np.maximum(0.0, ev[..., 0] - ev[..., 1] - ev[..., 2] - ev[..., 3])
+
+
+def concurrence_wootters_stack(rhos) -> np.ndarray:
+    """:func:`concurrence_wootters` of each matrix of a stack ``(B, 4, 4)``."""
+    return _wootters(psd_sqrt(_require_two_qubit_stack(rhos)))
+
+
+def concurrence_variant_stack(rhos) -> np.ndarray:
+    """:func:`concurrence_variant` of each matrix of a stack ``(B, 4, 4)``."""
+    rho = _require_two_qubit_stack(rhos)
+    return _variant(rho, psd_sqrt(rho))
 
 
 def concurrence_wootters(state) -> float:
@@ -143,8 +173,7 @@ def concurrence_wootters(state) -> float:
     max(0, l1 - l2 - l3 - l4) over the descending square-root eigenvalues
     of sqrt(rho) rho~ sqrt(rho).
     """
-    lam = np.clip(_flip_singular_values(state), 0.0, None)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(concurrence_wootters_stack(_require_two_qubits(state)[None])[0])
 
 
 def concurrence_variant(state) -> float:
@@ -154,11 +183,20 @@ def concurrence_variant(state) -> float:
     rho rho~ themselves (equal to those of sqrt(rho) rho~ sqrt(rho))
     rather than their square roots.
     """
-    rho = _require_two_qubits(state)
+    return float(concurrence_variant_stack(_require_two_qubits(state)[None])[0])
+
+
+def concurrences(state) -> tuple[float, float]:
+    """(:func:`concurrence_wootters`, :func:`concurrence_variant`) from one sqrt(rho)."""
+    rho = _require_two_qubits(state)[None]
     sq = psd_sqrt(rho)
-    m = sq @ spin_flip_matrix(rho) @ sq
-    ev = np.clip(hermitian_eigenvalues(m)[::-1], 0.0, None)
-    return float(max(0.0, ev[0] - ev[1] - ev[2] - ev[3]))
+    return float(_wootters(sq)[0]), float(_variant(rho, sq)[0])
+
+
+def d_measure_stack(rhos) -> np.ndarray:
+    """:func:`d_measure` of each matrix of a stack ``(B, 4, 4)``."""
+    f2 = quadratic_invariant_stack(_require_two_qubit_stack(rhos), "covariance")
+    return d_from_covariance_invariant(f2)
 
 
 def d_measure(state) -> float:
@@ -167,12 +205,10 @@ def d_measure(state) -> float:
     f is the quadratic covariance invariant; the value is 1/2 on pure
     product states and 1 on Bell states.
     """
-    rho = _require_two_qubits(state)
-    k = covariance_coefficients(rho, product_representation(2))
-    return d_from_covariance_invariant(inner_product(k))
+    return float(d_measure_stack(_require_two_qubits(state)[None])[0])
 
 
-def d_from_covariance_invariant(f2_covariance: float) -> float:
+def d_from_covariance_invariant(f2_covariance):
     """:func:`d_measure` from an already evaluated two-qubit covariance invariant."""
     return f2_covariance / 8.0 - 0.5
 

@@ -55,17 +55,7 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape != (self.dim, self.dim):
             raise ShapeError(f"expected a {self.dim}x{self.dim} matrix, got shape {m.shape}")
-        # NaN compares False against every tolerance below, so it must be caught first.
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteError("matrix has NaN or infinite entries")
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > HERMITICITY_TOL:
-            raise SymmetryError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NormalizationError(f"trace is {tr:.15g}, expected 1")
-        _check_positive(m)
-        m = m.copy()
+        m = validate_densities(m[None])[0].copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -77,20 +67,48 @@ class DensityOperator:
         return cls(dim=m.shape[0], matrix=m)
 
 
+def validate_densities(matrices) -> np.ndarray:
+    """Check a stack ``(B, d, d)`` of density matrices; return it as a complex array.
+
+    Applies :class:`DensityOperator`'s checks with the same tolerances,
+    each over the whole stack: finite entries, Hermiticity, unit trace,
+    positivity.  The first check that fails raises its error
+    (:class:`NonFiniteError`, :class:`SymmetryError`,
+    :class:`NormalizationError` or :class:`PositivityError`) for the first
+    matrix that fails it.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ShapeError(f"expected a stack of square matrices, got shape {m.shape}")
+    # NaN compares False against every tolerance below, so it must be caught first.
+    if not np.isfinite(m).all():
+        raise NonFiniteError("matrix has NaN or infinite entries")
+    dev = np.abs(m - np.swapaxes(m, 1, 2).conj()).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(dev > HERMITICITY_TOL)
+    if bad.size:
+        raise SymmetryError(f"matrix is not Hermitian (max deviation {dev[bad[0]]:.3e})")
+    tr = np.trace(m, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise NormalizationError(f"trace is {complex(tr[bad[0]]):.15g}, expected 1")
+    _check_positive(m)
+    return m
+
+
 def _check_positive(m: np.ndarray) -> None:
-    # Cholesky of the shifted matrix is a cheap sufficient check; only
-    # near-boundary cases pay for a full spectrum.
-    shifted = m + POSITIVITY_TOL * np.eye(m.shape[0])
+    # Cholesky of the shifted matrices is a cheap sufficient check; only a
+    # stack with a near-boundary member pays for a full spectrum.
+    shifted = m + POSITIVITY_TOL * np.eye(m.shape[-1])
     try:
-        np.linalg.cholesky((shifted + shifted.conj().T) / 2)
+        np.linalg.cholesky((shifted + np.swapaxes(shifted, 1, 2).conj()) / 2)
         return
     except np.linalg.LinAlgError:
         pass
-    w = hermitian_eigenvalues(m)
-    if w[0] < -POSITIVITY_TOL:
-        raise PositivityError(
-            f"matrix has negative eigenvalue {w[0]:.3e}", min_eigenvalue=float(w[0])
-        )
+    low = hermitian_eigenvalues(m)[:, 0]
+    bad = np.flatnonzero(low < -POSITIVITY_TOL)
+    if bad.size:
+        w = float(low[bad[0]])
+        raise PositivityError(f"matrix has negative eigenvalue {w:.3e}", min_eigenvalue=w)
 
 
 @dataclass(frozen=True)
@@ -125,6 +143,8 @@ def bloch_encode(n: int, m) -> np.ndarray:
     count = n * n - 1
     if m.shape != (count,):
         raise ShapeError(f"Bloch vector for n={n} must have length {count}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise NonFiniteError("Bloch vector has NaN or infinite entries")
     sigma = generate_basis(n).sigma
     return (sigma[0] + np.einsum("j,jab->ab", m, sigma[1:])) / n
 
@@ -155,9 +175,12 @@ def partial_trace(state, subsystem: str = "A") -> DensityOperator:
 
 
 def spin_flip_matrix(m: np.ndarray) -> np.ndarray:
-    """Raw two-qubit flip map M -> (sigma_y x sigma_y) conj(M) (sigma_y x sigma_y)."""
-    if m.shape != (4, 4):
-        raise DimensionError(f"spin flip is defined for dimension 4, got {m.shape[0]}")
+    """Raw two-qubit flip map M -> (sigma_y x sigma_y) conj(M) (sigma_y x sigma_y).
+
+    Also maps each matrix of a stack ``(..., 4, 4)``.
+    """
+    if m.shape[-2:] != (4, 4):
+        raise DimensionError(f"spin flip is defined for dimension 4, got {m.shape[-1]}")
     yy = _sigma_yy()
     return yy @ m.conj() @ yy
 
@@ -200,36 +223,76 @@ def maximally_mixed(dim: int) -> DensityOperator:
     return DensityOperator.from_matrix(np.eye(dim, dtype=complex) / dim)
 
 
+def _unit_interval(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~((0.0 <= x) & (x <= 1.0)))
+    if bad.size:
+        raise DomainError(f"{what} must lie in [0, 1], got {x[bad[0]]}")
+    return x
+
+
+def werner_stack(x) -> np.ndarray:
+    """Validated Werner matrices, one per entry of ``x``: shape ``(B, 4, 4)``."""
+    x = _unit_interval(x, "werner parameter")
+    mixed = (1.0 - x)[:, None, None] * np.eye(4, dtype=complex) / 4.0
+    return validate_densities(x[:, None, None] * bell_state().matrix + mixed)
+
+
 def werner(x: float) -> DensityOperator:
     """x |phi+><phi+| + (1-x) 1/4 for x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"werner parameter must lie in [0, 1], got {x}")
-    m = x * bell_state().matrix + (1.0 - x) * np.eye(4, dtype=complex) / 4.0
-    return DensityOperator.from_matrix(m)
+    return DensityOperator.from_matrix(werner_stack(float(x))[0])
+
+
+def schmidt_stack(x, alpha0) -> np.ndarray:
+    """Validated Schmidt mixtures, one per entry of ``x`` and ``alpha0``: shape ``(B, 4, 4)``."""
+    x, alpha0 = np.broadcast_arrays(_unit_interval(x, "mixing parameter"), alpha0)
+    ket = np.zeros((x.size, 4), dtype=complex)
+    ket[:, 0] = np.cos(alpha0)
+    ket[:, 3] = np.sin(alpha0)
+    pure = ket[:, :, None] * ket.conj()[:, None, :]
+    mixed = (1.0 - x)[:, None, None] * np.eye(4, dtype=complex) / 4.0
+    return validate_densities(x[:, None, None] * pure + mixed)
 
 
 def schmidt_mix(x: float, alpha0: float) -> DensityOperator:
     """x |a0><a0| + (1-x) 1/4 with |a0> = cos(a0)|00> + sin(a0)|11>."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"mixing parameter must lie in [0, 1], got {x}")
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = np.cos(alpha0)
-    ket[3] = np.sin(alpha0)
-    m = x * np.outer(ket, ket.conj()) + (1.0 - x) * np.eye(4, dtype=complex) / 4.0
-    return DensityOperator.from_matrix(m)
+    return DensityOperator.from_matrix(schmidt_stack(float(x), float(alpha0))[0])
 
 
 def standard_form_eigenvalues(d) -> np.ndarray:
-    """Bell-basis spectrum of the standard-form state for triple d."""
-    d1, d2, d3 = (float(v) for v in d)
-    return np.array(
+    """Bell-basis spectrum of the standard-form state for triple d (or triples ``(..., 3)``)."""
+    d = np.asarray(d, dtype=float)
+    d1, d2, d3 = d[..., 0], d[..., 1], d[..., 2]
+    return np.stack(
         [
             (1.0 - d1 - d2 - d3) / 4.0,
             (1.0 - d1 + d2 + d3) / 4.0,
             (1.0 + d1 - d2 + d3) / 4.0,
             (1.0 + d1 + d2 - d3) / 4.0,
-        ]
+        ],
+        axis=-1,
     )
+
+
+def standard_form_stack(d) -> np.ndarray:
+    """Validated standard-form matrices for triples ``d`` of shape ``(B, 3)``: ``(B, 4, 4)``."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[1] != 3:
+        raise ShapeError(f"expected triples (d1, d2, d3), got shape {d.shape}")
+    low = standard_form_eigenvalues(d).min(axis=1)
+    bad = np.flatnonzero(low < -POSITIVITY_TOL)
+    if bad.size:
+        i = bad[0]
+        raise PositivityError(
+            f"d={tuple(d[i].tolist())} lies outside the state tetrahedron "
+            f"(eigenvalue {low[i]:.6g})",
+            min_eigenvalue=float(low[i]),
+        )
+    sigma = generate_basis(2).sigma
+    m = np.eye(4, dtype=complex)
+    for j in range(3):
+        m = m + d[:, j, None, None] * np.kron(sigma[j + 1], sigma[j + 1])
+    return validate_densities(m / 4.0)
 
 
 def standard_form_state(d) -> DensityOperator:
@@ -237,18 +300,7 @@ def standard_form_state(d) -> DensityOperator:
     d = np.asarray(d, dtype=float)
     if d.shape != (3,):
         raise ShapeError(f"expected a triple (d1, d2, d3), got shape {d.shape}")
-    ev = standard_form_eigenvalues(d)
-    if float(ev.min()) < -POSITIVITY_TOL:
-        raise PositivityError(
-            f"d={tuple(d)} lies outside the state tetrahedron "
-            f"(eigenvalue {float(ev.min()):.6g})",
-            min_eigenvalue=float(ev.min()),
-        )
-    sigma = generate_basis(2).sigma
-    m = np.eye(4, dtype=complex)
-    for j in range(3):
-        m += d[j] * np.kron(sigma[j + 1], sigma[j + 1])
-    return DensityOperator.from_matrix(m / 4.0)
+    return DensityOperator.from_matrix(standard_form_stack(d[None])[0])
 
 
 def convex_combine(terms) -> DensityOperator:
@@ -272,9 +324,14 @@ def convex_combine(terms) -> DensityOperator:
     return DensityOperator.from_matrix(out)
 
 
+def purity_stack(rhos) -> np.ndarray:
+    """Tr(rho^2) for each matrix of a stack ``(B, d, d)``."""
+    rhos = np.asarray(rhos, dtype=complex)
+    return np.trace(rhos @ rhos, axis1=-2, axis2=-1).real
+
+
 def purity(state) -> float:
-    rho = as_matrix(state)
-    return float(np.trace(rho @ rho).real)
+    return float(purity_stack(as_matrix(state)[None])[0])
 
 
 # -- random ensembles (used by the test and acceptance suites) ---------------

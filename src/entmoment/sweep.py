@@ -1,13 +1,15 @@
 """Parameter sweeps over state families and finite-difference wedge fields.
 
-Rows are evaluated independently and assembled in lexicographic grid
-order, so output is bitwise reproducible.
+Grid points are built and evaluated in blocks of state stacks; every
+quantity computes each state of a stack exactly as it would alone, so
+rows, assembled in lexicographic grid order, are bitwise reproducible
+and independent of the block size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -15,31 +17,37 @@ from .entanglement import (
     ENTANGLED,
     SEPARABLE,
     classify,
-    concurrence_variant,
-    concurrence_wootters,
+    concurrence_variant_stack,
+    concurrence_wootters_stack,
     correlation_block,
-    d_measure,
+    d_measure_stack,
     kyfan_norm,
-    tr_rho_rhotilde,
+    tr_rho_rhotilde_stack,
 )
 from .errors import ConfigurationError, DomainError, ResolutionError
-from .states import DensityOperator, purity, schmidt_mix, standard_form_state, werner
-from .tensors import quadratic_invariant
+from .states import purity_stack, schmidt_stack, standard_form_stack, werner_stack
+from .tensors import quadratic_invariant_stack
 
 VERDICT_CODE = {SEPARABLE: 1.0, ENTANGLED: -1.0}
 
+# Each quantity maps a validated state stack (B, d, d) to its B values.
 QUANTITIES = {
-    "purity": purity,
-    "linear_entropy": lambda rho: 1.0 - purity(rho),
-    "tr_rho_rhotilde": tr_rho_rhotilde,
-    "f2_linear": lambda rho: quadratic_invariant(rho, "linear"),
-    "f2_covariance": lambda rho: quadratic_invariant(rho, "covariance"),
-    "d_measure": d_measure,
-    "concurrence_wootters": concurrence_wootters,
-    "concurrence_variant": concurrence_variant,
-    "kyfan_c": lambda rho: kyfan_norm(correlation_block(rho)),
-    "verdict": lambda rho: VERDICT_CODE.get(classify(rho).status, 0.0),
+    "purity": purity_stack,
+    "linear_entropy": lambda rhos: 1.0 - purity_stack(rhos),
+    "tr_rho_rhotilde": tr_rho_rhotilde_stack,
+    "f2_linear": lambda rhos: quadratic_invariant_stack(rhos, "linear"),
+    "f2_covariance": lambda rhos: quadratic_invariant_stack(rhos, "covariance"),
+    "d_measure": d_measure_stack,
+    "concurrence_wootters": concurrence_wootters_stack,
+    "concurrence_variant": concurrence_variant_stack,
+    "kyfan_c": lambda rhos: [kyfan_norm(correlation_block(rho)) for rho in rhos],
+    "verdict": lambda rhos: [VERDICT_CODE.get(classify(rho).status, 0.0) for rho in rhos],
 }
+
+# Grid points per evaluated block: bounds the memory of the state stacks.
+_BLOCK = 1024
+# Total grid points: bounds the output table (and so the CSV) before anything is built.
+MAX_GRID_POINTS = 10**6
 
 QUANTITY_ALIASES = {"C": "concurrence_variant", "D": "d_measure"}
 
@@ -104,6 +112,11 @@ class SweepGrid:
                     f"axis {axis.name!r} range [{axis.start}, {axis.stop}] "
                     f"outside domain [{lo:.6g}, {hi:.6g}]"
                 )
+        points = math.prod(axis.count for axis in self.axes)
+        if points > MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"grid has {points} points, more than the maximum {MAX_GRID_POINTS}"
+            )
         object.__setattr__(self, "quantities", resolve_quantities(self.quantities))
 
 
@@ -120,14 +133,14 @@ def resolve_quantities(names) -> tuple:
     return tuple(resolved)
 
 
-def build_state(family: str, params: dict) -> DensityOperator:
-    """Construct a family member from named axis values."""
+def build_states(family: str, points: np.ndarray) -> np.ndarray:
+    """Validated state stack ``(B, 4, 4)`` for grid points ``(B, axes)`` of a family."""
     if family == "werner":
-        return werner(params["x"])
+        return werner_stack(points[:, 0])
     if family == "schmidt":
-        return schmidt_mix(params["x"], params["alpha"])
+        return schmidt_stack(points[:, 0], points[:, 1])
     if family == "standard_form":
-        return standard_form_state((params["d1"], params["d2"], params["d3"]))
+        return standard_form_stack(points)
     raise ConfigurationError(f"unknown family {family!r}")
 
 
@@ -144,18 +157,18 @@ def grid_sweep(grid: SweepGrid) -> SweepTable:
 
     Rows are ordered lexicographically over the axes (first axis slowest).
     """
-    axis_values = [axis.values() for axis in grid.axes]
-    names = [axis.name for axis in grid.axes]
-    points = list(product(*axis_values))
+    axes = np.meshgrid(*(axis.values() for axis in grid.axes), indexing="ij")
+    points = np.stack([a.ravel() for a in axes], axis=1)
     funcs = [QUANTITIES[q] for q in grid.quantities]
-
-    def evaluate(point):
-        rho = build_state(grid.family, dict(zip(names, point)))
-        return [float(v) for v in point] + [float(f(rho)) for f in funcs]
-
-    rows = [evaluate(p) for p in points]
-    columns = tuple(names) + tuple(grid.quantities)
-    return SweepTable(columns=columns, rows=np.array(rows, dtype=float))
+    rows = np.empty((len(points), len(grid.axes) + len(funcs)))
+    rows[:, : len(grid.axes)] = points
+    for start in range(0, len(points), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        rhos = build_states(grid.family, points[block])
+        for col, f in enumerate(funcs, start=len(grid.axes)):
+            rows[block, col] = f(rhos)
+    columns = tuple(axis.name for axis in grid.axes) + tuple(grid.quantities)
+    return SweepTable(columns=columns, rows=rows)
 
 
 def wedge_field(grid: SweepGrid, f: str, g: str, table: SweepTable | None = None) -> SweepTable:
@@ -240,11 +253,17 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
     """Minimal SVG rendering of a sweep table.
 
     Two leading axis columns produce a heatmap, one produces a line plot;
-    the value range is annotated.  Rendering is presentation plumbing,
-    not a stable format.
+    the value range is annotated.  A table with three axis columns (the
+    standard form) raises :class:`ConfigurationError`.  Rendering is
+    presentation plumbing, not a stable format.
     """
-    n_axes = sum(1 for c in table.columns if c in AXIS_DOMAINS or c == "alpha")
-    n_axes = max(1, min(2, n_axes))
+    n_axes = sum(1 for c in table.columns if c in AXIS_DOMAINS)
+    if n_axes > 2:
+        raise ConfigurationError(
+            f"SVG rendering needs one or two axis columns, got {n_axes}: "
+            f"{', '.join(table.columns[:n_axes])}"
+        )
+    n_axes = max(1, n_axes)
     qcols = [c for c in table.columns[n_axes:] if c != "seam"]
     if quantity is None:
         quantity = qcols[0]

@@ -92,34 +92,57 @@ def defining_representation(n: int) -> Representation:
 
 
 def representation_for(state) -> Representation:
-    """Product representation matching a bipartite state's dimension."""
-    return product_representation(local_dimension(as_matrix(state).shape[0]))
+    """Product representation matching a bipartite state's (or stack's) dimension."""
+    return product_representation(local_dimension(as_matrix(state).shape[-1]))
+
+
+def _first_moment_stack(rhos: np.ndarray, rep: Representation) -> np.ndarray:
+    """Tr(rho R_j) for each rho of a stack ``(B, d, d)``: shape ``(B, m)``."""
+    count, d = rhos.shape[0], rhos.shape[-1]
+    return (rhos.reshape(count, 1, d * d) @ rep.dual.T)[:, 0].real
+
+
+def _coefficient_stack(rhos: np.ndarray, rep: Representation, order: int) -> np.ndarray:
+    """Tr(rho R_i1 ... R_ik) for each rho of a stack ``(B, d, d)``: shape ``(B, m, ..., m)``."""
+    # Tr(rho R_i1 ... R_ik) = Tr(R_i1 (R_i2 ... R_ik rho)): batched products build the
+    # right factor and one GEMM per state with the dual closes the trace.  Order 2
+    # needs O(m d^2) memory per state and no cached operator products.
+    count, d = rhos.shape[0], rhos.shape[-1]
+    right = rhos[:, None]
+    for _ in range(order - 1):
+        right = (rep.ops[None, :, None] @ right[:, None]).reshape(count, -1, d, d)
+    values = rep.dual @ right.reshape(count, -1, d * d).swapaxes(1, 2)
+    return values.reshape((count,) + (rep.count,) * order)
 
 
 def first_moments(state, rep: Representation) -> np.ndarray:
     """Expectation values Tr(rho R_j), real for Hermitian generators."""
-    return (rep.dual @ as_matrix(state).ravel()).real
+    return _first_moment_stack(as_matrix(state)[None], rep)[0]
+
+
+def _stack_of(state, rep: Representation) -> np.ndarray:
+    """``state``'s matrix as a stack ``(B, d, d)``, checked against ``rep``."""
+    rho = as_matrix(state)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != rep.ops.shape[1:]:
+        raise ShapeError(
+            f"state dimension {rho.shape[-1]} does not match representation "
+            f"dimension {rep.ops.shape[1]}"
+        )
+    return rho[None] if rho.ndim == 2 else rho
 
 
 def tensor_coefficients(state, rep: Representation, order: int = 2) -> TensorCoefficients:
-    """Order-k coefficients Tr(rho R_{i1} ... R_{ik}), products in index order."""
+    """Order-k coefficients Tr(rho R_{i1} ... R_{ik}), products in index order.
+
+    A stack ``(B, d, d)`` of states gives values of shape ``(B, m, ..., m)``.
+    """
     if not 1 <= order <= MAX_ORDER:
         raise DomainError(f"tensor order must be between 1 and {MAX_ORDER}, got {order}")
     rho = as_matrix(state)
-    if rho.shape != rep.ops.shape[1:]:
-        raise ShapeError(
-            f"state dimension {rho.shape[0]} does not match representation "
-            f"dimension {rep.ops.shape[1]}"
-        )
-    # Tr(rho R_i1 ... R_ik) = Tr(R_i1 (R_i2 ... R_ik rho)): batched products build the
-    # right factor and one GEMM with the dual closes the trace.  Order 2 needs
-    # O(m d^2) memory and no cached operator products.
-    d = rho.shape[0]
-    right = rho
-    for _ in range(order - 1):
-        right = (rep.ops[:, None] @ right).reshape(-1, d, d)
-    values = (rep.dual @ right.reshape(-1, d * d).T).reshape((rep.count,) * order)
-    return TensorCoefficients(order=order, dim_index=rep.count, values=values)
+    values = _coefficient_stack(_stack_of(rho, rep), rep, order)
+    return TensorCoefficients(
+        order=order, dim_index=rep.count, values=values[0] if rho.ndim == 2 else values
+    )
 
 
 @dataclass(frozen=True)
@@ -140,10 +163,10 @@ class FanoForm:
 
 @dataclass(frozen=True)
 class Moments:
-    """First and second moments of one state over one representation.
+    """First and second moments of one state (or a stack) over one representation.
 
-    ``first[j] = Tr(rho R_j)`` (real) and ``second.values[j, k] =
-    Tr(rho R_j R_k)``.
+    ``first[..., j] = Tr(rho R_j)`` (real) and ``second.values[..., j, k] =
+    Tr(rho R_j R_k)``; a stack of states adds the leading axis ``...``.
     """
 
     rep: Representation
@@ -152,7 +175,8 @@ class Moments:
 
     def covariance(self) -> TensorCoefficients:
         """K_jk = <R_j R_k> - <R_j><R_k>."""
-        values = self.second.values - np.outer(self.first, self.first)
+        first = self.first
+        values = self.second.values - first[..., :, None] * first[..., None, :]
         return TensorCoefficients(order=2, dim_index=self.second.dim_index, values=values)
 
     def correlation_block(self) -> np.ndarray:
@@ -163,19 +187,26 @@ class Moments:
         if self.rep.kind != "product":
             raise ShapeError("the correlation block needs the product representation")
         count = self.rep.count // 2
-        return self.second.values[:count, count:].real
+        return self.second.values[..., :count, count:].real
 
     def fano(self) -> FanoForm:
         """Expansion coefficients: (n/2) first moments and (n^2/4) correlation block."""
         n, count = self.rep.n, self.rep.count // 2
         local = (n / 2.0) * self.first
-        return FanoForm(n, local[:count], local[count:], (n * n / 4.0) * self.correlation_block())
+        return FanoForm(
+            n, local[..., :count], local[..., count:], (n * n / 4.0) * self.correlation_block()
+        )
 
 
 def moments(state, rep: Representation) -> Moments:
-    """Evaluate the first and second moments of ``state`` once."""
-    second = tensor_coefficients(state, rep, order=2)
-    return Moments(rep=rep, first=first_moments(state, rep), second=second)
+    """Evaluate the first and second moments of ``state`` (or of each state of a stack) once."""
+    rho = as_matrix(state)
+    rhos = _stack_of(rho, rep)
+    first, values = _first_moment_stack(rhos, rep), _coefficient_stack(rhos, rep, 2)
+    if rho.ndim == 2:
+        first, values = first[0], values[0]
+    second = TensorCoefficients(order=2, dim_index=rep.count, values=values)
+    return Moments(rep=rep, first=first, second=second)
 
 
 def fano_decompose(state) -> FanoForm:
@@ -209,9 +240,24 @@ def covariance_coefficients(state, rep: Representation) -> TensorCoefficients:
     return moments(state, rep).covariance()
 
 
+def _squared_norms(t: TensorCoefficients) -> np.ndarray:
+    """Sum of squared moduli over the coefficient axes (per state for a stack)."""
+    values = t.values
+    flat = values.reshape(values.shape[: values.ndim - t.order] + (-1,))
+    return (np.abs(flat) ** 2).sum(axis=-1)
+
+
 def inner_product(t: TensorCoefficients) -> float:
     """Sum of squared moduli of all coefficients."""
-    return float(np.sum(np.abs(t.values) ** 2))
+    return float(_squared_norms(t))
+
+
+def quadratic_invariant_stack(rhos, mode: str = "linear") -> np.ndarray:
+    """:func:`quadratic_invariant` of each matrix of a stack ``(B, d, d)``."""
+    if mode not in ("linear", "covariance"):
+        raise DomainError(f"mode must be 'linear' or 'covariance', got {mode!r}")
+    mom = moments(rhos, representation_for(rhos))
+    return _squared_norms(mom.second if mode == "linear" else mom.covariance())
 
 
 def quadratic_invariant(state, mode: str = "linear") -> float:
@@ -221,12 +267,7 @@ def quadratic_invariant(state, mode: str = "linear") -> float:
     subtracts first moments first.  Both are invariant under conjugation
     by local unitaries.
     """
-    rep = representation_for(state)
-    if mode == "linear":
-        return inner_product(tensor_coefficients(state, rep, order=2))
-    if mode == "covariance":
-        return inner_product(covariance_coefficients(state, rep))
-    raise DomainError(f"mode must be 'linear' or 'covariance', got {mode!r}")
+    return float(quadratic_invariant_stack(as_matrix(state)[None], mode)[0])
 
 
 def monotone_candidate(state, mode: str, order: int, coefficients) -> float:

@@ -123,6 +123,21 @@ def test_sweep_csv_and_svg(capsys, tmp_path):
     assert svg_path.read_text().startswith("<svg")
 
 
+def test_sweep_svg_of_three_axis_table_fails(capsys, tmp_path):
+    svg_path = tmp_path / "cube.svg"
+    code, out, err = invoke(
+        capsys,
+        "sweep",
+        "--family", "standard-form",
+        "--d", "0:0.2:2,0:0.2:2,0:0.2:2",
+        "--quantities", "purity",
+        "--svg", str(svg_path),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: configuration: SVG rendering needs one or two axis columns")
+    assert not svg_path.exists()
+
+
 def test_wedge_subcommand(capsys):
     code, out, _ = invoke(
         capsys,

@@ -156,6 +156,24 @@ def test_concurrence_dimension_guard():
         concurrence_variant(maximally_mixed(9))
 
 
+def test_per_state_functions_reject_stacks():
+    # The per-state functions take exactly one 4x4 matrix; stacks go to the *_stack forms.
+    stack = np.stack([werner(0.2).matrix, bell_state().matrix])
+    for fn in (ppt_check, concurrence_wootters, concurrence_variant, tr_rho_rhotilde, d_measure):
+        with pytest.raises(DimensionError):
+            fn(stack)
+    with pytest.raises(DimensionError):
+        entanglement.concurrence_wootters_stack(werner(0.2).matrix)
+
+
+def test_shared_sqrt_concurrences_match_public_functions():
+    states = [werner(x) for x in (0.0, 0.2, 1 / 3, 0.6, 1.0)]
+    states += [schmidt_mix(x, a) for x in (0.1, 0.5, 0.9) for a in (0.2, np.pi / 4, 1.3)]
+    for rho in states:
+        pair = entanglement.concurrences(rho)
+        assert pair == (concurrence_wootters(rho), concurrence_variant(rho))
+
+
 def test_concurrence_local_unitary_invariance():
     rng = np.random.default_rng(44)
     for _ in range(20):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entmoment import linalg
 from entmoment.errors import ConvergenceError, DimensionError, SymmetryError
 from entmoment.linalg import (
     hermitian_eigensystem,
@@ -12,7 +13,7 @@ from entmoment.linalg import (
     psd_sqrt,
     singular_values,
 )
-from entmoment.states import werner
+from entmoment.states import schmidt_mix, werner
 
 
 def random_hermitian(dim, rng):
@@ -39,16 +40,65 @@ def test_werner_spectrum_closed_form(x):
     assert np.allclose(w, expected, atol=1e-12)
 
 
+def assert_matches_lapack(m, w, v):
+    dim = m.shape[-1]
+    assert np.all(np.diff(w) >= -1e-14)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(m))) < 1e-11
+    assert np.max(np.abs(m - (v * w) @ v.conj().T)) < 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-12
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 6, 9, 12, 16])
 def test_against_lapack_oracle(dim):
     rng = np.random.default_rng(100 + dim)
     for _ in range(10):
         m = random_hermitian(dim, rng)
         w, v = hermitian_eigensystem(m)
-        assert np.all(np.diff(w) >= -1e-14)
-        assert np.max(np.abs(w - np.linalg.eigvalsh(m))) < 1e-11
-        assert np.max(np.abs(m - (v * w) @ v.conj().T)) < 1e-10
-        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-12
+        assert_matches_lapack(m, w, v)
+
+
+@pytest.mark.parametrize("dim", list(range(2, 17)) + [64])
+def test_stack_against_lapack_oracle(dim):
+    rng = np.random.default_rng(200 + dim)
+    stack = np.stack([random_hermitian(dim, rng) for _ in range(1 if dim == 64 else 6)])
+    w, v = hermitian_eigensystem(stack)
+    assert w.shape == stack.shape[:-1] and v.shape == stack.shape
+    for m, wk, vk in zip(stack, w, v):
+        assert_matches_lapack(m, wk, vk)
+
+
+def test_leading_axes_and_companions_accept_stacks():
+    rng = np.random.default_rng(9)
+    stack = np.stack([random_hermitian(3, rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+    w, v = hermitian_eigensystem(stack)
+    assert w.shape == (2, 3, 3) and v.shape == (2, 3, 3, 3)
+    assert np.array_equal(hermitian_eigenvalues(stack), w)
+    g = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    psd = g @ np.swapaxes(g, 1, 2).conj()
+    assert np.max(np.abs(psd_sqrt(psd) @ psd_sqrt(psd) - psd)) < 1e-10
+    x = rng.standard_normal((5, 3, 2))
+    assert np.allclose(singular_values(x), np.linalg.svd(x, compute_uv=False), atol=1e-11)
+
+
+def _mixed_stack(dim, rng):
+    """Diagonal (already converged), family and random matrices of one dimension."""
+    members = [np.diag(rng.standard_normal(dim)).astype(complex), np.eye(dim, dtype=complex)]
+    if dim == 4:
+        members += [werner(0.3).matrix, schmidt_mix(0.7, 0.4).matrix, schmidt_mix(1.0, 0.0).matrix]
+    members += [random_hermitian(dim, rng) for _ in range(5)]
+    return np.stack(members)
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_results_do_not_depend_on_batching(dim):
+    stack = _mixed_stack(dim, np.random.default_rng(300 + dim))
+    w, v = hermitian_eigensystem(stack)
+    w_sub, v_sub = hermitian_eigensystem(stack[2:7])
+    assert np.array_equal(w_sub, w[2:7]) and np.array_equal(v_sub, v[2:7])
+    for k, m in enumerate(stack):
+        w_one, v_one = hermitian_eigensystem(m)
+        assert np.array_equal(w_one, w[k]) and np.array_equal(v_one, v[k])
+        assert np.array_equal(hermitian_eigenvalues(m), w[k])
 
 
 def test_degenerate_and_trivial_inputs():
@@ -122,3 +172,12 @@ def test_eigensystem_property(dim, seed):
     w, v = hermitian_eigensystem(m)
     assert np.all(np.diff(w) >= -1e-14)
     assert np.max(np.abs(m - (v * w) @ v.conj().T)) < 1e-10
+
+
+def test_rotation_round_refuses_a_layout_that_needs_a_copy():
+    # A round writes the closed-form diagonal and the zeroed (p, q) entries through
+    # strided views of its working array; a layout those views cannot alias must raise
+    # instead of losing the writes.
+    work = np.zeros((3, 4, 4), dtype=complex).transpose(0, 2, 1)
+    with pytest.raises(ValueError):
+        linalg._rotate_pairs(work, np.zeros((3, 1)))

@@ -32,10 +32,14 @@ from entmoment.states import (
     random_pure,
     save_state,
     schmidt_mix,
+    schmidt_stack,
     spin_flip,
+    standard_form_stack,
     standard_form_state,
     state_from_dict,
+    validate_densities,
     werner,
+    werner_stack,
 )
 from entmoment.tensors import fano_compose, fano_decompose
 from entmoment.basis import generate_basis
@@ -103,6 +107,12 @@ def test_purity_from_bloch_norm():
 def test_bloch_encode_shape_error():
     with pytest.raises(ShapeError):
         bloch_encode(2, np.zeros(8))
+
+
+def test_bloch_encode_rejects_non_finite():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            bloch_encode(2, [bad, 0.0, 0.0])
 
 
 def test_bloch_encode_does_not_enforce_positivity():
@@ -287,6 +297,36 @@ def test_family_domain_errors():
         schmidt_mix(1.5, 0.3)
     with pytest.raises(NonFiniteError):
         schmidt_mix(0.5, float("nan"))
+
+
+def test_stack_builders_and_validation():
+    xs, alphas = np.array([0.0, 0.4, 1.0]), np.array([0.3, 0.0, 1.5])
+    for k, (x, a) in enumerate(zip(xs, alphas)):
+        assert np.array_equal(werner_stack(xs)[k], werner(x).matrix)
+        assert np.array_equal(schmidt_stack(xs, alphas)[k], schmidt_mix(x, a).matrix)
+    d = np.array([[0.1, 0.2, -0.3], [1.0, -1.0, 1.0]])
+    assert np.array_equal(standard_form_stack(d)[1], standard_form_state(d[1]).matrix)
+    with pytest.raises(DomainError, match="got 1.2"):
+        werner_stack([0.5, 1.2, -1.0])
+    with pytest.raises(PositivityError, match=r"d=\(1.0, 1.0, 1.0\)"):
+        standard_form_stack([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    good = werner_stack([0.3])
+    nan = np.full((1, 4, 4), np.nan)
+    trace2 = 2 * good
+    negative = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)[None]
+    skew = good.copy()
+    skew[0, 0, 1] += 1e-3
+    # Each check runs over the whole stack before the next one.
+    with pytest.raises(NonFiniteError):
+        validate_densities(np.concatenate([good, trace2, nan]))
+    with pytest.raises(SymmetryError):
+        validate_densities(np.concatenate([good, trace2, skew]))
+    with pytest.raises(NormalizationError):
+        validate_densities(np.concatenate([good, negative, trace2]))
+    with pytest.raises(PositivityError) as err:
+        validate_densities(np.concatenate([good, negative, good]))
+    assert err.value.min_eigenvalue == pytest.approx(-0.25, abs=1e-12)
+    assert np.array_equal(validate_densities(good), good)
 
 
 def test_standard_form_outside_tetrahedron():

@@ -3,10 +3,21 @@
 import numpy as np
 import pytest
 
+from entmoment import sweep
+from entmoment.entanglement import (
+    classify,
+    concurrence_variant,
+    concurrence_wootters,
+    correlation_block,
+    d_measure,
+    kyfan_norm,
+    tr_rho_rhotilde,
+)
 from entmoment.errors import ConfigurationError, DomainError, ResolutionError
-from entmoment.states import schmidt_mix
-from entmoment.entanglement import tr_rho_rhotilde
+from entmoment.states import purity, schmidt_mix, werner
 from entmoment.sweep import (
+    QUANTITIES,
+    VERDICT_CODE,
     AxisSpec,
     SweepGrid,
     format_float,
@@ -15,6 +26,7 @@ from entmoment.sweep import (
     write_csv,
     write_svg,
 )
+from entmoment.tensors import quadratic_invariant
 
 
 def werner_grid(count=3, quantities=("concurrence_wootters",)):
@@ -172,6 +184,60 @@ def test_determinism_across_runs_and_threads():
     threaded = grid_sweep(grid)
     assert np.array_equal(first.rows, threaded.rows)
     assert first.columns == threaded.columns
+
+
+# The public per-state function behind each sweep quantity.
+PER_STATE = {
+    "purity": purity,
+    "linear_entropy": lambda rho: 1.0 - purity(rho),
+    "tr_rho_rhotilde": tr_rho_rhotilde,
+    "f2_linear": lambda rho: quadratic_invariant(rho, "linear"),
+    "f2_covariance": lambda rho: quadratic_invariant(rho, "covariance"),
+    "d_measure": d_measure,
+    "concurrence_wootters": concurrence_wootters,
+    "concurrence_variant": concurrence_variant,
+    "kyfan_c": lambda rho: kyfan_norm(correlation_block(rho)),
+    "verdict": lambda rho: VERDICT_CODE.get(classify(rho).status, 0.0),
+}
+
+
+@pytest.mark.parametrize(
+    "grid, build",
+    [
+        (schmidt_grid(6, 6, tuple(QUANTITIES)), schmidt_mix),
+        (werner_grid(9, tuple(QUANTITIES)), werner),
+    ],
+)
+def test_stacked_quantities_equal_per_state_functions(grid, build):
+    assert set(PER_STATE) == set(QUANTITIES)
+    table = grid_sweep(grid)
+    n_axes = len(grid.axes)
+    for row in table.rows:
+        rho = build(*row[:n_axes])
+        expected = [PER_STATE[q](rho) for q in grid.quantities]
+        assert np.array_equal(row[n_axes:], expected)
+
+
+def test_rows_do_not_depend_on_block_size(monkeypatch):
+    grid = schmidt_grid(6, 5, tuple(QUANTITIES))
+    whole = grid_sweep(grid)
+    monkeypatch.setattr(sweep, "_BLOCK", 7)
+    assert np.array_equal(grid_sweep(grid).rows, whole.rows)
+
+
+def test_grid_size_is_capped_before_building():
+    # 10^9 points would need gigabytes; the cap rejects the grid before any allocation.
+    with pytest.raises(ConfigurationError, match="points"):
+        SweepGrid(family="werner", axes=(AxisSpec("x", 0, 1, 10**9),), quantities=("purity",))
+
+
+def test_svg_rejects_three_axis_tables(tmp_path):
+    axes = tuple(AxisSpec(f"d{i}", 0.0, 0.2, 2) for i in (1, 2, 3))
+    table = grid_sweep(SweepGrid(family="standard_form", axes=axes, quantities=("purity",)))
+    path = tmp_path / "cube.svg"
+    with pytest.raises(ConfigurationError, match="axis columns"):
+        write_svg(table, path)
+    assert not path.exists()
 
 
 def test_csv_format(tmp_path):

@@ -25,9 +25,11 @@ from entmoment.tensors import (
     fano_decompose,
     first_moments,
     inner_product,
+    moments,
     monotone_candidate,
     product_representation,
     quadratic_invariant,
+    quadratic_invariant_stack,
     split_sym_antisym,
     tensor_coefficients,
 )
@@ -328,3 +330,32 @@ def test_omega_vanishes_iff_reductions_maximally_mixed():
     assert np.linalg.norm(bloch_decode(red).m) > 1e-3
     _, omega = split_sym_antisym(tensor_coefficients(rho, rep, order=2))
     assert np.max(np.abs(omega)) > 1e-3
+
+
+def test_stacked_moments_match_single_states():
+    rng = np.random.default_rng(12)
+    groups = [
+        (3, [random_density(9, rng=rng) for _ in range(3)]),
+        (2, [werner(0.4), schmidt_mix(0.3, 0.7)]),
+    ]
+    for n, states in groups:
+        rep = product_representation(n)
+        stack = moments(np.stack([r.matrix for r in states]), rep)
+        for i, rho in enumerate(states):
+            single = moments(rho, rep)
+            assert np.array_equal(stack.first[i], single.first)
+            assert np.array_equal(stack.second.values[i], single.second.values)
+            assert np.array_equal(stack.covariance().values[i], single.covariance().values)
+            assert np.array_equal(stack.correlation_block()[i], single.correlation_block())
+
+
+def test_quadratic_invariant_stack_shares_the_report_path():
+    # f2 of a stack, of one state and inner_product of one state's moments agree bitwise.
+    states = [werner(0.3), schmidt_mix(0.6, 0.4), random_density(4, rng=np.random.default_rng(3))]
+    stack = np.stack([r.matrix for r in states])
+    for mode in ("linear", "covariance"):
+        values = quadratic_invariant_stack(stack, mode)
+        for rho, value in zip(states, values):
+            mom = moments(rho, product_representation(2))
+            t = mom.second if mode == "linear" else mom.covariance()
+            assert value == quadratic_invariant(rho, mode) == inner_product(t)
