@@ -17,6 +17,7 @@ import numpy as np
 from . import acceptance
 from .basis import basis_to_dict, generate_basis
 from .entanglement import (
+    DEFAULT_TOL,
     classify,
     concurrences,
     d_from_covariance_invariant,
@@ -39,19 +40,20 @@ from .errors import (
 from .linalg import hermitian_eigenvalues
 from .states import (
     DensityOperator,
+    complex_pairs,
     load_state,
     purity,
     save_state,
-    schmidt_mix,
     standard_form_state,
     state_to_dict,
-    werner,
 )
 from .sweep import (
+    FAMILIES,
     AxisSpec,
     SweepGrid,
     SweepTable,
-    format_float,
+    build_states,
+    format_rows,
     grid_sweep,
     wedge_field,
     write_csv,
@@ -85,14 +87,36 @@ def _parse_range(spec: str, name: str) -> AxisSpec:
     return AxisSpec(name=name, start=start, stop=stop, count=count)
 
 
-def _parse_triple(spec: str) -> tuple[float, float, float]:
-    parts = spec.split(",")
-    if len(parts) != 3:
-        raise _Exit(USAGE_EXIT, "usage", f"expected three comma-separated values, got {spec!r}")
+def _parse_float(text: str, name: str) -> float:
     try:
-        return tuple(float(p) for p in parts)
+        return float(text)
     except ValueError:
-        raise _Exit(USAGE_EXIT, "usage", f"malformed triple {spec!r}")
+        raise _Exit(USAGE_EXIT, "usage", f"malformed value {text!r} for {name}")
+
+
+def _family_values(family: str | None, args, parse) -> tuple[str, list]:
+    """The registry name of ``family`` and one ``parse(text, axis)`` value per axis.
+
+    Axes ``x`` and ``alpha`` are read from ``--x`` and ``--alpha``; axes
+    named by a letter and a digit (``d1``, ``d2``, ``d3``) are the
+    comma-separated parts of the flag named by the letter (``--d``).
+    """
+    name = (family or "").replace("-", "_")
+    if name not in FAMILIES:
+        raise _Exit(USAGE_EXIT, "usage", f"unknown or missing family {family!r}")
+    flags = {}
+    for axis in FAMILIES[name][0]:
+        flags.setdefault(axis.rstrip("0123456789"), []).append(axis)
+    values = []
+    for flag, axes in flags.items():
+        spec = getattr(args, flag)
+        if not spec:
+            raise _Exit(USAGE_EXIT, "usage", f"family {name!r} requires --{flag}")
+        parts = spec.split(",")
+        if len(parts) != len(axes):
+            raise _Exit(USAGE_EXIT, "usage", f"--{flag} needs {len(axes)} value(s), got {spec!r}")
+        values += map(parse, parts, axes)
+    return name, values
 
 
 def _load_checked(path: str) -> DensityOperator:
@@ -112,27 +136,6 @@ def _load_checked(path: str) -> DensityOperator:
         raise _Exit(2, "parse", str(exc))
 
 
-def _build_family(args) -> DensityOperator:
-    family = args.family.replace("-", "_")
-    if family == "werner":
-        if args.x is None:
-            raise _Exit(USAGE_EXIT, "usage", "--family werner requires --x")
-        return werner(args.x)
-    if family == "schmidt":
-        if args.x is None or args.alpha is None:
-            raise _Exit(USAGE_EXIT, "usage", "--family schmidt requires --x and --alpha")
-        return schmidt_mix(args.x, args.alpha)
-    if family == "standard_form":
-        if args.d is None:
-            raise _Exit(USAGE_EXIT, "usage", "--family standard-form requires --d d1,d2,d3")
-        return standard_form_state(_parse_triple(args.d))
-    raise _Exit(USAGE_EXIT, "usage", f"unknown family {args.family!r}")
-
-
-def _complex_pairs(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
-
-
 def analysis_report(state: DensityOperator, tol: float) -> dict:
     """Full analysis payload for a bipartite state."""
     mom = moments(state, representation_for(state))
@@ -140,11 +143,12 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
     l_sym, omega = split_sym_antisym(mom.second)
     k = mom.covariance()
     fano = mom.fano()
+    p = purity(state)
     report = {
         "dim": state.dim,
         "n_local": n,
-        "purity": purity(state),
-        "linear_entropy": 1.0 - purity(state),
+        "purity": p,
+        "linear_entropy": 1.0 - p,
         "f2_linear": inner_product(mom.second),
         "f2_covariance": inner_product(k),
     }
@@ -157,7 +161,7 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
     report["correlation"] = [[float(v) for v in row] for row in fano.C]
     report["L"] = [[float(v) for v in row] for row in l_sym]
     report["Omega"] = [[float(v) for v in row] for row in omega]
-    report["K"] = _complex_pairs(k.values)
+    report["K"] = complex_pairs(k.values)
     verdict = classify(state, tol=tol)
     report["verdict"] = {
         "status": verdict.status,
@@ -168,17 +172,17 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
 
 
 def _write_matrix_csv(report: dict, path: str) -> None:
+    k = np.asarray(report["K"])
     blocks = [
         ("L", report["L"]),
         ("Omega", report["Omega"]),
-        ("K_real", [[pair[0] for pair in row] for row in report["K"]]),
-        ("K_imag", [[pair[1] for pair in row] for row in report["K"]]),
+        ("K_real", k[..., 0]),
+        ("K_imag", k[..., 1]),
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for name, rows in blocks:
             fh.write(f"# {name}\n")
-            for row in rows:
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+            fh.writelines(format_rows(rows))
 
 
 def cmd_basis(args) -> int:
@@ -197,7 +201,8 @@ def cmd_analyze(args) -> int:
     if args.state:
         rho = _load_checked(args.state)
     elif args.family:
-        rho = _build_family(args)
+        family, values = _family_values(args.family, args, _parse_float)
+        rho = DensityOperator.from_matrix(build_states(family, np.array([values]))[0])
     else:
         raise _Exit(USAGE_EXIT, "usage", "analyze needs --state or --family")
     if args.dump_state:
@@ -222,25 +227,8 @@ def cmd_analyze(args) -> int:
 
 
 def _sweep_grid(args, quantities) -> SweepGrid:
-    family = (args.family or "").replace("-", "_")
-    if family == "werner":
-        if not args.x:
-            raise _Exit(USAGE_EXIT, "usage", "werner sweeps need --x start:stop:count")
-        axes = (_parse_range(args.x, "x"),)
-    elif family == "schmidt":
-        if not args.x or not args.alpha:
-            raise _Exit(USAGE_EXIT, "usage", "schmidt sweeps need --x and --alpha ranges")
-        axes = (_parse_range(args.x, "x"), _parse_range(args.alpha, "alpha"))
-    elif family == "standard_form":
-        if not args.d:
-            raise _Exit(USAGE_EXIT, "usage", "standard-form sweeps need --d r1,r2,r3 ranges")
-        specs = args.d.split(",")
-        if len(specs) != 3:
-            raise _Exit(USAGE_EXIT, "usage", "--d needs three comma-separated ranges")
-        axes = tuple(_parse_range(s, f"d{i + 1}") for i, s in enumerate(specs))
-    else:
-        raise _Exit(USAGE_EXIT, "usage", f"unknown or missing family {args.family!r}")
-    return SweepGrid(family=family, axes=axes, quantities=tuple(quantities))
+    family, axes = _family_values(args.family, args, _parse_range)
+    return SweepGrid(family=family, axes=tuple(axes), quantities=tuple(quantities))
 
 
 def _emit_table(table: SweepTable, args) -> None:
@@ -251,8 +239,7 @@ def _emit_table(table: SweepTable, args) -> None:
         write_csv(table, args.out)
     else:
         sys.stdout.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            sys.stdout.write(",".join(format_float(v) for v in row) + "\n")
+        sys.stdout.writelines(format_rows(table.rows))
 
 
 def cmd_sweep(args) -> int:
@@ -274,9 +261,7 @@ def cmd_wedge(args) -> int:
 
 
 def cmd_standard_form(args) -> int:
-    if not args.d:
-        raise _Exit(USAGE_EXIT, "usage", "standard-form requires --d d1,d2,d3")
-    d = _parse_triple(args.d)
+    _, d = _family_values("standard_form", args, _parse_float)
     rho = standard_form_state(d)
     octa = octahedron_check(d, tol=args.tolerance)
     ppt = ppt_check(rho, tol=args.tolerance)
@@ -327,12 +312,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full report for a state (file or family)")
     p.add_argument("--state")
     p.add_argument("--family")
-    p.add_argument("--x", type=float)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--x")
+    p.add_argument("--alpha")
     p.add_argument("--d")
     p.add_argument("--out")
     p.add_argument("--dump-state", dest="dump_state")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="evaluate quantities over a family grid (CSV)")
@@ -358,7 +343,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("standard-form", help="standard-form state report")
     p.add_argument("--d", required=True)
     p.add_argument("--out")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_standard_form)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

@@ -18,11 +18,11 @@ import numpy as np
 from .errors import ConvergenceError, DimensionError, SymmetryError
 
 MAX_DIM = 64
-HERMITICITY_TOL = 1e-10
+SOLVER_HERMITICITY_TOL = 1e-10
 OFF_DIAGONAL_TOL = 1e-12
 
 
-def _check_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _check_hermitian(matrix: np.ndarray, tol: float = SOLVER_HERMITICITY_TOL) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise SymmetryError(f"expected a square matrix or a stack of them, got shape {a.shape}")

@@ -361,12 +361,14 @@ def random_unitary(dim: int, rng=None) -> np.ndarray:
 
 # -- state files --------------------------------------------------------------
 
+def complex_pairs(matrix) -> list:
+    """JSON encoding of a complex matrix: rows of ``[re, im]`` pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+
+
 def state_to_dict(state) -> dict:
     rho = as_matrix(state)
-    return {
-        "dim": int(rho.shape[0]),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
-    }
+    return {"dim": int(rho.shape[0]), "matrix": complex_pairs(rho)}
 
 
 def state_from_dict(doc) -> DensityOperator:

@@ -51,10 +51,13 @@ MAX_GRID_POINTS = 10**6
 
 QUANTITY_ALIASES = {"C": "concurrence_variant", "D": "d_measure"}
 
-FAMILY_AXES = {
-    "werner": ("x",),
-    "schmidt": ("x", "alpha"),
-    "standard_form": ("d1", "d2", "d3"),
+# Each family maps to its axis names and to a builder of the validated state
+# stack (B, 4, 4) for grid points (B, axes).  The lambdas look the stack
+# builders up here at call time, so wrappers installed on them see the calls.
+FAMILIES = {
+    "werner": (("x",), lambda points: werner_stack(points[:, 0])),
+    "schmidt": (("x", "alpha"), lambda points: schmidt_stack(points[:, 0], points[:, 1])),
+    "standard_form": (("d1", "d2", "d3"), lambda points: standard_form_stack(points)),
 }
 
 # (low, high, slack): slack covers rounded endpoints like 1.5708 for pi/2
@@ -90,11 +93,11 @@ class SweepGrid:
     quantities: tuple
 
     def __post_init__(self):
-        if self.family not in FAMILY_AXES:
+        if self.family not in FAMILIES:
             raise ConfigurationError(
-                f"unknown family {self.family!r}; expected one of {sorted(FAMILY_AXES)}"
+                f"unknown family {self.family!r}; expected one of {sorted(FAMILIES)}"
             )
-        expected = FAMILY_AXES[self.family]
+        expected = FAMILIES[self.family][0]
         names = tuple(a.name for a in self.axes)
         if names != expected:
             raise ConfigurationError(
@@ -135,13 +138,7 @@ def resolve_quantities(names) -> tuple:
 
 def build_states(family: str, points: np.ndarray) -> np.ndarray:
     """Validated state stack ``(B, 4, 4)`` for grid points ``(B, axes)`` of a family."""
-    if family == "werner":
-        return werner_stack(points[:, 0])
-    if family == "schmidt":
-        return schmidt_stack(points[:, 0], points[:, 1])
-    if family == "standard_form":
-        return standard_form_stack(points)
-    raise ConfigurationError(f"unknown family {family!r}")
+    return FAMILIES[family][1](points)
 
 
 @dataclass(frozen=True)
@@ -215,26 +212,33 @@ def wedge_field(grid: SweepGrid, f: str, g: str, table: SweepTable | None = None
             [v[1:-1, 1:-1], v[2:, 1:-1], v[:-2, 1:-1], v[1:-1, 2:], v[1:-1, :-2]]
         )
         seam |= (stencil.min(axis=0) == 0.0) & (stencil.max(axis=0) > 0.0)
-    rows = []
-    for i in range(1, n1 - 1):
-        for j in range(1, n2 - 1):
-            rows.append(
-                [x1[i], x2[j], wedge[i - 1, j - 1], 1.0 if seam[i - 1, j - 1] else 0.0]
-            )
+    p1, p2 = np.meshgrid(x1[1:-1], x2[1:-1], indexing="ij")
+    rows = np.stack([p1.ravel(), p2.ravel(), wedge.ravel(), seam.ravel().astype(float)], axis=1)
     columns = (grid.axes[0].name, grid.axes[1].name, "wedge", "seam")
-    return SweepTable(columns=columns, rows=np.array(rows, dtype=float))
+    return SweepTable(columns=columns, rows=rows)
 
 
 def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
+def format_rows(rows):
+    """CSV lines of a 2-D float block, each value as :func:`format_float` writes it.
+
+    Yields one string per block of at most ``_BLOCK`` rows, so a large
+    table is never formatted into a single string.
+    """
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["{:.17g}"] * rows.shape[1]) + "\n"
+    for start in range(0, len(rows), _BLOCK):
+        yield "".join(line.format(*row) for row in rows[start : start + _BLOCK].tolist())
+
+
 def write_csv(table: SweepTable, path) -> None:
     """CSV with a header row, 17-significant-digit floats, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(table.columns) + "\n")
-        for row in table.rows:
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        fh.writelines(format_rows(table.rows))
 
 
 def _color(t: float) -> str:

@@ -62,11 +62,18 @@ def test_analyze_report_fields_finite(capsys):
     walk(report)
 
 
-def test_analyze_round_trip_identical_reports(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "family",
+    [
+        ("--family", "werner", "--x", "0.5"),
+        ("--family", "schmidt", "--x", "0.6", "--alpha", "0.4"),
+        ("--family", "standard-form", "--d", "0.3,-0.3,0.3"),
+    ],
+    ids=["werner", "schmidt", "standard-form"],
+)
+def test_analyze_round_trip_identical_reports(capsys, tmp_path, family):
     path = tmp_path / "state.json"
-    code, first, _ = invoke(
-        capsys, "analyze", "--family", "werner", "--x", "0.5", "--dump-state", str(path)
-    )
+    code, first, _ = invoke(capsys, "analyze", *family, "--dump-state", str(path))
     assert code == 0
     code, second, _ = invoke(capsys, "analyze", "--state", str(path))
     assert code == 0
@@ -218,6 +225,34 @@ def test_exit_codes(capsys, tmp_path):
     # missing verb
     code, _, _ = invoke(capsys)
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--family", "schmidt", "--x", "0.5"),
+        ("sweep", "--family", "schmidt", "--x", "0:1:3", "--quantities", "D"),
+        ("analyze", "--family", "standard-form", "--d", "0.1"),
+        ("analyze", "--family", "standard-form", "--d", "0.1,0.2"),
+        ("sweep", "--family", "standard-form", "--d", "0:0.2:2", "--quantities", "D"),
+        ("sweep", "--family", "standard-form", "--d", "0:0.2:2,0:0.2:2", "--quantities", "D"),
+        ("analyze", "--family", "werner", "--x", "abc"),
+        ("analyze", "--family", "nonsense", "--x", "0.5"),
+        ("sweep", "--family", "nonsense", "--x", "0:1:3", "--quantities", "D"),
+    ],
+)
+def test_family_flag_usage_errors(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.startswith("error: usage:")
+
+
+def test_analyze_family_domain_checks(capsys):
+    # analyze applies the state builders' checks only, not the sweep axis domains
+    code, _, err = invoke(capsys, "analyze", "--family", "standard-form", "--d", "1,1,1")
+    assert code == 1 and err.startswith("error: positivity:")
+    code, _, _ = invoke(capsys, "analyze", "--family", "schmidt", "--x", "0.5", "--alpha", "7")
+    assert code == 0
 
 
 def test_dump_state_writes_loadable_file(capsys, tmp_path):

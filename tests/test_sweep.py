@@ -261,6 +261,45 @@ def test_format_float_round_trip():
         assert float(format_float(v)) == v
 
 
+def test_format_rows_equals_per_value_join():
+    rng = np.random.default_rng(52)
+    values = rng.standard_normal((2500, 3)) * 10.0 ** rng.integers(-300, 300, (2500, 3))
+    values[0] = [-0.0, 5e-324, 1e308]
+    values[1] = [0.0, -5e-324, -1e308]
+    expected = "".join(",".join(format_float(v) for v in row) + "\n" for row in values)
+    chunks = list(sweep.format_rows(values))
+    assert len(chunks) == -(-len(values) // sweep._BLOCK)
+    assert "".join(chunks).encode() == expected.encode()
+
+
+def test_wedge_rows_equal_double_loop_reference():
+    quantities = ("concurrence_wootters", "purity")
+    grid = schmidt_grid(7, 6, quantities)
+    table = grid_sweep(grid)
+    f, g = (table.rows[:, k].reshape(7, 6) for k in (2, 3))
+    x1, x2 = grid.axes[0].values(), grid.axes[1].values()
+    h1, h2 = x1[1] - x1[0], x2[1] - x2[0]
+
+    def central(v, i, j):
+        return (v[i + 1, j] - v[i - 1, j]) / (2.0 * h1), (v[i, j + 1] - v[i, j - 1]) / (2.0 * h2)
+
+    def straddles_zero(v, i, j):
+        stencil = [v[i, j], v[i + 1, j], v[i - 1, j], v[i, j + 1], v[i, j - 1]]
+        return min(stencil) == 0.0 and max(stencil) > 0.0
+
+    expected = []
+    for i in range(1, 6):
+        for j in range(1, 5):
+            (f1, f2), (g1, g2) = central(f, i, j), central(g, i, j)
+            seam = straddles_zero(f, i, j) or straddles_zero(g, i, j)
+            expected.append([x1[i], x2[j], f1 * g2 - f2 * g1, 1.0 if seam else 0.0])
+    expected = np.array(expected)
+    assert expected[:, 3].any() and not expected[:, 3].all()
+    rows = wedge_field(grid, *quantities, table=table).rows
+    assert rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
+
+
 def test_svg_emission(tmp_path):
     table = grid_sweep(schmidt_grid(5, 5, ("d_measure",)))
     path = tmp_path / "map.svg"
