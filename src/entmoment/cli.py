@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -37,11 +38,12 @@ from .errors import (
     ShapeError,
     SymmetryError,
 )
-from .linalg import hermitian_eigenvalues
+from .linalg import MAX_DIM, hermitian_eigenvalues
 from .states import (
     DensityOperator,
     complex_pairs,
     load_state,
+    local_dimension,
     purity,
     save_state,
     standard_form_state,
@@ -94,6 +96,17 @@ def _parse_float(text: str, name: str) -> float:
         raise _Exit(USAGE_EXIT, "usage", f"malformed value {text!r} for {name}")
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tolerance``: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _family_values(family: str | None, args, parse) -> tuple[str, list]:
     """The registry name of ``family`` and one ``parse(text, axis)`` value per axis.
 
@@ -138,8 +151,15 @@ def _load_checked(path: str) -> DensityOperator:
 
 def analysis_report(state: DensityOperator, tol: float) -> dict:
     """Full analysis payload for a bipartite state."""
+    # The Ky Fan solve needs an (n^2 - 1)-square Gram matrix; refuse before
+    # building the n-level basis and moments, which grow as n^6.
+    n = local_dimension(state.dim)
+    if n * n - 1 > MAX_DIM:
+        raise DimensionError(
+            f"local dimension {n} needs a Ky Fan solve of dimension {n * n - 1},"
+            f" above the supported maximum {MAX_DIM}"
+        )
     mom = moments(state, representation_for(state))
-    n = mom.rep.n
     l_sym, omega = split_sym_antisym(mom.second)
     k = mom.covariance()
     fano = mom.fano()
@@ -317,7 +337,7 @@ def build_parser() -> _Parser:
     p.add_argument("--d")
     p.add_argument("--out")
     p.add_argument("--dump-state", dest="dump_state")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="evaluate quantities over a family grid (CSV)")
@@ -343,7 +363,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("standard-form", help="standard-form state report")
     p.add_argument("--d", required=True)
     p.add_argument("--out")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_standard_form)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")

@@ -110,18 +110,11 @@ def _require_two_qubit_stack(rhos) -> np.ndarray:
 
 
 def kyfan_norm(c) -> float:
-    """Ky Fan (trace) norm: sum of singular values.
-
-    Computed as the square roots of the eigenvalues of C^H C; negative
-    rounding noise in the Gram spectrum is clamped to zero.
-    """
-    c = np.asarray(c, dtype=float) if np.isrealobj(c) else np.asarray(c, dtype=complex)
+    """Ky Fan (trace) norm: the sum of the singular values of a matrix."""
+    c = np.asarray(c)
     if c.ndim != 2:
         raise DomainError(f"expected a matrix, got shape {c.shape}")
-    gram = c.conj().T @ c if np.iscomplexobj(c) else c.T @ c
-    w = hermitian_eigenvalues(gram)
-    w = np.clip(w, 0.0, None)
-    return float(np.sum(np.sqrt(w)))
+    return float(singular_values(c).sum())
 
 
 def tr_rho_rhotilde_stack(rhos) -> np.ndarray:
@@ -139,13 +132,12 @@ def _wootters(sq: np.ndarray) -> np.ndarray:
     """Wootters concurrence from a stack of square roots sqrt(rho).
 
     l1 .. l4 are the descending singular values of sqrt(rho) sqrt(rho~),
-    exactly the square roots of the eigenvalues of sqrt(rho) rho~ sqrt(rho);
-    the Hermitian block embedding keeps their absolute error at
-    machine-epsilon level even for rank-deficient rho, where
-    squaring-then-rooting would lose half the digits.
+    exactly the square roots of the eigenvalues of sqrt(rho) rho~ sqrt(rho).
+    They come out as column norms (see :func:`singular_values`), so a
+    rank-deficient rho keeps machine-epsilon accuracy in its small values.
     """
     # sqrt commutes with the flip map on PSD input
-    lam = np.clip(singular_values(sq @ spin_flip_matrix(sq)), 0.0, None)
+    lam = singular_values(sq @ spin_flip_matrix(sq))
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 

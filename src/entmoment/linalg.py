@@ -1,8 +1,8 @@
 """Dense Hermitian eigensolver (round-robin Jacobi) and small PSD helpers.
 
-Everything in this package that needs a spectrum goes through
-:func:`hermitian_eigensystem`, so results are deterministic and
-independent of any vendored LAPACK build.  Every function here takes one
+Everything in this package that needs a spectrum or singular values goes
+through one Jacobi kernel, so results are deterministic and independent
+of any vendored LAPACK build.  Every function here takes one
 matrix or a stack ``(..., n, n)``; one matrix is solved as a stack of
 one.  Each matrix of a stack goes through exactly the arithmetic it
 would get alone, so results do not depend on how matrices are batched.
@@ -49,7 +49,7 @@ def _round_robin(m: int, rows: int) -> tuple:
     index in the first round's layout, the index pair that permutes a
     ``(rows, m)`` working array into that layout and, per round, the
     index pair that moves it to the next round's layout.  Rows past m
-    (eigenvector rows) keep their order.  The last step returns to the
+    (carried rows) keep their order.  The last step returns to the
     first layout, so every sweep starts and ends there.  Each sweep
     rotates every index pair exactly once (circle method; Brent & Luk,
     SIAM J. Sci. Stat. Comput. 6, 69 (1985)).
@@ -75,11 +75,11 @@ def _round_robin(m: int, rows: int) -> tuple:
 def _rotate_pairs(work: np.ndarray, skip: np.ndarray) -> None:
     """Apply one round of m/2 disjoint Jacobi rotations in place.
 
-    ``work`` is ``(B, rows, m)``: A in the first m rows and, when
-    eigenvectors are wanted, V below it.  Pair j is (p, q) = (j, j + m/2).
-    With J the direct sum of the 2x2 rotations this is ``A <- J^H A J``
-    and ``V <- V J``; the rotated (p, q) entries are then set to zero and
-    the rotated diagonal entries to their closed forms.  A pair whose
+    ``work`` is ``(B, rows, m)``: A in the first m rows and the carried
+    rows X below it.  Pair j is (p, q) = (j, j + m/2).  With J the direct
+    sum of the 2x2 rotations this is ``A <- J^H A J`` and ``X <- X J``;
+    the rotated (p, q) entries are then set to zero and the rotated
+    diagonal entries to their closed forms.  A pair whose
     ``|a_pq|`` is below ``skip`` gets an exact identity rotation.
     """
     count, rows, m = work.shape
@@ -103,7 +103,7 @@ def _rotate_pairs(work: np.ndarray, skip: np.ndarray) -> None:
     shift = t * mag
     new_pp, new_qq = app - shift, aqq + shift
     c, sbar = c.astype(complex), s.conj()
-    # Columns of A and V: X <- X J.
+    # Columns of A and of the carried rows: A <- A J, X <- X J.
     cc, sc, sbc = c[:, None, :], s[:, None, :], sbar[:, None, :]
     x, y = work[..., :k], work[..., k:]
     new_x = x * cc - y * sbc
@@ -121,8 +121,12 @@ def _rotate_pairs(work: np.ndarray, skip: np.ndarray) -> None:
     qp *= keep
 
 
-def _jacobi(matrix: np.ndarray, max_sweeps: int, compute_vectors: bool):
-    a = _check_hermitian(matrix)
+def _jacobi(a: np.ndarray, max_sweeps: int, carry=None):
+    """Ascending eigenvalues of the Hermitian stack ``a`` and ``carry @ V``.
+
+    ``carry`` (rows ``(..., k, n)``, one block for all matrices, or None)
+    gets the column rotations of ``a``; its columns follow the eigenvalues.
+    """
     n = a.shape[-1]
     if n > MAX_DIM:
         raise DimensionError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
@@ -135,14 +139,15 @@ def _jacobi(matrix: np.ndarray, max_sweeps: int, compute_vectors: bool):
     skip = tol * (0.25 / max(n, 1))
     # Odd sizes get a zero padding index; its rotations are all identities.
     m = n + n % 2
-    rows = 2 * m if compute_vectors else m
-    position, start, steps = _round_robin(m, rows)
-    work = np.zeros((count, rows, m), dtype=complex)
+    k = 0 if carry is None else carry.shape[-2]
+    position, start, steps = _round_robin(m, m + k)
+    work = np.zeros((count, m + k, m), dtype=complex)
     work[:, :n, :n] = a
-    work.reshape(count, rows * m)[:, m * m :: m + 1] = 1.0  # V = I below A
+    if k:
+        work[:, m:, :n] = carry.reshape(-1, k, n)
     work = work[:, start[0], start[1]]
     w = np.empty((count, m))
-    v = np.empty((count, m, m), dtype=complex) if compute_vectors else None
+    carried = np.empty((count, k, m), dtype=complex)
     live = np.arange(count)
     for sweep in range(max_sweeps + 1):
         # A matrix leaves at the sweep where it would stop if solved alone.
@@ -150,8 +155,7 @@ def _jacobi(matrix: np.ndarray, max_sweeps: int, compute_vectors: bool):
         if done.any():
             finished = work[done]
             w[live[done]] = np.diagonal(finished, axis1=1, axis2=2).real
-            if compute_vectors:
-                v[live[done]] = finished[:, m:]
+            carried[live[done]] = finished[:, m:]
             live, work, tol, skip = live[~done], work[~done], tol[~done], skip[~done]
         if not live.size:
             break
@@ -166,10 +170,8 @@ def _jacobi(matrix: np.ndarray, max_sweeps: int, compute_vectors: bool):
     pick = np.arange(count)[:, None]
     order = position[np.argsort(w[:, position], axis=-1, kind="stable")]
     w = w[pick, order].reshape(*batch, n)
-    if not compute_vectors:
-        return w, None
-    v = v[pick[:, None], np.arange(n)[:, None], order[:, None, :]]
-    return w, v.reshape(*batch, n, n)
+    carried = carried[pick[:, None], np.arange(k)[:, None], order[:, None, :]]
+    return w, carried.reshape(*batch, k, n)
 
 
 def hermitian_eigensystem(
@@ -201,13 +203,13 @@ def hermitian_eigensystem(
         If some matrix's off-diagonal norm has not dropped below 1e-12
         (relative to its largest entry) after ``max_sweeps`` sweeps.
     """
-    return _jacobi(matrix, max_sweeps=max_sweeps, compute_vectors=True)
+    a = _check_hermitian(matrix)
+    return _jacobi(a, max_sweeps, carry=np.eye(a.shape[-1]))
 
 
 def hermitian_eigenvalues(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
     """Eigenvalues only; same iteration as :func:`hermitian_eigensystem`."""
-    w, _ = _jacobi(matrix, max_sweeps=max_sweeps, compute_vectors=False)
-    return w
+    return _jacobi(_check_hermitian(matrix), max_sweeps)[0]
 
 
 def psd_sqrt(matrix: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -223,20 +225,22 @@ def psd_sqrt(matrix: np.ndarray, floor: float = 1e-12) -> np.ndarray:
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Singular values (descending) via the Hermitian block embedding.
+    """Singular values (descending) of a matrix or a stack ``(..., r, c)``.
 
-    The eigenvalues of ``[[0, X], [X^H, 0]]`` are plus/minus the singular
-    values of ``X``, so the Jacobi solver delivers them with absolute
-    accuracy proportional to machine epsilon; no square root of a noisy
-    Gram matrix is ever taken.  A stack ``(..., r, c)`` gives ``(..., min(r, c))``.
+    Jacobi on the Gram matrix G = X^H X (of X^H when X is wide) carries X
+    through the same rotations: X V has orthogonal columns whose norms are
+    the singular values (one-sided Jacobi, Hestenes), accurate to about
+    eps ||X|| rather than sqrt(eps) ||X||.  Shape ``(..., min(r, c))``.
     """
     x = np.asarray(matrix, dtype=complex)
     if x.ndim < 2:
         raise SymmetryError(f"expected a matrix, got shape {x.shape}")
-    r, c = x.shape[-2:]
-    h = np.zeros((*x.shape[:-2], r + c, r + c), dtype=complex)
-    h[..., :r, r:] = x
-    h[..., r:, :r] = np.swapaxes(x, -1, -2).conj()
-    w = hermitian_eigenvalues(h)
-    sv = w[..., ::-1][..., : min(r, c)]
-    return np.clip(sv, 0.0, None)
+    if x.shape[-1] > x.shape[-2]:
+        x = np.swapaxes(x, -1, -2).conj()
+    # G squares the scale of X and Jacobi stops relative to max(1, max |G|):
+    # scale X exactly, by a power of two, so that max |x| lies in [0.5, 1).
+    _, e = np.frexp(np.abs(x).max(axis=(-2, -1), initial=0.0))
+    x = x * np.ldexp(1.0, -e)[..., None, None]
+    _, xv = _jacobi(np.swapaxes(x, -1, -2).conj() @ x, max_sweeps=100, carry=x)
+    sv = -np.sort(-np.sqrt((xv.real**2 + xv.imag**2).sum(axis=-2)), axis=-1)
+    return np.ldexp(sv, e[..., None])

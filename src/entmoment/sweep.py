@@ -21,10 +21,10 @@ from .entanglement import (
     concurrence_wootters_stack,
     correlation_block,
     d_measure_stack,
-    kyfan_norm,
     tr_rho_rhotilde_stack,
 )
 from .errors import ConfigurationError, DomainError, ResolutionError
+from .linalg import singular_values
 from .states import purity_stack, schmidt_stack, standard_form_stack, werner_stack
 from .tensors import quadratic_invariant_stack
 
@@ -40,7 +40,7 @@ QUANTITIES = {
     "d_measure": d_measure_stack,
     "concurrence_wootters": concurrence_wootters_stack,
     "concurrence_variant": concurrence_variant_stack,
-    "kyfan_c": lambda rhos: [kyfan_norm(correlation_block(rho)) for rho in rhos],
+    "kyfan_c": lambda rhos: singular_values(correlation_block(rhos)).sum(axis=-1),
     "verdict": lambda rhos: [VERDICT_CODE.get(classify(rho).status, 0.0) for rho in rhos],
 }
 

@@ -225,6 +225,32 @@ def test_exit_codes(capsys, tmp_path):
     # missing verb
     code, _, _ = invoke(capsys)
     assert code == 64
+    # a tolerance must be a finite number >= 0
+    for verb in (
+        ("analyze", "--family", "werner", "--x", "0.1"),
+        ("standard-form", "--d", "0.1,0.1,0.1"),
+    ):
+        for tol in ("nan", "inf", "-1", "abc"):
+            code, out, err = invoke(capsys, *verb, "--tolerance", tol)
+            assert code == 64 and out == "" and err.startswith("error: usage:")
+        code, _, _ = invoke(capsys, *verb, "--tolerance", "0")
+        assert code == 0
+
+
+def test_analyze_rejects_oversized_state_before_building_basis(capsys, tmp_path, monkeypatch):
+    from entmoment import tensors
+    from entmoment.states import DensityOperator, save_state
+
+    path = tmp_path / "dim100.json"
+    save_state(DensityOperator.from_matrix(np.eye(100) / 100), path)
+
+    def refuse(n):
+        raise AssertionError(f"built the n={n} basis")
+
+    monkeypatch.setattr(tensors, "generate_basis", refuse)
+    code, out, err = invoke(capsys, "analyze", "--state", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: dimension:")
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,15 @@ def test_kyfan_matches_svd_oracle():
         assert kyfan_norm(c) == pytest.approx(
             np.sum(np.linalg.svd(c, compute_uv=False)), abs=1e-10
         )
+    # Product states have rank-1 correlation blocks: every singular value but
+    # one is zero, where a square root of Gram eigenvalues loses half the digits.
+    for n in (2, 3, 4, 6, 8):
+        for _ in range(2):
+            a, b = random_density(n, rng=rng), random_density(n, rng=rng)
+            c = correlation_block(np.kron(a.matrix, b.matrix))
+            assert kyfan_norm(c) == pytest.approx(
+                np.sum(np.linalg.svd(c, compute_uv=False)), abs=1e-12
+            )
 
 
 @settings(max_examples=50, deadline=None)
@@ -136,6 +145,31 @@ def test_wootters_matches_x_state_oracle():
             assert concurrence_wootters(rho) == pytest.approx(
                 x_state_concurrence(rho.matrix), abs=1e-10
             )
+    # nearly product pure states: a tiny concurrence keeps its relative accuracy
+    for a in (1e-7, 1e-5, np.pi / 2 - 1e-5, 1.5708):
+        rho = schmidt_mix(1.0, a)
+        assert concurrence_wootters(rho) == pytest.approx(
+            x_state_concurrence(rho.matrix), rel=1e-12
+        )
+
+
+def _wootters_reference(rho):
+    """Concurrence from LAPACK: numpy eigh for sqrt(rho), numpy SVD for the l_i."""
+    w, v = np.linalg.eigh(rho)
+    sq = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    lam = np.linalg.svd(sq @ yy @ sq.conj() @ yy, compute_uv=False)
+    return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_wootters_matches_svd_reference(rank):
+    rng = np.random.default_rng(46 + rank)
+    for _ in range(25):
+        rho = random_density(4, rank=rank, rng=rng)
+        assert concurrence_wootters(rho) == pytest.approx(
+            _wootters_reference(rho.matrix), abs=1e-11
+        )
 
 
 @pytest.mark.parametrize("x", [0.0, 0.4, 1.0])

@@ -99,6 +99,10 @@ def test_results_do_not_depend_on_batching(dim):
         w_one, v_one = hermitian_eigensystem(m)
         assert np.array_equal(w_one, w[k]) and np.array_equal(v_one, v[k])
         assert np.array_equal(hermitian_eigenvalues(m), w[k])
+    sv = singular_values(stack)
+    assert np.array_equal(singular_values(stack[2:7]), sv[2:7])
+    for k, m in enumerate(stack):
+        assert np.array_equal(singular_values(m), sv[k])
 
 
 def test_degenerate_and_trivial_inputs():
@@ -155,10 +159,24 @@ def test_psd_sqrt_keeps_rank_of_projector():
 
 def test_singular_values_against_svd_oracle():
     rng = np.random.default_rng(8)
-    for shape in ((4, 4), (3, 5), (6, 2)):
-        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def cgauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cases = [cgauss(4, 4), cgauss(3, 5), cgauss(6, 2), cgauss(63, 63)]
+    # rank 1: the zero singular values must come out at rounding level, not sqrt(eps)
+    cases += [np.outer(cgauss(5), cgauss(4)), np.outer(*rng.standard_normal((2, 8)))]
+    # tall and wide stacks
+    cases += [cgauss(3, 6, 2), cgauss(3, 2, 5)]
+    for m in cases:
         sv = singular_values(m)
-        assert np.allclose(sv, np.linalg.svd(m, compute_uv=False), atol=1e-11)
+        assert sv.shape == m.shape[:-2] + (min(m.shape[-2:]),)
+        assert np.max(np.abs(sv - np.linalg.svd(m, compute_uv=False))) < 1e-12 * max(
+            1.0, np.abs(m).max()
+        )
+        # a power-of-two scaling of X scales the result exactly: accuracy is relative to X
+        for power in (-40, 40):
+            assert np.array_equal(singular_values(m * 2.0**power), sv * 2.0**power)
 
 
 @settings(max_examples=40, deadline=None)
