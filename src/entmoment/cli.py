@@ -135,7 +135,7 @@ def _family_values(family: str | None, args, parse) -> tuple[str, list]:
 def _load_checked(path: str) -> DensityOperator:
     try:
         return load_state(path)
-    except (json.JSONDecodeError, FormatError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError, FormatError) as exc:
         raise _Exit(2, "parse", f"{path}: {exc}")
     except NonFiniteError as exc:
         raise _Exit(3, "validation", f"{path}: finiteness: {exc}")
@@ -149,16 +149,24 @@ def _load_checked(path: str) -> DensityOperator:
         raise _Exit(2, "parse", str(exc))
 
 
-def analysis_report(state: DensityOperator, tol: float) -> dict:
-    """Full analysis payload for a bipartite state."""
-    # The Ky Fan solve needs an (n^2 - 1)-square Gram matrix; refuse before
-    # building the n-level basis and moments, which grow as n^6.
-    n = local_dimension(state.dim)
+def _check_local_dimension(n: int) -> None:
+    """Refuse an n-level system whose n^2 - 1 generators exceed ``MAX_DIM``.
+
+    Called before anything is built: the basis structure constants and the
+    moments grow as n^6, and the Ky Fan solve needs an (n^2 - 1)-square
+    Gram matrix.
+    """
     if n * n - 1 > MAX_DIM:
         raise DimensionError(
             f"local dimension {n} needs a Ky Fan solve of dimension {n * n - 1},"
             f" above the supported maximum {MAX_DIM}"
         )
+
+
+def analysis_report(state: DensityOperator, tol: float) -> dict:
+    """Full analysis payload for a bipartite state."""
+    n = local_dimension(state.dim)
+    _check_local_dimension(n)
     mom = moments(state, representation_for(state))
     l_sym, omega = split_sym_antisym(mom.second)
     k = mom.covariance()
@@ -206,6 +214,7 @@ def _write_matrix_csv(report: dict, path: str) -> None:
 
 
 def cmd_basis(args) -> int:
+    _check_local_dimension(args.n)
     doc = json.dumps(basis_to_dict(generate_basis(args.n)), allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -305,11 +314,18 @@ def cmd_standard_form(args) -> int:
 
 def cmd_selftest(args) -> int:
     numbers = None
-    if args.only:
+    if args.only is not None:
+        valid = [num for num, _, _ in acceptance.CRITERIA]
         try:
             numbers = [int(v) for v in args.only.split(",")]
         except ValueError:
-            raise _Exit(USAGE_EXIT, "usage", f"--only takes criterion numbers, got {args.only!r}")
+            numbers = []
+        if not numbers or not set(numbers) <= set(valid):
+            raise _Exit(
+                USAGE_EXIT,
+                "usage",
+                f"--only takes criterion numbers from {valid}, got {args.only!r}",
+            )
     results = acceptance.run_all(numbers)
     failures = 0
     for res in results:

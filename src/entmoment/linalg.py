@@ -200,8 +200,8 @@ def hermitian_eigensystem(
     SymmetryError
         If an input deviates from Hermiticity by more than 1e-10.
     ConvergenceError
-        If some matrix's off-diagonal norm has not dropped below 1e-12
-        (relative to its largest entry) after ``max_sweeps`` sweeps.
+        If some matrix's off-diagonal norm has not dropped below
+        1e-12 * max(1, largest entry) after ``max_sweeps`` sweeps.
     """
     a = _check_hermitian(matrix)
     return _jacobi(a, max_sweeps, carry=np.eye(a.shape[-1]))
@@ -240,7 +240,10 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     # G squares the scale of X and Jacobi stops relative to max(1, max |G|):
     # scale X exactly, by a power of two, so that max |x| lies in [0.5, 1).
     _, e = np.frexp(np.abs(x).max(axis=(-2, -1), initial=0.0))
-    x = x * np.ldexp(1.0, -e)[..., None, None]
+    # Scale the entries themselves: the factor 2^-e alone overflows to inf
+    # when max |x| is subnormal.
+    shift = -e[..., None, None]
+    x = np.ldexp(x.real, shift) + 1j * np.ldexp(x.imag, shift)
     _, xv = _jacobi(np.swapaxes(x, -1, -2).conj() @ x, max_sweeps=100, carry=x)
     sv = -np.sort(-np.sqrt((xv.real**2 + xv.imag**2).sum(axis=-2)), axis=-1)
     return np.ldexp(sv, e[..., None])

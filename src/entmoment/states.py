@@ -246,6 +246,9 @@ def werner(x: float) -> DensityOperator:
 def schmidt_stack(x, alpha0) -> np.ndarray:
     """Validated Schmidt mixtures, one per entry of ``x`` and ``alpha0``: shape ``(B, 4, 4)``."""
     x, alpha0 = np.broadcast_arrays(_unit_interval(x, "mixing parameter"), alpha0)
+    # cos and sin of an infinite angle warn before validation would reject the NaN.
+    if not np.isfinite(alpha0).all():
+        raise NonFiniteError("Schmidt angle has NaN or infinite entries")
     ket = np.zeros((x.size, 4), dtype=complex)
     ket[:, 0] = np.cos(alpha0)
     ket[:, 3] = np.sin(alpha0)
@@ -279,7 +282,13 @@ def standard_form_stack(d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[1] != 3:
         raise ShapeError(f"expected triples (d1, d2, d3), got shape {d.shape}")
-    low = standard_form_eigenvalues(d).min(axis=1)
+    # NaN compares False against the tolerance below, so it must be caught first.
+    if not np.isfinite(d).all():
+        raise NonFiniteError("standard-form triple has NaN or infinite entries")
+    # Far outside the tetrahedron (|d_j| near 1e308) an eigenvalue overflows to
+    # -inf, which the check below rejects as it should.
+    with np.errstate(over="ignore"):
+        low = standard_form_eigenvalues(d).min(axis=1)
     bad = np.flatnonzero(low < -POSITIVITY_TOL)
     if bad.size:
         i = bad[0]
@@ -383,7 +392,7 @@ def state_from_dict(doc) -> DensityOperator:
             [[complex(entry[0], entry[1]) for entry in row] for row in rows],
             dtype=complex,
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, LookupError, OverflowError) as exc:
         raise FormatError(f"'matrix' must be rows of [re, im] pairs: {exc}") from exc
     if m.shape != (dim, dim):
         raise FormatError(f"'matrix' has shape {m.shape}, expected ({dim}, {dim})")

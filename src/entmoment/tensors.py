@@ -96,12 +96,6 @@ def representation_for(state) -> Representation:
     return product_representation(local_dimension(as_matrix(state).shape[-1]))
 
 
-def _first_moment_stack(rhos: np.ndarray, rep: Representation) -> np.ndarray:
-    """Tr(rho R_j) for each rho of a stack ``(B, d, d)``: shape ``(B, m)``."""
-    count, d = rhos.shape[0], rhos.shape[-1]
-    return (rhos.reshape(count, 1, d * d) @ rep.dual.T)[:, 0].real
-
-
 def _coefficient_stack(rhos: np.ndarray, rep: Representation, order: int) -> np.ndarray:
     """Tr(rho R_i1 ... R_ik) for each rho of a stack ``(B, d, d)``: shape ``(B, m, ..., m)``."""
     # Tr(rho R_i1 ... R_ik) = Tr(R_i1 (R_i2 ... R_ik rho)): batched products build the
@@ -113,11 +107,6 @@ def _coefficient_stack(rhos: np.ndarray, rep: Representation, order: int) -> np.
         right = (rep.ops[None, :, None] @ right[:, None]).reshape(count, -1, d, d)
     values = rep.dual @ right.reshape(count, -1, d * d).swapaxes(1, 2)
     return values.reshape((count,) + (rep.count,) * order)
-
-
-def first_moments(state, rep: Representation) -> np.ndarray:
-    """Expectation values Tr(rho R_j), real for Hermitian generators."""
-    return _first_moment_stack(as_matrix(state)[None], rep)[0]
 
 
 def _stack_of(state, rep: Representation) -> np.ndarray:
@@ -143,6 +132,11 @@ def tensor_coefficients(state, rep: Representation, order: int = 2) -> TensorCoe
     return TensorCoefficients(
         order=order, dim_index=rep.count, values=values[0] if rho.ndim == 2 else values
     )
+
+
+def first_moments(state, rep: Representation) -> np.ndarray:
+    """Expectation values Tr(rho R_j), real for Hermitian generators: the order-1 coefficients."""
+    return tensor_coefficients(state, rep, order=1).values.real
 
 
 @dataclass(frozen=True)
@@ -200,13 +194,7 @@ class Moments:
 
 def moments(state, rep: Representation) -> Moments:
     """Evaluate the first and second moments of ``state`` (or of each state of a stack) once."""
-    rho = as_matrix(state)
-    rhos = _stack_of(rho, rep)
-    first, values = _first_moment_stack(rhos, rep), _coefficient_stack(rhos, rep, 2)
-    if rho.ndim == 2:
-        first, values = first[0], values[0]
-    second = TensorCoefficients(order=2, dim_index=rep.count, values=values)
-    return Moments(rep=rep, first=first, second=second)
+    return Moments(rep, first_moments(state, rep), tensor_coefficients(state, rep))
 
 
 def fano_decompose(state) -> FanoForm:
@@ -226,12 +214,12 @@ def fano_compose(f: FanoForm) -> DensityOperator:
 
 
 def split_sym_antisym(t: TensorCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Real symmetric L and real antisymmetric Omega with T = L + i Omega."""
+    """Real symmetric L and real antisymmetric Omega with T = L + i Omega (per state of a stack)."""
     if t.order != 2:
         raise ShapeError(f"symmetric/antisymmetric split needs order 2, got {t.order}")
     v = t.values
-    l_sym = (v.real + v.real.T) / 2.0
-    omega = (v.imag - v.imag.T) / 2.0
+    l_sym = (v.real + np.swapaxes(v.real, -1, -2)) / 2.0
+    omega = (v.imag - np.swapaxes(v.imag, -1, -2)) / 2.0
     return l_sym, omega
 
 

@@ -186,6 +186,14 @@ def test_selftest_subset(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+@pytest.mark.parametrize("only", ["99", "0", "1,99", "", "1,,2", "x"])
+def test_selftest_rejects_unknown_criteria(capsys, only):
+    code, out, err = invoke(capsys, "selftest", "--only", only)
+    assert code == 64 and out == ""
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+    assert "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]" in err
+
+
 def test_exit_codes(capsys, tmp_path):
     # unknown flag -> usage error
     code, _, err = invoke(capsys, "analyze", "--nonsense")
@@ -219,6 +227,18 @@ def test_exit_codes(capsys, tmp_path):
     code, out, err = invoke(capsys, "analyze", "--state", str(nan_file))
     assert code == 3 and out == ""
     assert err.startswith(f"error: validation: {nan_file}: ")
+    # bytes that are not UTF-8 -> parse error naming the file
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    code, out, err = invoke(capsys, "analyze", "--state", str(not_utf8))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: parse: {not_utf8}: ")
+    # nesting deeper than the JSON decoder's recursion limit -> parse error
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = invoke(capsys, "analyze", "--state", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: parse: {deep}: ")
     # domain violation -> nonzero with machine-parsable line
     code, _, err = invoke(capsys, "analyze", "--family", "werner", "--x", "1.5")
     assert code == 1 and err.startswith("error: domain:")
@@ -249,6 +269,19 @@ def test_analyze_rejects_oversized_state_before_building_basis(capsys, tmp_path,
 
     monkeypatch.setattr(tensors, "generate_basis", refuse)
     code, out, err = invoke(capsys, "analyze", "--state", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: dimension:")
+
+
+@pytest.mark.parametrize("n", ["9", "30", "1000000"])
+def test_basis_rejects_oversized_n_before_building_it(capsys, monkeypatch, n):
+    from entmoment import cli
+
+    def refuse(n):
+        raise AssertionError(f"built the n={n} basis")
+
+    monkeypatch.setattr(cli, "generate_basis", refuse)
+    code, out, err = invoke(capsys, "basis", "--n", n)
     assert code == 1 and out == ""
     assert err.startswith("error: dimension:")
 

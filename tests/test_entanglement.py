@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmoment.entanglement import (
@@ -92,6 +92,7 @@ def test_kyfan_matches_svd_oracle():
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+@example(d=[0.0, 0.0, 2.225073858507203e-309])  # subnormal largest entry
 def test_kyfan_diagonal_is_l1(d):
     assert kyfan_norm(np.diag(d)) == pytest.approx(np.sum(np.abs(d)), abs=1e-12)
 

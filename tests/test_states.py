@@ -299,6 +299,19 @@ def test_family_domain_errors():
         schmidt_mix(0.5, float("nan"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_family_parameters_raise_without_warnings():
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(NonFiniteError):
+            schmidt_mix(0.5, bad)
+    for bad in ((np.inf, 0.0, 0.0), (np.nan, np.nan, np.inf)):
+        with pytest.raises(NonFiniteError):
+            standard_form_state(bad)
+    # Finite but far outside the tetrahedron: an eigenvalue is -inf.
+    with pytest.raises(PositivityError):
+        standard_form_state((1e308, 1e308, 0.0))
+
+
 def test_stack_builders_and_validation():
     xs, alphas = np.array([0.0, 0.4, 1.0]), np.array([0.3, 0.0, 1.5])
     for k, (x, a) in enumerate(zip(xs, alphas)):
@@ -403,6 +416,10 @@ def test_state_file_structural_errors(tmp_path):
         state_from_dict({"dim": 2, "matrix": [[1.0, 0.0], [0.0, 0.0]]})
     with pytest.raises(FormatError):
         state_from_dict({"dim": "2", "matrix": []})
+    # entries that are not [re, im] pairs of floats
+    for entry in ([10**400, 0.0], {"re": 0.0, "im": 0.0}, [0.0, "1"]):
+        with pytest.raises(FormatError):
+            state_from_dict({"dim": 2, "matrix": [[entry, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]})
 
 
 def test_state_file_invariant_violation(tmp_path):

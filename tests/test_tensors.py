@@ -337,16 +337,23 @@ def test_stacked_moments_match_single_states():
     groups = [
         (3, [random_density(9, rng=rng) for _ in range(3)]),
         (2, [werner(0.4), schmidt_mix(0.3, 0.7)]),
+        # B = m = 6: a split that transposes the whole stack would mix states silently.
+        (2, [random_density(4, rng=rng) for _ in range(6)]),
     ]
     for n, states in groups:
         rep = product_representation(n)
-        stack = moments(np.stack([r.matrix for r in states]), rep)
+        matrices = np.stack([r.matrix for r in states])
+        stack = moments(matrices, rep)
+        l_stack, omega_stack = split_sym_antisym(tensor_coefficients(matrices, rep))
         for i, rho in enumerate(states):
             single = moments(rho, rep)
             assert np.array_equal(stack.first[i], single.first)
             assert np.array_equal(stack.second.values[i], single.second.values)
             assert np.array_equal(stack.covariance().values[i], single.covariance().values)
             assert np.array_equal(stack.correlation_block()[i], single.correlation_block())
+            l_single, omega_single = split_sym_antisym(single.second)
+            assert np.array_equal(l_stack[i], l_single)
+            assert np.array_equal(omega_stack[i], omega_single)
 
 
 def test_quadratic_invariant_stack_shares_the_report_path():
