@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -46,7 +47,6 @@ from .states import (
     local_dimension,
     purity,
     save_state,
-    standard_form_state,
     state_to_dict,
 )
 from .sweep import (
@@ -74,8 +74,18 @@ class _Exit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only a plain negative number as a value, so "--d -0.3,0.2,0.1"
+        # would be a flag; a dash followed by a digit or "." always starts a value here.
+        self._negative_number_matcher = re.compile(r"-[\d.]")
+
     def error(self, message):
         raise _Exit(USAGE_EXIT, "usage", message)
+
+    def exit(self, status=0, message=None):
+        # Reached only by --help, after the usage text went to stdout.
+        raise _Exit(status, "usage", message or "")
 
 
 def _parse_range(spec: str, name: str) -> AxisSpec:
@@ -107,19 +117,24 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _family_values(family: str | None, args, parse) -> tuple[str, list]:
-    """The registry name of ``family`` and one ``parse(text, axis)`` value per axis.
+def _axis_flag(axis: str) -> str:
+    """The flag of a family axis.
 
-    Axes ``x`` and ``alpha`` are read from ``--x`` and ``--alpha``; axes
-    named by a letter and a digit (``d1``, ``d2``, ``d3``) are the
-    comma-separated parts of the flag named by the letter (``--d``).
+    Axes ``x`` and ``alpha`` are their own flags; axes named by a letter and
+    a digit (``d1``, ``d2``, ``d3``) are the comma-separated parts of the
+    flag named by the letter (``--d``).
     """
+    return axis.rstrip("0123456789")
+
+
+def _family_values(family: str | None, args, parse) -> tuple[str, list]:
+    """The registry name of ``family`` and one ``parse(text, axis)`` value per axis."""
     name = (family or "").replace("-", "_")
     if name not in FAMILIES:
         raise _Exit(USAGE_EXIT, "usage", f"unknown or missing family {family!r}")
     flags = {}
     for axis in FAMILIES[name][0]:
-        flags.setdefault(axis.rstrip("0123456789"), []).append(axis)
+        flags.setdefault(_axis_flag(axis), []).append(axis)
     values = []
     for flag, axes in flags.items():
         spec = getattr(args, flag)
@@ -130,6 +145,17 @@ def _family_values(family: str | None, args, parse) -> tuple[str, list]:
             raise _Exit(USAGE_EXIT, "usage", f"--{flag} needs {len(axes)} value(s), got {spec!r}")
         values += map(parse, parts, axes)
     return name, values
+
+
+def _family_state(family: str, values) -> DensityOperator:
+    """The validated state of one family point.
+
+    A NaN or infinite parameter is a domain error, as it is for a sweep axis.
+    """
+    try:
+        return DensityOperator.from_matrix(build_states(family, np.array([values]))[0])
+    except NonFiniteError as exc:
+        raise _Exit(1, "domain", str(exc))
 
 
 def _load_checked(path: str) -> DensityOperator:
@@ -230,8 +256,7 @@ def cmd_analyze(args) -> int:
     if args.state:
         rho = _load_checked(args.state)
     elif args.family:
-        family, values = _family_values(args.family, args, _parse_float)
-        rho = DensityOperator.from_matrix(build_states(family, np.array([values]))[0])
+        rho = _family_state(*_family_values(args.family, args, _parse_float))
     else:
         raise _Exit(USAGE_EXIT, "usage", "analyze needs --state or --family")
     if args.dump_state:
@@ -290,8 +315,8 @@ def cmd_wedge(args) -> int:
 
 
 def cmd_standard_form(args) -> int:
-    _, d = _family_values("standard_form", args, _parse_float)
-    rho = standard_form_state(d)
+    family, d = _family_values("standard_form", args, _parse_float)
+    rho = _family_state(family, d)
     octa = octahedron_check(d, tol=args.tolerance)
     ppt = ppt_check(rho, tol=args.tolerance)
     spectrum = [float(v) for v in hermitian_eigenvalues(rho.matrix)]
@@ -345,12 +370,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_basis)
 
+    family_flags = dict.fromkeys(_axis_flag(a) for axes, _ in FAMILIES.values() for a in axes)
+
     p = sub.add_parser("analyze", help="full report for a state (file or family)")
     p.add_argument("--state")
     p.add_argument("--family")
-    p.add_argument("--x")
-    p.add_argument("--alpha")
-    p.add_argument("--d")
+    for flag in family_flags:
+        p.add_argument(f"--{flag}")
     p.add_argument("--out")
     p.add_argument("--dump-state", dest="dump_state")
     p.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOL)
@@ -358,9 +384,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="evaluate quantities over a family grid (CSV)")
     p.add_argument("--family", required=True)
-    p.add_argument("--x")
-    p.add_argument("--alpha")
-    p.add_argument("--d")
+    for flag in family_flags:
+        p.add_argument(f"--{flag}")
     p.add_argument("--quantities", required=True)
     p.add_argument("--out")
     p.add_argument("--svg")
@@ -368,9 +393,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("wedge", help="central-difference wedge of two quantities")
     p.add_argument("--family", required=True)
-    p.add_argument("--x")
-    p.add_argument("--alpha")
-    p.add_argument("--d")
+    for flag in family_flags:
+        p.add_argument(f"--{flag}")
     p.add_argument("--quantities", default="C,D")
     p.add_argument("--out")
     p.add_argument("--svg")
@@ -397,14 +421,12 @@ def run(argv) -> int:
             parser.error("a subcommand is required")
         return args.func(args)
     except _Exit as exc:
-        print(f"error: {exc.kind}: {exc}", file=sys.stderr)
+        if exc.code:
+            print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return exc.code
     except (json.JSONDecodeError, FormatError) as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteError, SymmetryError, NormalizationError) as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return 3
     except (
         DomainError,
         DimensionError,

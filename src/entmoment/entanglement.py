@@ -3,6 +3,8 @@
 Necessary criteria flag entanglement when violated, sufficient criteria
 certify separability when satisfied; for two qubits the partial-transpose
 test decides every state (Peres, PRL 77, 1413 (1996); Horodecki x3, 1996).
+Each scalar quantity takes one matrix and returns a float, or a stack
+``(B, d, d)`` and returns its ``(B,)`` values.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 from .errors import CrossCheckError, DimensionError, DomainError
 from .linalg import hermitian_eigenvalues, psd_sqrt, singular_values
 from .states import (
+    _per_state,
     as_matrix,
     bell_state,
     maximally_mixed,
@@ -26,7 +29,7 @@ from .tensors import (
     FanoForm,
     moments,
     product_representation,
-    quadratic_invariant_stack,
+    quadratic_invariant,
     representation_for,
     split_sym_antisym,
     tensor_coefficients,
@@ -94,38 +97,24 @@ class LtildeSignature(NamedTuple):
 
 
 def _require_two_qubits(state) -> np.ndarray:
-    """The state's matrix, checked to be two-qubit."""
+    """The state's matrix (or stack of matrices), checked to be two-qubit."""
     rho = as_matrix(state)
-    if rho.shape != (4, 4):
-        raise DimensionError(f"operation requires a 4x4 matrix, got shape {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise DimensionError(f"operation requires 4x4 matrices, got shape {rho.shape}")
     return rho
 
 
-def _require_two_qubit_stack(rhos) -> np.ndarray:
-    """A stack of matrices, checked to have shape ``(B, 4, 4)``."""
-    rhos = as_matrix(rhos)
-    if rhos.ndim != 3 or rhos.shape[1:] != (4, 4):
-        raise DimensionError(f"operation requires a stack of 4x4 matrices, got shape {rhos.shape}")
-    return rhos
-
-
-def kyfan_norm(c) -> float:
+@_per_state
+def kyfan_norm(c):
     """Ky Fan (trace) norm: the sum of the singular values of a matrix."""
-    c = np.asarray(c)
-    if c.ndim != 2:
-        raise DomainError(f"expected a matrix, got shape {c.shape}")
-    return float(singular_values(c).sum())
+    return singular_values(c).sum(axis=-1)
 
 
-def tr_rho_rhotilde_stack(rhos) -> np.ndarray:
-    """:func:`tr_rho_rhotilde` of each matrix of a stack ``(B, 4, 4)``."""
-    rho = _require_two_qubit_stack(rhos)
-    return np.trace(rho @ spin_flip_matrix(rho), axis1=-2, axis2=-1).real
-
-
-def tr_rho_rhotilde(state) -> float:
+@_per_state
+def tr_rho_rhotilde(rhos):
     """Overlap Tr(rho rho~) with the spin-flipped state."""
-    return float(tr_rho_rhotilde_stack(_require_two_qubits(state)[None])[0])
+    rho = _require_two_qubits(rhos)
+    return np.trace(rho @ spin_flip_matrix(rho), axis1=-2, axis2=-1).real
 
 
 def _wootters(sq: np.ndarray) -> np.ndarray:
@@ -148,56 +137,44 @@ def _variant(rho: np.ndarray, sq: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, ev[..., 0] - ev[..., 1] - ev[..., 2] - ev[..., 3])
 
 
-def concurrence_wootters_stack(rhos) -> np.ndarray:
-    """:func:`concurrence_wootters` of each matrix of a stack ``(B, 4, 4)``."""
-    return _wootters(psd_sqrt(_require_two_qubit_stack(rhos)))
-
-
-def concurrence_variant_stack(rhos) -> np.ndarray:
-    """:func:`concurrence_variant` of each matrix of a stack ``(B, 4, 4)``."""
-    rho = _require_two_qubit_stack(rhos)
-    return _variant(rho, psd_sqrt(rho))
-
-
-def concurrence_wootters(state) -> float:
+@_per_state
+def concurrence_wootters(rhos):
     """Two-qubit concurrence, Wootters convention (PRL 80, 2245 (1998)).
 
     max(0, l1 - l2 - l3 - l4) over the descending square-root eigenvalues
     of sqrt(rho) rho~ sqrt(rho).
     """
-    return float(concurrence_wootters_stack(_require_two_qubits(state)[None])[0])
+    return _wootters(psd_sqrt(_require_two_qubits(rhos)))
 
 
-def concurrence_variant(state) -> float:
+@_per_state
+def concurrence_variant(rhos):
     """No-square-root convention: eigenvalues of rho rho~ used directly.
 
     Same largest-minus-rest combination, applied to the eigenvalues of
     rho rho~ themselves (equal to those of sqrt(rho) rho~ sqrt(rho))
     rather than their square roots.
     """
-    return float(concurrence_variant_stack(_require_two_qubits(state)[None])[0])
+    rho = _require_two_qubits(rhos)
+    return _variant(rho, psd_sqrt(rho))
 
 
-def concurrences(state) -> tuple[float, float]:
+@_per_state
+def concurrences(rhos):
     """(:func:`concurrence_wootters`, :func:`concurrence_variant`) from one sqrt(rho)."""
-    rho = _require_two_qubits(state)[None]
+    rho = _require_two_qubits(rhos)
     sq = psd_sqrt(rho)
-    return float(_wootters(sq)[0]), float(_variant(rho, sq)[0])
+    return _wootters(sq), _variant(rho, sq)
 
 
-def d_measure_stack(rhos) -> np.ndarray:
-    """:func:`d_measure` of each matrix of a stack ``(B, 4, 4)``."""
-    f2 = quadratic_invariant_stack(_require_two_qubit_stack(rhos), "covariance")
-    return d_from_covariance_invariant(f2)
-
-
-def d_measure(state) -> float:
+@_per_state
+def d_measure(rhos):
     """Covariance-invariant analogue of the purity: f/8 - 1/2.
 
     f is the quadratic covariance invariant; the value is 1/2 on pure
     product states and 1 on Bell states.
     """
-    return float(d_measure_stack(_require_two_qubits(state)[None])[0])
+    return d_from_covariance_invariant(quadratic_invariant(_require_two_qubits(rhos), "covariance"))
 
 
 def d_from_covariance_invariant(f2_covariance):
@@ -271,8 +248,10 @@ def omega_sufficient(state, tol: float = DEFAULT_TOL) -> OmegaResult:
 
 
 def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
-    """Positivity under partial transposition; decisive for two qubits."""
+    """Positivity under partial transposition of one matrix; decisive for two qubits."""
     rho = _require_two_qubits(state)
+    if rho.ndim != 2:
+        raise DimensionError(f"ppt_check takes one 4x4 matrix, got shape {rho.shape}")
     w = hermitian_eigenvalues(partial_transpose(rho))
     return PptResult(separable=bool(w[0] >= -tol), min_eigenvalue=float(w[0]))
 

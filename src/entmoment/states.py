@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -37,6 +37,27 @@ POSITIVITY_TOL = 1e-10
 def as_matrix(state) -> np.ndarray:
     """Accept a DensityOperator or a plain array; return the matrix."""
     return np.asarray(getattr(state, "matrix", state), dtype=complex)
+
+
+def _per_state(quantity):
+    """Let ``quantity``, written for a stack ``(B, d, d)``, also take one matrix ``(d, d)``.
+
+    One matrix goes through as a stack of one, so it gets exactly the
+    arithmetic it would get in any stack; its value (or each value of a
+    tuple) comes back as a float.
+    """
+
+    @wraps(quantity)
+    def one_or_stack(state, *args, **kwargs):
+        rho = as_matrix(state)
+        if rho.ndim not in (2, 3):
+            raise ShapeError(f"expected a matrix or a stack of matrices, got shape {rho.shape}")
+        if rho.ndim == 3:
+            return quantity(rho, *args, **kwargs)
+        values = quantity(rho[None], *args, **kwargs)
+        return tuple(float(v[0]) for v in values) if isinstance(values, tuple) else float(values[0])
+
+    return one_or_stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,14 +354,10 @@ def convex_combine(terms) -> DensityOperator:
     return DensityOperator.from_matrix(out)
 
 
-def purity_stack(rhos) -> np.ndarray:
-    """Tr(rho^2) for each matrix of a stack ``(B, d, d)``."""
-    rhos = np.asarray(rhos, dtype=complex)
+@_per_state
+def purity(rhos):
+    """Tr(rho^2): a float for one matrix, shape ``(B,)`` for a stack ``(B, d, d)``."""
     return np.trace(rhos @ rhos, axis1=-2, axis2=-1).real
-
-
-def purity(state) -> float:
-    return float(purity_stack(as_matrix(state)[None])[0])
 
 
 # -- random ensembles (used by the test and acceptance suites) ---------------

@@ -17,30 +17,30 @@ from .entanglement import (
     ENTANGLED,
     SEPARABLE,
     classify,
-    concurrence_variant_stack,
-    concurrence_wootters_stack,
+    concurrence_variant,
+    concurrence_wootters,
     correlation_block,
-    d_measure_stack,
-    tr_rho_rhotilde_stack,
+    d_measure,
+    kyfan_norm,
+    tr_rho_rhotilde,
 )
 from .errors import ConfigurationError, DomainError, ResolutionError
-from .linalg import singular_values
-from .states import purity_stack, schmidt_stack, standard_form_stack, werner_stack
-from .tensors import quadratic_invariant_stack
+from .states import purity, schmidt_stack, standard_form_stack, werner_stack
+from .tensors import quadratic_invariant
 
 VERDICT_CODE = {SEPARABLE: 1.0, ENTANGLED: -1.0}
 
 # Each quantity maps a validated state stack (B, d, d) to its B values.
 QUANTITIES = {
-    "purity": purity_stack,
-    "linear_entropy": lambda rhos: 1.0 - purity_stack(rhos),
-    "tr_rho_rhotilde": tr_rho_rhotilde_stack,
-    "f2_linear": lambda rhos: quadratic_invariant_stack(rhos, "linear"),
-    "f2_covariance": lambda rhos: quadratic_invariant_stack(rhos, "covariance"),
-    "d_measure": d_measure_stack,
-    "concurrence_wootters": concurrence_wootters_stack,
-    "concurrence_variant": concurrence_variant_stack,
-    "kyfan_c": lambda rhos: singular_values(correlation_block(rhos)).sum(axis=-1),
+    "purity": purity,
+    "linear_entropy": lambda rhos: 1.0 - purity(rhos),
+    "tr_rho_rhotilde": tr_rho_rhotilde,
+    "f2_linear": lambda rhos: quadratic_invariant(rhos, "linear"),
+    "f2_covariance": lambda rhos: quadratic_invariant(rhos, "covariance"),
+    "d_measure": d_measure,
+    "concurrence_wootters": concurrence_wootters,
+    "concurrence_variant": concurrence_variant,
+    "kyfan_c": lambda rhos: kyfan_norm(correlation_block(rhos)),
     "verdict": lambda rhos: [VERDICT_CODE.get(classify(rho).status, 0.0) for rho in rhos],
 }
 

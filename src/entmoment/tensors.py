@@ -10,7 +10,8 @@ Omega and its symmetric part is written G.
 
 :func:`moments` evaluates the first and second moments of a state once;
 L, Omega, K, the Fano form and the correlation block are all read from
-that one evaluation.
+that one evaluation.  Each of these, and each scalar invariant, takes one
+state (a float) or a stack ``(B, d, d)`` (an array with a leading axis).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .basis import generate_basis
 from .errors import DomainError, ShapeError
-from .states import DensityOperator, as_matrix, local_dimension
+from .states import DensityOperator, _per_state, as_matrix, local_dimension
 
 MAX_ORDER = 4
 
@@ -228,37 +229,30 @@ def covariance_coefficients(state, rep: Representation) -> TensorCoefficients:
     return moments(state, rep).covariance()
 
 
-def _squared_norms(t: TensorCoefficients) -> np.ndarray:
-    """Sum of squared moduli over the coefficient axes (per state for a stack)."""
+def inner_product(t: TensorCoefficients):
+    """Sum of squared moduli of all coefficients (per state of a stack)."""
     values = t.values
     flat = values.reshape(values.shape[: values.ndim - t.order] + (-1,))
-    return (np.abs(flat) ** 2).sum(axis=-1)
+    norms = (np.abs(flat) ** 2).sum(axis=-1)
+    return float(norms) if flat.ndim == 1 else norms
 
 
-def inner_product(t: TensorCoefficients) -> float:
-    """Sum of squared moduli of all coefficients."""
-    return float(_squared_norms(t))
-
-
-def quadratic_invariant_stack(rhos, mode: str = "linear") -> np.ndarray:
-    """:func:`quadratic_invariant` of each matrix of a stack ``(B, d, d)``."""
-    if mode not in ("linear", "covariance"):
-        raise DomainError(f"mode must be 'linear' or 'covariance', got {mode!r}")
-    mom = moments(rhos, representation_for(rhos))
-    return _squared_norms(mom.second if mode == "linear" else mom.covariance())
-
-
-def quadratic_invariant(state, mode: str = "linear") -> float:
+@_per_state
+def quadratic_invariant(rhos, mode: str = "linear"):
     """Local-unitary invariant sum of squared order-2 coefficients.
 
     ``mode='linear'`` uses the plain second moments; ``mode='covariance'``
     subtracts first moments first.  Both are invariant under conjugation
     by local unitaries.
     """
-    return float(quadratic_invariant_stack(as_matrix(state)[None], mode)[0])
+    if mode not in ("linear", "covariance"):
+        raise DomainError(f"mode must be 'linear' or 'covariance', got {mode!r}")
+    mom = moments(rhos, representation_for(rhos))
+    return inner_product(mom.second if mode == "linear" else mom.covariance())
 
 
-def monotone_candidate(state, mode: str, order: int, coefficients) -> float:
+@_per_state
+def monotone_candidate(rhos, mode: str, order: int, coefficients):
     """Polynomial sum_i a_i * <T,T>^i in the order-k coefficient norm.
 
     ``coefficients`` is the sequence (a_0, a_1, ...); the plain quadratic
@@ -266,9 +260,9 @@ def monotone_candidate(state, mode: str, order: int, coefficients) -> float:
     ``coefficients=(0, 1)``.
     """
     if mode == "linear":
-        ip = inner_product(tensor_coefficients(state, representation_for(state), order=order))
+        ip = inner_product(tensor_coefficients(rhos, representation_for(rhos), order=order))
     elif mode == "covariance" and order != 2:
         raise DomainError("covariance coefficients are defined for order 2 only")
     else:
-        ip = quadratic_invariant(state, mode)  # rejects unknown modes
-    return float(sum(a * ip**i for i, a in enumerate(coefficients)))
+        ip = quadratic_invariant(rhos, mode)  # rejects unknown modes
+    return sum((a * ip**i for i, a in enumerate(coefficients)), np.zeros_like(ip))

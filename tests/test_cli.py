@@ -323,3 +323,55 @@ def test_dump_state_writes_loadable_file(capsys, tmp_path):
     assert code == 0
     rho = load_state(path)
     assert rho.dim == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--family", "werner", "--x", "nan"),
+        ("analyze", "--family", "schmidt", "--x", "0.5", "--alpha", "nan"),
+        ("analyze", "--family", "schmidt", "--x", "0.5", "--alpha", "inf"),
+        ("analyze", "--family", "standard-form", "--d", "nan,0,0"),
+        ("standard-form", "--d", "0,inf,0"),
+        ("sweep", "--family", "werner", "--x", "0:nan:3", "--quantities", "D"),
+    ],
+)
+def test_non_finite_family_values_are_domain_errors(capsys, argv):
+    # Exit 3 is kept for state files; a family parameter is checked like a sweep axis.
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: domain:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("-h",), ("analyze", "--help"), ("analyze", "-h"), ("sweep", "-h")]
+)
+def test_help_returns_zero(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: entmoment")
+
+
+@pytest.mark.parametrize(
+    "verb, value",
+    [
+        (("analyze", "--family", "standard-form"), "-0.3,0.2,0.1"),
+        (("analyze", "--family", "standard-form"), "-.3,0.2,0.1"),
+        (("standard-form",), "-0.3,0.2,0.1"),
+        (("sweep", "--family", "standard-form", "--quantities", "D"), "-0.2:0.2:3,0:0.2:2,0:0.1:2"),
+    ],
+)
+def test_negative_comma_separated_value_is_a_value(capsys, verb, value):
+    code, out, err = invoke(capsys, *verb, "--d", value)
+    assert code == 0, err
+    assert invoke(capsys, *verb, f"--d={value}")[:2] == (0, out)
+
+
+def test_family_flags_follow_the_registry(capsys, monkeypatch):
+    from entmoment import cli
+
+    werner_builder = cli.FAMILIES["werner"][1]
+    monkeypatch.setitem(cli.FAMILIES, "werner_line", (("y",), werner_builder))
+    code, out, _ = invoke(capsys, "analyze", "--family", "werner-line", "--y", "0.5")
+    assert code == 0
+    assert out == invoke(capsys, "analyze", "--family", "werner", "--x", "0.5")[1]

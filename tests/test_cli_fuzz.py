@@ -3,13 +3,14 @@
 Property: ``run`` returns one of the documented exit codes, and every
 nonzero code comes with exactly one stderr line, ``error: <kind>: <msg>``.
 A warning counts as a stderr line, since the command line prints it there.
-An exception escaping ``run`` fails the test.
+``--help`` or ``-h`` placed where argparse acts on it first returns 0 with
+nothing on stderr.  An exception escaping ``run`` fails the test.
 
 Inputs stay small: grid axes have at most 5 points, ``basis --n`` is at
 most 9, bare ``selftest`` (which runs every criterion) is never drawn, and
 every output path lies in a fresh directory under ``tmp_path``.  Flags are
-drawn from a fixed vocabulary so that no drawn token abbreviates ``--help``
-or an output flag.
+drawn from a fixed vocabulary so that no drawn token abbreviates an output
+flag.
 """
 
 import contextlib
@@ -49,6 +50,7 @@ quantities = st.one_of(
     st.lists(st.sampled_from(_known + ["bogus", ""]), max_size=3),
 ).map(",".join)
 unknown_flags = st.sampled_from(["--nonsense", "--bogus", "-z", "--quantity-x"])
+HELP_FLAGS = {"--help", "-h"}
 
 
 def _triple(values):
@@ -117,13 +119,16 @@ def argvs(draw):
     argv = [] if verb is None else [verb]
     for name in names:
         value = draw(flags[name])
-        # "--d=-1,0,0" form too: argparse reads a separate "-1,0,0" as a flag.
+        # Both the separate and the "--d=-1,0,0" form of a value are accepted.
         argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
         if name == "--family":
             for axis in AXIS_FLAGS.get(value, []):
                 argv += [f"{axis}={draw(flags[axis])}"]
-    damage = draw(st.sampled_from([None, None, None, "unknown flag", "no value"]))
-    if damage == "unknown flag":
+    damage = draw(st.sampled_from([None, None, None, "unknown flag", "no value", "help"]))
+    if damage == "help":
+        # Right after a known verb, or first: argparse acts on it before any other token.
+        argv.insert(1 if verb in VERB_FLAGS else 0, draw(st.sampled_from(sorted(HELP_FLAGS))))
+    elif damage == "unknown flag":
         argv.insert(draw(st.integers(0, len(argv))), draw(unknown_flags))
     elif damage == "no value" and len(argv) > 1:
         last = argv.pop()
@@ -145,8 +150,10 @@ def _run(argv):
     return code, err.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
 
 
-def _check(code, err):
+def _check(code, err, argv=()):
     assert code in EXIT_CODES
+    if HELP_FLAGS & set(argv):
+        assert code == 0 and err == "", err
     if code != 0:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
@@ -154,10 +161,12 @@ def _check(code, err):
 
 @FUZZ_SETTINGS
 @given(argv=argvs())
+@example(argv=["analyze", "--help", "--family", "werner"])
+@example(argv=["-h", "nonsense"])
 def test_run_exits_cleanly_on_malformed_argv(tmp_path, argv):
     with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
         argv = [arg.replace("{tmp}", tmp) for arg in argv]
-        _check(*_run(argv))
+        _check(*_run(argv), argv)
 
 
 # -- state files --------------------------------------------------------------

@@ -23,7 +23,13 @@ from entmoment.entanglement import (
     werner_ltilde_signature,
 )
 from entmoment import entanglement
-from entmoment.errors import CrossCheckError, DimensionError, DomainError, PositivityError
+from entmoment.errors import (
+    CrossCheckError,
+    DimensionError,
+    DomainError,
+    PositivityError,
+    ShapeError,
+)
 from entmoment.states import (
     DensityOperator,
     bell_state,
@@ -37,7 +43,14 @@ from entmoment.states import (
     standard_form_state,
     werner,
 )
-from entmoment.tensors import fano_decompose
+from entmoment.tensors import (
+    fano_decompose,
+    inner_product,
+    monotone_candidate,
+    moments,
+    product_representation,
+    quadratic_invariant,
+)
 
 TETRAHEDRON_VERTICES = np.array(
     [[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, -1.0, -1.0]]
@@ -192,13 +205,47 @@ def test_concurrence_dimension_guard():
 
 
 def test_per_state_functions_reject_stacks():
-    # The per-state functions take exactly one 4x4 matrix; stacks go to the *_stack forms.
+    # The partial transpose is built for one state, so ppt_check takes one 4x4 matrix.
     stack = np.stack([werner(0.2).matrix, bell_state().matrix])
-    for fn in (ppt_check, concurrence_wootters, concurrence_variant, tr_rho_rhotilde, d_measure):
-        with pytest.raises(DimensionError):
-            fn(stack)
     with pytest.raises(DimensionError):
-        entanglement.concurrence_wootters_stack(werner(0.2).matrix)
+        ppt_check(stack)
+
+
+def test_quantities_of_one_matrix_are_floats():
+    rho = schmidt_mix(0.6, 0.4)
+    quantities = [
+        purity,
+        tr_rho_rhotilde,
+        concurrence_wootters,
+        concurrence_variant,
+        d_measure,
+        lambda r: quadratic_invariant(r, "linear"),
+        lambda r: quadratic_invariant(r, "covariance"),
+        lambda r: monotone_candidate(r, "linear", 2, (0.0, 1.0)),
+        lambda r: inner_product(moments(r, product_representation(2)).second),
+        lambda r: kyfan_norm(correlation_block(r)),
+    ]
+    for state in (rho, rho.matrix):
+        for quantity in quantities:
+            assert isinstance(quantity(state), float)
+        assert all(isinstance(v, float) for v in entanglement.concurrences(state))
+    # A stack has one leading axis: anything else is rejected, not broadcast.
+    for quantity in quantities[:5]:
+        with pytest.raises(ShapeError):
+            quantity(rho.matrix[None, None])
+
+
+def test_kyfan_norm_of_a_stack_equals_per_matrix_norms():
+    rng = np.random.default_rng(12)
+    blocks = rng.standard_normal((5, 3, 3))
+    blocks[1] = 0.0
+    blocks[2] = np.diag([0.5, -0.25, 0.0])
+    norms = kyfan_norm(blocks)
+    assert norms.shape == (5,)
+    for block, norm in zip(blocks, norms):
+        assert norm == kyfan_norm(block)
+    wide = rng.standard_normal((4, 2, 5))
+    assert np.array_equal(kyfan_norm(wide), [kyfan_norm(m) for m in wide])
 
 
 def test_shared_sqrt_concurrences_match_public_functions():

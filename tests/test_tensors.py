@@ -29,7 +29,6 @@ from entmoment.tensors import (
     monotone_candidate,
     product_representation,
     quadratic_invariant,
-    quadratic_invariant_stack,
     split_sym_antisym,
     tensor_coefficients,
 )
@@ -356,12 +355,34 @@ def test_stacked_moments_match_single_states():
             assert np.array_equal(omega_stack[i], omega_single)
 
 
+def test_inner_product_and_monotone_candidate_take_stacks():
+    # A stack of 2 gives per-state values bitwise equal to the single-state calls.
+    states = [werner(0.3), random_density(4, rng=np.random.default_rng(8))]
+    stack = np.stack([r.matrix for r in states])
+    rep = product_representation(2)
+    for order in (1, 2, 3):
+        values = inner_product(tensor_coefficients(stack, rep, order=order))
+        assert values.shape == (2,)
+        for rho, value in zip(states, values):
+            assert value == inner_product(tensor_coefficients(rho, rep, order=order))
+    for mode, order, coefficients in [
+        ("linear", 2, (0.0, 1.0)),
+        ("linear", 3, (0.5, -1.0, 0.25)),
+        ("covariance", 2, (1.0, 0.0, 2.0)),
+        ("linear", 2, ()),
+    ]:
+        values = monotone_candidate(stack, mode, order, coefficients)
+        assert values.shape == (2,)
+        for rho, value in zip(states, values):
+            assert value == monotone_candidate(rho, mode, order, coefficients)
+
+
 def test_quadratic_invariant_stack_shares_the_report_path():
     # f2 of a stack, of one state and inner_product of one state's moments agree bitwise.
     states = [werner(0.3), schmidt_mix(0.6, 0.4), random_density(4, rng=np.random.default_rng(3))]
     stack = np.stack([r.matrix for r in states])
     for mode in ("linear", "covariance"):
-        values = quadratic_invariant_stack(stack, mode)
+        values = quadratic_invariant(stack, mode)
         for rho, value in zip(states, values):
             mom = moments(rho, product_representation(2))
             t = mom.second if mode == "linear" else mom.covariance()
