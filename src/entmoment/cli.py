@@ -9,6 +9,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -125,6 +126,11 @@ def _axis_flag(axis: str) -> str:
     flag named by the letter (``--d``).
     """
     return axis.rstrip("0123456789")
+
+
+def _family_flags() -> tuple:
+    """The family flags of the registry, in order of first appearance."""
+    return tuple(dict.fromkeys(_axis_flag(a) for axes, _ in FAMILIES.values() for a in axes))
 
 
 def _family_values(family: str | None, args, parse) -> tuple[str, list]:
@@ -370,7 +376,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_basis)
 
-    family_flags = dict.fromkeys(_axis_flag(a) for axes, _ in FAMILIES.values() for a in axes)
+    family_flags = _family_flags()
 
     p = sub.add_parser("analyze", help="full report for a state (file or family)")
     p.add_argument("--state")
@@ -413,8 +419,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=4)
+def _parser(family_flags: tuple) -> _Parser:
+    """The parser of a registry with these family flags, built once.
+
+    Parsing leaves no state on the parser, so every call can reuse it.
+    """
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    parser = _parser(_family_flags())
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "verb", None):

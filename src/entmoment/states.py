@@ -181,10 +181,17 @@ def bloch_decode(state) -> BlochVector:
     return BlochVector(n=n, m=m)
 
 
+def _bipartite_matrix(state) -> tuple[np.ndarray, int]:
+    """One square matrix ``(n*n, n*n)`` and its local dimension n; a stack is refused."""
+    rho = as_matrix(state)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ShapeError(f"expected one square matrix, got shape {rho.shape}")
+    return rho, local_dimension(rho.shape[0])
+
+
 def partial_trace(state, subsystem: str = "A") -> DensityOperator:
     """Reduced state of the kept subsystem ('A' keeps A, traces out B)."""
-    rho = as_matrix(state)
-    n = local_dimension(rho.shape[0])
+    rho, n = _bipartite_matrix(state)
     four = rho.reshape(n, n, n, n)
     if subsystem == "A":
         red = np.einsum("ikjk->ij", four)
@@ -221,8 +228,7 @@ def _sigma_yy() -> np.ndarray:
 
 def partial_transpose(state, subsystem: str = "B") -> np.ndarray:
     """Transpose one tensor factor; Hermitian but possibly indefinite."""
-    rho = as_matrix(state)
-    n = local_dimension(rho.shape[0])
+    rho, n = _bipartite_matrix(state)
     four = rho.reshape(n, n, n, n)
     if subsystem == "B":
         out = np.transpose(four, (0, 3, 2, 1))

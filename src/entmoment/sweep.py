@@ -241,16 +241,17 @@ def write_csv(table: SweepTable, path) -> None:
         fh.writelines(format_rows(table.rows))
 
 
-def _color(t: float) -> str:
-    # Linear two-segment map: blue -> white -> red over [0, 1].
-    t = min(1.0, max(0.0, t))
-    if t < 0.5:
-        u = t / 0.5
-        r, g, b = int(255 * u), int(255 * u), 255
-    else:
-        u = (t - 0.5) / 0.5
-        r, g, b = 255, int(255 * (1 - u)), int(255 * (1 - u))
-    return f"#{r:02x}{g:02x}{b:02x}"
+# The blue -> white -> red colour map over [0, 1], indexed by
+# 256 * (t >= 0.5) + level: blue to white below 0.5, white to red from 0.5.
+_COLORS = [f"#{v:02x}{v:02x}ff" for v in range(256)] + [f"#ff{v:02x}{v:02x}" for v in range(256)]
+
+
+def _color_indices(t: np.ndarray) -> list:
+    """Indices into ``_COLORS`` of normalised values ``t``; NaN maps to blue."""
+    t = np.minimum(1.0, np.fmax(t, 0.0))
+    upper = t >= 0.5
+    level = np.where(upper, 255 * (1 - (t - 0.5) / 0.5), 255 * (t / 0.5)).astype(int)
+    return (256 * upper + level).tolist()
 
 
 def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
@@ -258,8 +259,8 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
 
     Two leading axis columns produce a heatmap, one produces a line plot;
     the value range is annotated.  A table with three axis columns (the
-    standard form) raises :class:`ConfigurationError`.  Rendering is
-    presentation plumbing, not a stable format.
+    standard form) raises :class:`ConfigurationError`.  The bytes written
+    depend only on the table (and ``quantity``).
     """
     n_axes = sum(1 for c in table.columns if c in AXIS_DOMAINS)
     if n_axes > 2:
@@ -285,25 +286,26 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
         a2 = np.unique(table.rows[:, 1])
         cw = (width - 2 * margin) / len(a1)
         ch = (height - 2 * margin) / len(a2)
-        i1 = np.searchsorted(a1, table.rows[:, 0])
-        i2 = np.searchsorted(a2, table.rows[:, 1])
-        for k in range(table.rows.shape[0]):
-            x = margin + i1[k] * cw
-            y = height - margin - (i2[k] + 1) * ch
-            t = (vals[k] - vmin) / span
-            parts.append(
-                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.5:.2f}" '
-                f'height="{ch + 0.5:.2f}" fill="{_color(t)}"/>'
-            )
+        i1 = np.searchsorted(a1, table.rows[:, 0]).tolist()
+        i2 = np.searchsorted(a2, table.rows[:, 1]).tolist()
+        # One string per axis index and per colour, not per cell.
+        x_parts = [f'<rect x="{margin + i * cw:.2f}" y="' for i in range(len(a1))]
+        y_parts = [
+            f'{height - margin - (j + 1) * ch:.2f}" width="{cw + 0.5:.2f}" '
+            f'height="{ch + 0.5:.2f}" fill="'
+            for j in range(len(a2))
+        ]
+        colors = _color_indices((vals - vmin) / span)
+        parts += [
+            x_parts[i] + y_parts[j] + _COLORS[c] + '"/>' for i, j, c in zip(i1, i2, colors)
+        ]
     else:
         xs = table.rows[:, 0]
         xmin, xmax = float(xs.min()), float(xs.max())
         xspan = (xmax - xmin) or 1.0
-        pts = []
-        for k in range(table.rows.shape[0]):
-            px = margin + (xs[k] - xmin) / xspan * (width - 2 * margin)
-            py = height - margin - (vals[k] - vmin) / span * (height - 2 * margin)
-            pts.append(f"{px:.2f},{py:.2f}")
+        px = margin + (xs - xmin) / xspan * (width - 2 * margin)
+        py = height - margin - (vals - vmin) / span * (height - 2 * margin)
+        pts = [f"{x:.2f},{y:.2f}" for x, y in zip(px.tolist(), py.tolist())]
         parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" stroke="#c00" stroke-width="1.5"/>'
         )

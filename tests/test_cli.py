@@ -375,3 +375,26 @@ def test_family_flags_follow_the_registry(capsys, monkeypatch):
     code, out, _ = invoke(capsys, "analyze", "--family", "werner-line", "--y", "0.5")
     assert code == 0
     assert out == invoke(capsys, "analyze", "--family", "werner", "--x", "0.5")[1]
+
+
+WERNER_HALF = ("analyze", "--family", "werner", "--x", "0.5")
+
+
+@pytest.mark.parametrize(
+    "before, before_code",
+    [
+        (WERNER_HALF + ("--tolerance", "0.5"), 0),
+        (("analyze", "--help"), 0),
+        (WERNER_HALF, 0),
+        (("analyze", "--family", "werner", "--no-such-flag"), 64),
+    ],
+    ids=["tolerance", "help", "same-argv", "usage-error"],
+)
+def test_reused_parser_keeps_no_state(capsys, before, before_code):
+    first = invoke(capsys, *WERNER_HALF)
+    assert first[0] == 0 and json.loads(first[1])["verdict"]["status"] == "entangled"
+    code, out, _ = invoke(capsys, *before)
+    assert code == before_code
+    if "--tolerance" in before:
+        assert json.loads(out)["verdict"]["status"] == "separable"
+    assert invoke(capsys, *WERNER_HALF) == first

@@ -189,6 +189,16 @@ def test_fano_rejects_non_square_dim():
 
 # -- partial operations -------------------------------------------------------
 
+
+@pytest.mark.parametrize("partial", [partial_trace, partial_transpose])
+def test_partial_operations_take_one_square_matrix(partial):
+    stack = np.stack([werner(0.2).matrix, bell_state().matrix])
+    with pytest.raises(ShapeError, match=r"one square matrix, got shape \(2, 4, 4\)"):
+        partial(stack)
+    with pytest.raises(ShapeError, match=r"one square matrix, got shape \(4, 3\)"):
+        partial(np.zeros((4, 3)))
+
+
 def test_partial_trace_bell():
     for side in ("A", "B"):
         red = partial_trace(bell_state(), side)

@@ -311,3 +311,117 @@ def test_svg_emission(tmp_path):
     path2 = tmp_path / "line.svg"
     write_svg(line_table, path2)
     assert "polyline" in path2.read_text()
+
+
+def _reference_color(t):
+    t = min(1.0, max(0.0, t))
+    if t < 0.5:
+        u = t / 0.5
+        r, g, b = int(255 * u), int(255 * u), 255
+    else:
+        u = (t - 0.5) / 0.5
+        r, g, b = 255, int(255 * (1 - u)), int(255 * (1 - u))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def _reference_svg(table, quantity=None):
+    """Per-cell and per-point loop that ``write_svg`` must match byte for byte."""
+    n_axes = max(1, sum(1 for c in table.columns if c in sweep.AXIS_DOMAINS))
+    qcols = [c for c in table.columns[n_axes:] if c != "seam"]
+    if quantity is None:
+        quantity = qcols[0]
+    vals = table.rows[:, table.columns.index(quantity)]
+    vmin, vmax = float(vals.min()), float(vals.max())
+    span = (vmax - vmin) or 1.0
+    width, height, margin = 640, 480, 40
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    if n_axes == 2:
+        a1 = np.unique(table.rows[:, 0])
+        a2 = np.unique(table.rows[:, 1])
+        cw = (width - 2 * margin) / len(a1)
+        ch = (height - 2 * margin) / len(a2)
+        i1 = np.searchsorted(a1, table.rows[:, 0])
+        i2 = np.searchsorted(a2, table.rows[:, 1])
+        for k in range(table.rows.shape[0]):
+            x = margin + i1[k] * cw
+            y = height - margin - (i2[k] + 1) * ch
+            t = (vals[k] - vmin) / span
+            parts.append(
+                f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.5:.2f}" '
+                f'height="{ch + 0.5:.2f}" fill="{_reference_color(t)}"/>'
+            )
+    else:
+        xs = table.rows[:, 0]
+        xmin, xmax = float(xs.min()), float(xs.max())
+        xspan = (xmax - xmin) or 1.0
+        pts = []
+        for k in range(table.rows.shape[0]):
+            px = margin + (xs[k] - xmin) / xspan * (width - 2 * margin)
+            py = height - margin - (vals[k] - vmin) / span * (height - 2 * margin)
+            pts.append(f"{px:.2f},{py:.2f}")
+        parts.append(
+            f'<polyline points="{" ".join(pts)}" fill="none" stroke="#c00" stroke-width="1.5"/>'
+        )
+    parts.append(
+        f'<text x="{margin}" y="20" font-size="13" font-family="monospace">'
+        f"{quantity}: min={format_float(vmin)} max={format_float(vmax)}</text>"
+    )
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode()
+
+
+def _random_columns(rng, size):
+    """Quantity columns: plain, scaled with +-0.0, constant, with NaN, with +-inf."""
+    plain = rng.standard_normal(size)
+    scaled = plain * 10.0 ** rng.integers(-8, 8)
+    scaled[rng.integers(size)] = 0.0
+    scaled[rng.integers(size)] = -0.0
+    with_nan = rng.standard_normal(size)
+    with_nan[rng.integers(size)] = np.nan
+    with_inf = rng.standard_normal(size)
+    with_inf[rng.integers(size)] = np.inf
+    if rng.integers(2):
+        with_inf[rng.integers(size)] = -np.inf
+    columns = {
+        "plain": plain,
+        "scaled": scaled,
+        "constant": np.full(size, rng.standard_normal()),
+        "nan": with_nan,
+        "inf": with_inf,
+    }
+    return tuple(columns), np.stack(list(columns.values()), axis=1)
+
+
+def test_svg_bytes_equal_per_cell_reference(tmp_path):
+    rng = np.random.default_rng(53)
+    path = tmp_path / "t.svg"
+    tables = []
+    for _ in range(40):
+        n1, n2 = rng.integers(2, 41, size=2)
+        x = np.sort(rng.uniform(0.0, 1.0, n1))
+        alpha = np.linspace(0.0, np.pi / 2, n2)
+        p1, p2 = np.meshgrid(x, alpha, indexing="ij")
+        names, values = _random_columns(rng, n1 * n2)
+        rows = np.column_stack([p1.ravel(), p2.ravel(), values])
+        tables.append(sweep.SweepTable(("x", "alpha") + names, rows))
+    for _ in range(10):
+        n = rng.integers(2, 200)
+        names, values = _random_columns(rng, n)
+        rows = np.column_stack([np.linspace(0.0, 1.0, n), values])
+        tables.append(sweep.SweepTable(("x",) + names, rows))
+    plane = schmidt_grid(13, 9, ("concurrence_variant", "d_measure"))
+    plane_table = grid_sweep(plane)
+    tables += [
+        plane_table,
+        wedge_field(plane, "concurrence_variant", "d_measure", table=plane_table),
+        grid_sweep(werner_grid(65, ("concurrence_wootters", "purity"))),
+    ]
+    with np.errstate(all="ignore"):
+        for table in tables:
+            quantities = [c for c in table.columns if c not in sweep.AXIS_DOMAINS]
+            for quantity in quantities:
+                write_svg(table, path, quantity)
+                assert path.read_bytes() == _reference_svg(table, quantity), quantity
