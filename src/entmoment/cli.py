@@ -43,7 +43,6 @@ from .errors import (
 from .linalg import MAX_DIM, hermitian_eigenvalues
 from .states import (
     DensityOperator,
-    complex_pairs,
     load_state,
     local_dimension,
     purity,
@@ -195,6 +194,46 @@ def _check_local_dimension(n: int) -> None:
         )
 
 
+# Writes scalars and dict keys; without an indent, json runs its C encoder.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _array_template(shape: tuple, pad: str) -> str:
+    """A ``%s`` template laid out like ``json.dumps(a.tolist(), indent=2)`` at ``pad``."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
+    inner = pad + "  "
+    item = _array_template(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, with float arrays as nested lists.
+
+    ``pad`` is the newline and indent of the line that ``obj`` starts on.
+    An array is written in one step: its values fill a ``%s`` template of
+    its shape, and the ``str`` of a Python float is its ``repr``, which is
+    what ``json`` writes.  Dicts (with string keys) and lists recurse; every
+    other value goes to json's C encoder.
+    """
+    inner = pad + "  "
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind != "f":
+            raise TypeError(f"only float arrays are written, got dtype {obj.dtype}")
+        if not np.isfinite(obj).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        return _array_template(obj.shape, pad) % tuple(obj.ravel().tolist())
+    if isinstance(obj, dict):
+        items = [f"{_ENCODER.encode(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_json(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return _ENCODER.encode(obj)
+
+
 def analysis_report(state: DensityOperator, tol: float) -> dict:
     """Full analysis payload for a bipartite state."""
     n = local_dimension(state.dim)
@@ -216,12 +255,12 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
         report["tr_rho_rhotilde"] = tr_rho_rhotilde(state)
         report["d_measure"] = d_from_covariance_invariant(report["f2_covariance"])
         report["concurrence_wootters"], report["concurrence_variant"] = concurrences(state)
-    report["bloch_a"] = [float(v) for v in fano.nvec]
-    report["bloch_b"] = [float(v) for v in fano.mvec]
-    report["correlation"] = [[float(v) for v in row] for row in fano.C]
-    report["L"] = [[float(v) for v in row] for row in l_sym]
-    report["Omega"] = [[float(v) for v in row] for row in omega]
-    report["K"] = complex_pairs(k.values)
+    report["bloch_a"] = fano.nvec
+    report["bloch_b"] = fano.mvec
+    report["correlation"] = fano.C
+    report["L"] = l_sym
+    report["Omega"] = omega
+    report["K"] = np.stack([k.values.real, k.values.imag], axis=-1)
     verdict = classify(state, tol=tol)
     report["verdict"] = {
         "status": verdict.status,
@@ -232,12 +271,11 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
 
 
 def _write_matrix_csv(report: dict, path: str) -> None:
-    k = np.asarray(report["K"])
     blocks = [
         ("L", report["L"]),
         ("Omega", report["Omega"]),
-        ("K_real", k[..., 0]),
-        ("K_imag", k[..., 1]),
+        ("K_real", report["K"][..., 0]),
+        ("K_imag", report["K"][..., 1]),
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for name, rows in blocks:
@@ -268,7 +306,7 @@ def cmd_analyze(args) -> int:
     if args.dump_state:
         save_state(rho, args.dump_state)
     report = analysis_report(rho, tol=args.tolerance)
-    doc = json.dumps(report, indent=2, allow_nan=False)
+    doc = _json(report)
     print(doc)
     if args.out:
         if args.out.endswith(".csv"):
@@ -336,7 +374,7 @@ def cmd_standard_form(args) -> int:
             "min_eigenvalue": float(ppt.min_eigenvalue),
         },
     }
-    print(json.dumps(report, indent=2, allow_nan=False))
+    print(_json(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(report, allow_nan=False) + "\n")

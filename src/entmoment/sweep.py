@@ -226,12 +226,17 @@ def format_rows(rows):
     """CSV lines of a 2-D float block, each value as :func:`format_float` writes it.
 
     Yields one string per block of at most ``_BLOCK`` rows, so a large
-    table is never formatted into a single string.
+    table is never formatted into a single string.  Each distinct bit
+    pattern of a block (0.0 and -0.0 differ) is formatted once: axis
+    columns and symmetric matrices repeat most of their values.
     """
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["{:.17g}"] * rows.shape[1]) + "\n"
+    line = ",".join(["%s"] * rows.shape[1]) + "\n"
     for start in range(0, len(rows), _BLOCK):
-        yield "".join(line.format(*row) for row in rows[start : start + _BLOCK].tolist())
+        block = rows[start : start + _BLOCK]
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        text = np.array([f"{v:.17g}" for v in bits.view(float).tolist()], dtype=object)
+        yield (line * len(block)) % tuple(text[inverse.ravel()].tolist())
 
 
 def write_csv(table: SweepTable, path) -> None:
@@ -259,8 +264,10 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
 
     Two leading axis columns produce a heatmap, one produces a line plot;
     the value range is annotated.  A table with three axis columns (the
-    standard form) raises :class:`ConfigurationError`.  The bytes written
-    depend only on the table (and ``quantity``).
+    standard form), or with a NaN or infinite value in the drawn column
+    (or in the x column of a line plot), raises :class:`ConfigurationError`
+    before anything is written.  The bytes written depend only on the
+    table (and ``quantity``).
     """
     n_axes = sum(1 for c in table.columns if c in AXIS_DOMAINS)
     if n_axes > 2:
@@ -272,8 +279,12 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
     qcols = [c for c in table.columns[n_axes:] if c != "seam"]
     if quantity is None:
         quantity = qcols[0]
-    col = table.columns.index(quantity)
-    vals = table.rows[:, col]
+    drawn = [quantity] if n_axes == 2 else [table.columns[0], quantity]
+    for name in drawn:
+        bad = np.count_nonzero(~np.isfinite(table.rows[:, table.columns.index(name)]))
+        if bad:
+            raise ConfigurationError(f"cannot draw column {name!r}: {bad} non-finite value(s)")
+    vals = table.rows[:, table.columns.index(quantity)]
     vmin, vmax = float(vals.min()), float(vals.max())
     span = (vmax - vmin) or 1.0
     width, height, margin = 640, 480, 40

@@ -398,3 +398,192 @@ def test_reused_parser_keeps_no_state(capsys, before, before_code):
     if "--tolerance" in before:
         assert json.loads(out)["verdict"]["status"] == "separable"
     assert invoke(capsys, *WERNER_HALF) == first
+
+
+def _reference_report(state, tol):
+    """The report built element by element with ``float``, as ``_json``'s input must read."""
+    from entmoment.entanglement import (
+        classify,
+        concurrences,
+        d_from_covariance_invariant,
+        tr_rho_rhotilde,
+    )
+    from entmoment.states import complex_pairs, local_dimension, purity
+    from entmoment.tensors import inner_product, moments, representation_for, split_sym_antisym
+
+    n = local_dimension(state.dim)
+    mom = moments(state, representation_for(state))
+    l_sym, omega = split_sym_antisym(mom.second)
+    k = mom.covariance()
+    fano = mom.fano()
+    p = purity(state)
+    report = {
+        "dim": state.dim,
+        "n_local": n,
+        "purity": p,
+        "linear_entropy": 1.0 - p,
+        "f2_linear": inner_product(mom.second),
+        "f2_covariance": inner_product(k),
+    }
+    if n == 2:
+        report["tr_rho_rhotilde"] = tr_rho_rhotilde(state)
+        report["d_measure"] = d_from_covariance_invariant(report["f2_covariance"])
+        report["concurrence_wootters"], report["concurrence_variant"] = concurrences(state)
+    report["bloch_a"] = [float(v) for v in fano.nvec]
+    report["bloch_b"] = [float(v) for v in fano.mvec]
+    report["correlation"] = [[float(v) for v in row] for row in fano.C]
+    report["L"] = [[float(v) for v in row] for row in l_sym]
+    report["Omega"] = [[float(v) for v in row] for row in omega]
+    report["K"] = complex_pairs(k.values)
+    verdict = classify(state, tol=tol)
+    report["verdict"] = {
+        "status": verdict.status,
+        "decided_by": verdict.decided_by,
+        "witnesses": {k_: float(v) for k_, v in verdict.witnesses.items()},
+    }
+    return report
+
+
+def _reference_matrix_csv(report):
+    k = np.asarray(report["K"])
+    blocks = [("L", report["L"]), ("Omega", report["Omega"]),
+              ("K_real", k[..., 0]), ("K_imag", k[..., 1])]
+    text = ""
+    for name, rows in blocks:
+        line = ",".join(["{:.17g}"] * len(rows[0])) + "\n"
+        text += f"# {name}\n" + "".join(line.format(*row) for row in np.asarray(rows).tolist())
+    return text
+
+
+def _random_state(n, rank, seed):
+    from entmoment.states import DensityOperator
+
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n * n, rank)) + 1j * rng.standard_normal((n * n, rank))
+    rho = g @ g.conj().T
+    return DensityOperator.from_matrix(rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize(
+    "n, rank", [(n, r) for n in (2, 3, 4, 6) for r in (1, 2, n * n)]
+)
+def test_analyze_report_bytes_equal_reference(capsys, tmp_path, n, rank):
+    from entmoment.entanglement import DEFAULT_TOL
+    from entmoment.states import save_state
+
+    state = _random_state(n, rank, seed=100 * n + rank)
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    reference = _reference_report(load_state(path), DEFAULT_TOL)
+    expected = json.dumps(reference, indent=2, allow_nan=False) + "\n"
+    code, out, _ = invoke(capsys, "analyze", "--state", str(path))
+    assert code == 0
+    assert out.encode() == expected.encode()
+    if n <= 3:
+        report_path, csv_path = tmp_path / "r.json", tmp_path / "m.csv"
+        assert invoke(capsys, "analyze", "--state", str(path), "--out", str(report_path))[:2] \
+            == (0, out)
+        assert report_path.read_bytes() == expected.encode()
+        assert invoke(capsys, "analyze", "--state", str(path), "--out", str(csv_path))[:2] \
+            == (0, out)
+        assert csv_path.read_bytes() == _reference_matrix_csv(reference).encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "werner", "--x", "0.5"),
+        ("--family", "werner", "--x", "0.5", "--tolerance", "0.5"),
+        ("--family", "schmidt", "--x", "0.6", "--alpha", "0.4"),
+        ("--family", "standard-form", "--d", "0.3,-0.3,0.3"),
+    ],
+    ids=["werner", "tolerance", "schmidt", "standard-form"],
+)
+def test_analyze_family_report_bytes_equal_reference(capsys, tmp_path, argv):
+    path = tmp_path / "state.json"
+    code, out, _ = invoke(capsys, "analyze", *argv, "--dump-state", str(path))
+    assert code == 0
+    tol = float(argv[-1]) if "--tolerance" in argv else 1e-9
+    reference = _reference_report(load_state(path), tol)
+    assert out.encode() == (json.dumps(reference, indent=2, allow_nan=False) + "\n").encode()
+
+
+def test_standard_form_report_bytes_equal_reference(capsys, tmp_path):
+    path = tmp_path / "sf.json"
+    code, out, _ = invoke(capsys, "standard-form", "--d", "0.3,-0.4,0.2", "--out", str(path))
+    assert code == 0
+    compact = json.loads(path.read_text())
+    assert out.encode() == (json.dumps(compact, indent=2, allow_nan=False) + "\n").encode()
+    assert compact["d"] == [0.3, -0.4, 0.2]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        np.empty(0),
+        np.empty((3, 0)),
+        np.empty((0, 2)),
+        {"a": {}, "b": [], "c": np.empty((2, 0, 2))},
+        {"a": {"b": {"c": [1, 2.5, None, True, False, "x"]}}, "d": None},
+        {"s": "non-ASCII: é–Ω \"q\" \\ \n", "é": 1},
+        [-0.0, 5e-324, 1e22, 1e16, 0.1, 2**63, -7],
+        (1.0, [2.0, (3.0,)]),
+        np.array([-0.0, 5e-324, 1e22, 1e16, 0.1, -2.5e-300]),
+        np.arange(24, dtype=float).reshape(2, 3, 4) / 7.0,
+        {"m": np.array([[1.0]]), "v": [np.array([0.5, -0.0]), {"w": np.array(3.0)}]},
+        -0.0,
+        "plain",
+        7,
+        None,
+    ],
+)
+def test_json_writer_equals_json_dumps(value):
+    from entmoment.cli import _json
+
+    def lists(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        if isinstance(v, dict):
+            return {k: lists(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [lists(x) for x in v]
+        return v
+
+    assert _json(value) == json.dumps(lists(value), indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_json_writer_rejects_non_finite_values(bad):
+    from entmoment.cli import _json
+
+    matrix = np.eye(3)
+    matrix[1, 2] = bad
+    for value in (matrix, {"a": {"b": matrix}}, bad, {"a": [1.0, bad]}, np.array(bad)):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            _json(value)
+
+
+def test_sweep_svg_of_non_finite_column_fails(capsys, tmp_path, monkeypatch):
+    from entmoment import sweep
+
+    def with_nan(rhos):
+        values = sweep.purity(rhos)
+        values[1] = np.nan
+        return values
+
+    monkeypatch.setitem(sweep.QUANTITIES, "purity", with_nan)
+    csv_path, svg_path = tmp_path / "werner.csv", tmp_path / "werner.svg"
+    code, out, err = invoke(
+        capsys,
+        "sweep",
+        "--family", "werner",
+        "--x", "0:1:5",
+        "--quantities", "purity",
+        "--out", str(csv_path),
+        "--svg", str(svg_path),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: configuration: cannot draw column 'purity': 1 non-finite value(s)\n"
+    assert not csv_path.exists() and not svg_path.exists()

@@ -272,6 +272,48 @@ def test_format_rows_equals_per_value_join():
     assert "".join(chunks).encode() == expected.encode()
 
 
+def _reference_rows(rows):
+    """Per-row formatter that ``format_rows`` must match byte for byte."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["{:.17g}"] * rows.shape[1]) + "\n"
+    return "".join(line.format(*row) for row in rows.tolist())
+
+
+def _csv_tables():
+    rng = np.random.default_rng(54)
+    nans = np.array(
+        [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001],
+        dtype=np.uint64,
+    ).view(float)
+    special = np.concatenate(
+        [[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308], nans]
+    )
+    mixed = rng.choice(special, size=(2600, 3))
+    mixed[:, 1] = rng.standard_normal(2600)  # all distinct
+    mixed[:, 2] = 0.25  # constant
+    axis = np.repeat(np.linspace(0.0, 1.0, 50), 52)
+    return {
+        "special": np.column_stack([mixed, axis]),
+        "one-column": rng.choice(special, size=(1500, 1)),
+        "one-row": special[None, :],
+        "plane": np.column_stack([axis, np.tile(np.linspace(0.0, np.pi / 2, 52), 50)]),
+        "empty": np.empty((0, 3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_csv_tables()))
+def test_format_rows_equals_per_row_reference(tmp_path, name):
+    rows = _csv_tables()[name]
+    chunks = list(sweep.format_rows(rows))
+    assert len(chunks) == -(-len(rows) // sweep._BLOCK)
+    assert "".join(chunks).encode() == _reference_rows(rows).encode()
+    columns = tuple(f"c{k}" for k in range(rows.shape[1]))
+    path = tmp_path / "t.csv"
+    write_csv(sweep.SweepTable(columns, rows), path)
+    expected = ",".join(columns) + "\n" + _reference_rows(rows)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_wedge_rows_equal_double_loop_reference():
     quantities = ("concurrence_wootters", "purity")
     grid = schmidt_grid(7, 6, quantities)
@@ -298,6 +340,25 @@ def test_wedge_rows_equal_double_loop_reference():
     rows = wedge_field(grid, *quantities, table=table).rows
     assert rows.shape == expected.shape
     assert rows.tobytes() == expected.tobytes()
+
+
+def test_svg_rejects_non_finite_drawn_columns(tmp_path):
+    path = tmp_path / "t.svg"
+    x = np.linspace(0.0, 1.0, 5)
+    line = np.column_stack([x, x, x])
+    line[2, 0] = np.nan  # the x column of a line plot is drawn too
+    line[[1, 3], 1] = [np.inf, -np.inf]
+    table = sweep.SweepTable(("x", "purity", "d_measure"), line)
+    with pytest.raises(ConfigurationError, match="column 'x': 1 non-finite value"):
+        write_svg(table, path, "d_measure")
+    with pytest.raises(ConfigurationError, match="column 'x': 1 non-finite value"):
+        write_svg(table, path, "purity")
+    line[2, 0] = 0.5
+    with pytest.raises(ConfigurationError, match="column 'purity': 2 non-finite values?"):
+        write_svg(table, path, "purity")
+    assert not path.exists()
+    write_svg(table, path, "d_measure")
+    assert path.read_bytes() == _reference_svg(table, "d_measure")
 
 
 def test_svg_emission(tmp_path):
@@ -419,9 +480,20 @@ def test_svg_bytes_equal_per_cell_reference(tmp_path):
         wedge_field(plane, "concurrence_variant", "d_measure", table=plane_table),
         grid_sweep(werner_grid(65, ("concurrence_wootters", "purity"))),
     ]
-    with np.errstate(all="ignore"):
-        for table in tables:
-            quantities = [c for c in table.columns if c not in sweep.AXIS_DOMAINS]
-            for quantity in quantities:
+    drawn = rejected = 0
+    for table in tables:
+        quantities = [c for c in table.columns if c not in sweep.AXIS_DOMAINS]
+        for quantity in quantities:
+            values = table.rows[:, table.columns.index(quantity)]
+            bad = np.count_nonzero(~np.isfinite(values))
+            if bad:
+                path.unlink(missing_ok=True)
+                with pytest.raises(ConfigurationError, match=f"'{quantity}': {bad} non-finite"):
+                    write_svg(table, path, quantity)
+                assert not path.exists()
+                rejected += 1
+            else:
                 write_svg(table, path, quantity)
                 assert path.read_bytes() == _reference_svg(table, quantity), quantity
+                drawn += 1
+    assert (drawn, rejected) == (156, 100)
