@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CrossCheckError, DimensionError, DomainError
-from .linalg import hermitian_eigenvalues, psd_sqrt, singular_values
+from .linalg import _gram, hermitian_eigenvalues, psd_sqrt, singular_values
 from .states import (
     _per_state,
     as_matrix,
@@ -117,54 +117,42 @@ def tr_rho_rhotilde(rhos):
     return np.trace(rho @ spin_flip_matrix(rho), axis1=-2, axis2=-1).real
 
 
-def _wootters(sq: np.ndarray) -> np.ndarray:
-    """Wootters concurrence from a stack of square roots sqrt(rho).
-
-    l1 .. l4 are the descending singular values of sqrt(rho) sqrt(rho~),
-    exactly the square roots of the eigenvalues of sqrt(rho) rho~ sqrt(rho).
-    They come out as column norms (see :func:`singular_values`), so a
-    rank-deficient rho keeps machine-epsilon accuracy in its small values.
-    """
-    # sqrt commutes with the flip map on PSD input
-    lam = singular_values(sq @ spin_flip_matrix(sq))
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+def _largest_minus_rest(v: np.ndarray) -> np.ndarray:
+    """max(0, v1 - v2 - v3 - v4) over descending values ``(..., 4)``."""
+    return np.maximum(0.0, v[..., 0] - v[..., 1] - v[..., 2] - v[..., 3])
 
 
-def _variant(rho: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """No-square-root concurrence from stacks of rho and sqrt(rho)."""
-    m = sq @ spin_flip_matrix(rho) @ sq
-    ev = np.clip(hermitian_eigenvalues(m)[..., ::-1], 0.0, None)
-    return np.maximum(0.0, ev[..., 0] - ev[..., 1] - ev[..., 2] - ev[..., 3])
+def _flip_product(rhos) -> np.ndarray:
+    """X = sqrt(rho) sqrt(rho~) (sqrt commutes with the flip on PSD input)."""
+    sq = psd_sqrt(_require_two_qubits(rhos))
+    return sq @ spin_flip_matrix(sq)
 
 
 @_per_state
 def concurrence_wootters(rhos):
     """Two-qubit concurrence, Wootters convention (PRL 80, 2245 (1998)).
 
-    max(0, l1 - l2 - l3 - l4) over the descending square-root eigenvalues
-    of sqrt(rho) rho~ sqrt(rho).
+    max(0, l1 - l2 - l3 - l4) over the descending singular values of
+    sqrt(rho) sqrt(rho~), the square roots of the eigenvalues of rho rho~.
     """
-    return _wootters(psd_sqrt(_require_two_qubits(rhos)))
+    return _largest_minus_rest(singular_values(_flip_product(rhos)))
 
 
 @_per_state
 def concurrence_variant(rhos):
     """No-square-root convention: eigenvalues of rho rho~ used directly.
 
-    Same largest-minus-rest combination, applied to the eigenvalues of
-    rho rho~ themselves (equal to those of sqrt(rho) rho~ sqrt(rho))
-    rather than their square roots.
+    Largest-minus-rest of the eigenvalues (clipped at 0) of the Gram matrix
+    X^H X of X = sqrt(rho) sqrt(rho~), the spectrum of rho rho~.
     """
-    rho = _require_two_qubits(rhos)
-    return _variant(rho, psd_sqrt(rho))
+    return _largest_minus_rest(np.clip(_gram(_flip_product(rhos), carry=False)[0], 0.0, None))
 
 
 @_per_state
 def concurrences(rhos):
-    """(:func:`concurrence_wootters`, :func:`concurrence_variant`) from one sqrt(rho)."""
-    rho = _require_two_qubits(rhos)
-    sq = psd_sqrt(rho)
-    return _wootters(sq), _variant(rho, sq)
+    """(:func:`concurrence_wootters`, :func:`concurrence_variant`) from one Gram solve."""
+    ev, lam = _gram(_flip_product(rhos))
+    return _largest_minus_rest(lam), _largest_minus_rest(np.clip(ev, 0.0, None))
 
 
 @_per_state

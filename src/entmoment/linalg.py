@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, SymmetryError
+from .errors import ConvergenceError, DimensionError, NonFiniteError, SymmetryError
 
 MAX_DIM = 64
 SOLVER_HERMITICITY_TOL = 1e-10
@@ -27,7 +27,9 @@ def _check_hermitian(matrix: np.ndarray, tol: float = SOLVER_HERMITICITY_TOL) ->
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise SymmetryError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     dev = float(np.abs(a - np.swapaxes(a, -1, -2).conj()).max()) if a.size else 0.0
-    if dev > tol:
+    if not dev <= tol:  # NaN or inf anywhere makes dev NaN or inf
+        if not np.isfinite(a).all():
+            raise NonFiniteError("matrix has NaN or infinite entries")
         raise SymmetryError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
 
@@ -197,6 +199,8 @@ def hermitian_eigensystem(
 
     Raises
     ------
+    NonFiniteError
+        If an input holds a NaN or infinite entry.
     SymmetryError
         If an input deviates from Hermiticity by more than 1e-10.
     ConvergenceError
@@ -224,13 +228,13 @@ def psd_sqrt(matrix: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
-def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Singular values (descending) of a matrix or a stack ``(..., r, c)``.
+def _gram(matrix: np.ndarray, carry: bool = True):
+    """Jacobi on the Gram matrix G = X^H X of X (of X^H when X is wide).
 
-    Jacobi on the Gram matrix G = X^H X (of X^H when X is wide) carries X
-    through the same rotations: X V has orthogonal columns whose norms are
-    the singular values (one-sided Jacobi, Hestenes), accurate to about
-    eps ||X|| rather than sqrt(eps) ||X||.  Shape ``(..., min(r, c))``.
+    Returns G's eigenvalues and, if ``carry``, X's singular values (else
+    None), both descending, shape ``(..., min(r, c))``.  X carried through
+    the rotations ends as X V, whose column norms are the singular values
+    (one-sided Jacobi, Hestenes): accurate to about eps ||X||, not sqrt(eps).
     """
     x = np.asarray(matrix, dtype=complex)
     if x.ndim < 2:
@@ -239,11 +243,20 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
         x = np.swapaxes(x, -1, -2).conj()
     # G squares the scale of X and Jacobi stops relative to max(1, max |G|):
     # scale X exactly, by a power of two, so that max |x| lies in [0.5, 1).
-    _, e = np.frexp(np.abs(x).max(axis=(-2, -1), initial=0.0))
-    # Scale the entries themselves: the factor 2^-e alone overflows to inf
-    # when max |x| is subnormal.
-    shift = -e[..., None, None]
-    x = np.ldexp(x.real, shift) + 1j * np.ldexp(x.imag, shift)
-    _, xv = _jacobi(np.swapaxes(x, -1, -2).conj() @ x, max_sweeps=100, carry=x)
+    mantissa, e = np.frexp(np.abs(x).max(axis=(-2, -1), initial=0.0))
+    if not np.isfinite(mantissa).all():
+        raise NonFiniteError("matrix has NaN or infinite entries")
+    # Scale the entries themselves (real and imaginary parts as one float
+    # array): the factor 2^-e alone overflows to inf when max |x| is subnormal.
+    x = np.ldexp(np.ascontiguousarray(x).view(float), -e[..., None, None]).view(complex)
+    w, xv = _jacobi(np.swapaxes(x, -1, -2).conj() @ x, 100, x if carry else None)
+    w = np.ldexp(w[..., ::-1], 2 * e[..., None])
+    if not carry:
+        return w, None
     sv = -np.sort(-np.sqrt((xv.real**2 + xv.imag**2).sum(axis=-2)), axis=-1)
-    return np.ldexp(sv, e[..., None])
+    return w, np.ldexp(sv, e[..., None])
+
+
+def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Singular values (descending) of a matrix or a stack ``(..., r, c)``; see :func:`_gram`."""
+    return _gram(matrix)[1]

@@ -264,10 +264,9 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
 
     Two leading axis columns produce a heatmap, one produces a line plot;
     the value range is annotated.  A table with three axis columns (the
-    standard form), or with a NaN or infinite value in the drawn column
-    (or in the x column of a line plot), raises :class:`ConfigurationError`
-    before anything is written.  The bytes written depend only on the
-    table (and ``quantity``).
+    standard form), or with a NaN or infinite value in the drawn column or
+    in an axis column, raises :class:`ConfigurationError` before anything
+    is written.  The bytes written depend only on the table (and ``quantity``).
     """
     n_axes = sum(1 for c in table.columns if c in AXIS_DOMAINS)
     if n_axes > 2:
@@ -279,8 +278,7 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
     qcols = [c for c in table.columns[n_axes:] if c != "seam"]
     if quantity is None:
         quantity = qcols[0]
-    drawn = [quantity] if n_axes == 2 else [table.columns[0], quantity]
-    for name in drawn:
+    for name in [*table.columns[:n_axes], quantity]:
         bad = np.count_nonzero(~np.isfinite(table.rows[:, table.columns.index(name)]))
         if bad:
             raise ConfigurationError(f"cannot draw column {name!r}: {bad} non-finite value(s)")

@@ -22,7 +22,7 @@ from entmoment.entanglement import (
     tr_rho_rhotilde,
     werner_ltilde_signature,
 )
-from entmoment import entanglement
+from entmoment import entanglement, linalg
 from entmoment.errors import (
     CrossCheckError,
     DimensionError,
@@ -40,9 +40,11 @@ from entmoment.states import (
     random_unitary,
     schmidt_mix,
     spin_flip,
+    spin_flip_matrix,
     standard_form_state,
     werner,
 )
+from entmoment.linalg import hermitian_eigenvalues, psd_sqrt
 from entmoment.tensors import (
     fano_decompose,
     inner_product,
@@ -251,9 +253,55 @@ def test_kyfan_norm_of_a_stack_equals_per_matrix_norms():
 def test_shared_sqrt_concurrences_match_public_functions():
     states = [werner(x) for x in (0.0, 0.2, 1 / 3, 0.6, 1.0)]
     states += [schmidt_mix(x, a) for x in (0.1, 0.5, 0.9) for a in (0.2, np.pi / 4, 1.3)]
+    rng = np.random.default_rng(48)
+    states += [random_density(4, rank=r, rng=rng) for r in (1, 2, 3, 4) for _ in range(5)]
     for rho in states:
         pair = entanglement.concurrences(rho)
         assert pair == (concurrence_wootters(rho), concurrence_variant(rho))
+    stack = np.stack([rho.matrix for rho in states])
+    wootters, variant = entanglement.concurrences(stack)
+    assert np.array_equal(wootters, concurrence_wootters(stack))
+    assert np.array_equal(variant, concurrence_variant(stack))
+    assert np.array_equal(variant, [concurrence_variant(rho) for rho in states])
+
+
+def test_concurrences_make_one_gram_solve(monkeypatch):
+    # psd_sqrt(rho) and one carried Gram solve; the variant needs no eigensolve of its own.
+    calls = []
+    jacobi = linalg._jacobi
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return jacobi(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_jacobi", counting)
+    for state in (werner(0.6).matrix, np.stack([werner(0.6).matrix, bell_state().matrix])):
+        calls.clear()
+        entanglement.concurrences(state)
+        assert len(calls) == 2
+
+
+def _variant_reference(rho):
+    """The variant from the spectrum of M = sqrt(rho) rho~ sqrt(rho), solved on its own."""
+    sq = psd_sqrt(rho)
+    ev = np.clip(hermitian_eigenvalues(sq @ spin_flip_matrix(rho) @ sq)[::-1], 0.0, None)
+    return max(0.0, ev[0] - ev[1] - ev[2] - ev[3])
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_variant_matches_eigenvalues_of_m(rank):
+    rng = np.random.default_rng(52 + rank)
+    for _ in range(25):
+        rho = random_density(4, rank=rank, rng=rng).matrix
+        assert concurrence_variant(rho) == pytest.approx(_variant_reference(rho), abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e-5, 1e-4, 1e-3])
+def test_variant_keeps_relative_accuracy_near_product_states(a):
+    # The Gram solve is scaled, so a tiny sin^2(2a) is not swamped by an absolute
+    # stopping tolerance.
+    expected = np.sin(2 * a) ** 2
+    assert concurrence_variant(schmidt_mix(1.0, a)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_concurrence_local_unitary_invariance():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entmoment import linalg
-from entmoment.errors import ConvergenceError, DimensionError, SymmetryError
+from entmoment.errors import ConvergenceError, DimensionError, NonFiniteError, SymmetryError
 from entmoment.linalg import (
     hermitian_eigensystem,
     hermitian_eigenvalues,
@@ -126,6 +126,22 @@ def test_non_hermitian_rejected():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(SymmetryError):
         hermitian_eigensystem(m)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+def test_non_finite_input_is_rejected_before_the_kernel(bad, monkeypatch):
+    # NaN fails every "deviation > tol" test, so unchecked it would reach the kernel,
+    # run the whole sweep budget and end in ConvergenceError.
+    monkeypatch.setattr(linalg, "_jacobi", lambda *a, **k: pytest.fail("kernel ran"))
+    one = np.eye(4, dtype=complex)
+    one[1, 2] = bad
+    stack = np.stack([np.eye(4, dtype=complex)] * 3)
+    stack[1, 3, 3] = bad
+    for m in (one, stack):
+        for solve in (hermitian_eigensystem, hermitian_eigenvalues, psd_sqrt, singular_values):
+            with pytest.raises(NonFiniteError):
+                solve(m)
 
 
 def test_oversized_rejected():

@@ -359,6 +359,19 @@ def test_svg_rejects_non_finite_drawn_columns(tmp_path):
     assert not path.exists()
     write_svg(table, path, "d_measure")
     assert path.read_bytes() == _reference_svg(table, "d_measure")
+    # Both axis columns of a heatmap are checked, not only the drawn one.
+    heat = sweep.SweepTable(
+        ("x", "alpha", "purity"),
+        np.array([[x, a, 0.5] for x in (0.0, 0.5, np.nan) for a in (0.1, 0.2)]),
+    )
+    heat_path = tmp_path / "heat.svg"
+    with pytest.raises(ConfigurationError, match="column 'x': 2 non-finite values?"):
+        write_svg(heat, heat_path)
+    heat.rows[4:, 0] = 1.0
+    heat.rows[0, 1] = np.inf
+    with pytest.raises(ConfigurationError, match="column 'alpha': 1 non-finite value"):
+        write_svg(heat, heat_path)
+    assert not heat_path.exists()
 
 
 def test_svg_emission(tmp_path):
