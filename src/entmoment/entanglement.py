@@ -15,8 +15,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CrossCheckError, DimensionError, DomainError
-from .linalg import _gram, hermitian_eigenvalues, psd_sqrt, singular_values
+from .linalg import _gram, _pivoted_cholesky, hermitian_eigenvalues, singular_values
 from .states import (
+    _YY_SIGNS,
     _per_state,
     as_matrix,
     bell_state,
@@ -122,10 +123,11 @@ def _largest_minus_rest(v: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, v[..., 0] - v[..., 1] - v[..., 2] - v[..., 3])
 
 
-def _flip_product(rhos) -> np.ndarray:
-    """X = sqrt(rho) sqrt(rho~) (sqrt commutes with the flip on PSD input)."""
-    sq = psd_sqrt(_require_two_qubits(rhos))
-    return sq @ spin_flip_matrix(sq)
+def _flip_factor(rhos) -> np.ndarray:
+    """tau = W^T (sigma_y x sigma_y) W for rho = W W^H: tau^H tau has the spectrum
+    of rho rho~ (Uhlmann, PRA 62, 032307 (2000)); sigma_y x sigma_y is a signed row reversal."""
+    w = _pivoted_cholesky(_require_two_qubits(rhos))
+    return np.swapaxes(w, -1, -2) @ (_YY_SIGNS[:, None] * w[..., ::-1, :])
 
 
 @_per_state
@@ -133,9 +135,9 @@ def concurrence_wootters(rhos):
     """Two-qubit concurrence, Wootters convention (PRL 80, 2245 (1998)).
 
     max(0, l1 - l2 - l3 - l4) over the descending singular values of
-    sqrt(rho) sqrt(rho~), the square roots of the eigenvalues of rho rho~.
+    tau (:func:`_flip_factor`), the square roots of the eigenvalues of rho rho~.
     """
-    return _largest_minus_rest(singular_values(_flip_product(rhos)))
+    return _largest_minus_rest(singular_values(_flip_factor(rhos)))
 
 
 @_per_state
@@ -143,15 +145,15 @@ def concurrence_variant(rhos):
     """No-square-root convention: eigenvalues of rho rho~ used directly.
 
     Largest-minus-rest of the eigenvalues (clipped at 0) of the Gram matrix
-    X^H X of X = sqrt(rho) sqrt(rho~), the spectrum of rho rho~.
+    tau^H tau of tau (:func:`_flip_factor`), the spectrum of rho rho~.
     """
-    return _largest_minus_rest(np.clip(_gram(_flip_product(rhos), carry=False)[0], 0.0, None))
+    return _largest_minus_rest(np.clip(_gram(_flip_factor(rhos), carry=False)[0], 0.0, None))
 
 
 @_per_state
 def concurrences(rhos):
     """(:func:`concurrence_wootters`, :func:`concurrence_variant`) from one Gram solve."""
-    ev, lam = _gram(_flip_product(rhos))
+    ev, lam = _gram(_flip_factor(rhos))
     return _largest_minus_rest(lam), _largest_minus_rest(np.clip(ev, 0.0, None))
 
 

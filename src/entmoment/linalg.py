@@ -1,4 +1,4 @@
-"""Dense Hermitian eigensolver (round-robin Jacobi) and small PSD helpers.
+"""Dense Hermitian eigensolver (round-robin Jacobi) and a PSD factor.
 
 Everything in this package that needs a spectrum or singular values goes
 through one Jacobi kernel, so results are deterministic and independent
@@ -20,16 +20,17 @@ from .errors import ConvergenceError, DimensionError, NonFiniteError, SymmetryEr
 MAX_DIM = 64
 SOLVER_HERMITICITY_TOL = 1e-10
 OFF_DIAGONAL_TOL = 1e-12
+PIVOT_TOL = 1e-14
 
 
 def _check_hermitian(matrix: np.ndarray, tol: float = SOLVER_HERMITICITY_TOL) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise SymmetryError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError("matrix has NaN or infinite entries")
     dev = float(np.abs(a - np.swapaxes(a, -1, -2).conj()).max()) if a.size else 0.0
-    if not dev <= tol:  # NaN or inf anywhere makes dev NaN or inf
-        if not np.isfinite(a).all():
-            raise NonFiniteError("matrix has NaN or infinite entries")
+    if dev > tol:
         raise SymmetryError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
 
@@ -216,16 +217,25 @@ def hermitian_eigenvalues(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarr
     return _jacobi(_check_hermitian(matrix), max_sweeps)[0]
 
 
-def psd_sqrt(matrix: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix (or of each in a stack).
+def _pivoted_cholesky(matrix: np.ndarray) -> np.ndarray:
+    """W with W W^H = A for each PSD matrix of a stack ``(B, n, n)``, by pivoted Cholesky.
 
-    Eigenvalues below ``floor`` are treated as exact zeros before the
-    square root; this keeps the result rank-exact for nearly singular
-    inputs instead of injecting sqrt(machine-noise) components.
+    Step k pivots on each matrix's largest remaining diagonal entry.  As |a_ij| <=
+    sqrt(a_ii a_jj) for PSD input, once that entry is at most ``PIVOT_TOL`` times A's
+    largest diagonal entry it is replaced by inf, so this and every later column is 0.
     """
-    w, v = hermitian_eigensystem(matrix)
-    w = np.where(w < floor, 0.0, w)
-    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    a = _check_hermitian(matrix).copy()
+    rows = np.arange(len(a))
+    diagonal = np.diagonal(a, axis1=-2, axis2=-1).real
+    floor = PIVOT_TOL * np.abs(diagonal).max(axis=-1, initial=0.0)
+    w = np.empty_like(a)
+    for k in range(a.shape[-1]):
+        pivot = diagonal.argmax(axis=-1)
+        top = diagonal[rows, pivot]
+        root = np.sqrt(np.where(top > floor, top, np.inf))
+        w[:, :, k] = column = a[rows, :, pivot] / root[:, None]
+        a -= column[:, :, None] * column[:, None, :].conj()
+    return w
 
 
 def _gram(matrix: np.ndarray, carry: bool = True):

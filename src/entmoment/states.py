@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .linalg import hermitian_eigenvalues
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])  # entries (i, 3 - i) of sigma_y x sigma_y
 
 
 def as_matrix(state) -> np.ndarray:
@@ -189,28 +190,28 @@ def _bipartite_matrix(state) -> tuple[np.ndarray, int]:
     return rho, local_dimension(rho.shape[0])
 
 
+def _by_subsystem(subsystem: str, a, b):
+    if subsystem not in ("A", "B"):
+        raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+    return a if subsystem == "A" else b
+
+
 def partial_trace(state, subsystem: str = "A") -> DensityOperator:
     """Reduced state of the kept subsystem ('A' keeps A, traces out B)."""
     rho, n = _bipartite_matrix(state)
-    four = rho.reshape(n, n, n, n)
-    if subsystem == "A":
-        red = np.einsum("ikjk->ij", four)
-    elif subsystem == "B":
-        red = np.einsum("kikj->ij", four)
-    else:
-        raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return DensityOperator.from_matrix(red)
+    script = _by_subsystem(subsystem, "ikjk->ij", "kikj->ij")
+    return DensityOperator.from_matrix(np.einsum(script, rho.reshape(n, n, n, n)))
 
 
 def spin_flip_matrix(m: np.ndarray) -> np.ndarray:
     """Raw two-qubit flip map M -> (sigma_y x sigma_y) conj(M) (sigma_y x sigma_y).
 
-    Also maps each matrix of a stack ``(..., 4, 4)``.
+    Also maps each matrix of a stack ``(..., 4, 4)``.  With s = ``_YY_SIGNS``, entry
+    (i, j) is s_i s_j conj(M[3-i, 3-j]) + 0j: the 0j turns -0.0 into 0.0, as matmuls do.
     """
     if m.shape[-2:] != (4, 4):
         raise DimensionError(f"spin flip is defined for dimension 4, got {m.shape[-1]}")
-    yy = _sigma_yy()
-    return yy @ m.conj() @ yy
+    return _YY_SIGNS[:, None] * _YY_SIGNS * m[..., ::-1, ::-1].conj() + 0j
 
 
 def spin_flip(state) -> DensityOperator:
@@ -218,25 +219,11 @@ def spin_flip(state) -> DensityOperator:
     return DensityOperator.from_matrix(spin_flip_matrix(as_matrix(state)))
 
 
-@lru_cache(maxsize=1)
-def _sigma_yy() -> np.ndarray:
-    sy = generate_basis(2).sigma[2]
-    m = np.kron(sy, sy)
-    m.setflags(write=False)
-    return m
-
-
 def partial_transpose(state, subsystem: str = "B") -> np.ndarray:
     """Transpose one tensor factor; Hermitian but possibly indefinite."""
     rho, n = _bipartite_matrix(state)
-    four = rho.reshape(n, n, n, n)
-    if subsystem == "B":
-        out = np.transpose(four, (0, 3, 2, 1))
-    elif subsystem == "A":
-        out = np.transpose(four, (2, 1, 0, 3))
-    else:
-        raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return out.reshape(n * n, n * n)
+    axes = _by_subsystem(subsystem, (2, 1, 0, 3), (0, 3, 2, 1))
+    return np.transpose(rho.reshape(n, n, n, n), axes).reshape(n * n, n * n)
 
 
 def bell_state() -> DensityOperator:

@@ -44,7 +44,6 @@ from entmoment.states import (
     standard_form_state,
     werner,
 )
-from entmoment.linalg import hermitian_eigenvalues, psd_sqrt
 from entmoment.tensors import (
     fano_decompose,
     inner_product,
@@ -184,7 +183,7 @@ def test_wootters_matches_svd_reference(rank):
     for _ in range(25):
         rho = random_density(4, rank=rank, rng=rng)
         assert concurrence_wootters(rho) == pytest.approx(
-            _wootters_reference(rho.matrix), abs=1e-11
+            _wootters_reference(rho.matrix), abs=1e-13
         )
 
 
@@ -266,7 +265,8 @@ def test_shared_sqrt_concurrences_match_public_functions():
 
 
 def test_concurrences_make_one_gram_solve(monkeypatch):
-    # psd_sqrt(rho) and one carried Gram solve; the variant needs no eigensolve of its own.
+    # rho = W W^H by pivoted Cholesky, then one Gram solve of tau = W^T yy W; the
+    # variant needs no eigensolve of its own.
     calls = []
     jacobi = linalg._jacobi
 
@@ -276,15 +276,16 @@ def test_concurrences_make_one_gram_solve(monkeypatch):
 
     monkeypatch.setattr(linalg, "_jacobi", counting)
     for state in (werner(0.6).matrix, np.stack([werner(0.6).matrix, bell_state().matrix])):
-        calls.clear()
-        entanglement.concurrences(state)
-        assert len(calls) == 2
+        for quantity in (entanglement.concurrences, concurrence_wootters, concurrence_variant):
+            calls.clear()
+            quantity(state)
+            assert len(calls) == 1
 
 
 def _variant_reference(rho):
-    """The variant from the spectrum of M = sqrt(rho) rho~ sqrt(rho), solved on its own."""
-    sq = psd_sqrt(rho)
-    ev = np.clip(hermitian_eigenvalues(sq @ spin_flip_matrix(rho) @ sq)[::-1], 0.0, None)
+    """The variant from LAPACK: numpy eigvals of rho rho~."""
+    ev = np.linalg.eigvals(rho @ spin_flip_matrix(rho))
+    ev = np.sort(np.clip(ev.real, 0.0, None))[::-1]
     return max(0.0, ev[0] - ev[1] - ev[2] - ev[3])
 
 
@@ -294,6 +295,30 @@ def test_variant_matches_eigenvalues_of_m(rank):
     for _ in range(25):
         rho = random_density(4, rank=rank, rng=rng).matrix
         assert concurrence_variant(rho) == pytest.approx(_variant_reference(rho), abs=1e-12)
+
+
+def _rank_deficient_states():
+    p00 = np.zeros((4, 4), dtype=complex)
+    p00[0, 0] = 1.0
+    states = [p00, bell_state().matrix, werner(1 / 3).matrix, schmidt_mix(1.0, 1e-5).matrix]
+    # (1 - e) |Phi+><Phi+| + e |Phi-><Phi-|, C = 1 - 2e: a small eigenvalue above the
+    # pivot floor must stay in the factor.
+    e = 1e-9
+    mix = np.zeros((4, 4), dtype=complex)
+    mix[np.ix_([0, 3], [0, 3])] = [[0.5, 0.5 - e], [0.5 - e, 0.5]]
+    states.append(mix)
+    rng = np.random.default_rng(57)
+    return states + [random_density(4, rank=r, rng=rng).matrix for r in (2, 3) for _ in range(5)]
+
+
+@pytest.mark.parametrize("rho", _rank_deficient_states())
+def test_rank_deficient_and_tied_pivot_states_match_lapack(rho):
+    # |00><00| and the Bell state leave an exactly vanishing Schur complement;
+    # the Bell state and werner(1/3) have tied largest diagonal entries.
+    wootters, variant = entanglement.concurrences(rho)
+    assert wootters == pytest.approx(_wootters_reference(rho), abs=1e-13)
+    assert variant == pytest.approx(_variant_reference(rho), abs=1e-13)
+    assert (wootters, variant) == (concurrence_wootters(rho), concurrence_variant(rho))
 
 
 @pytest.mark.parametrize("a", [1e-5, 1e-4, 1e-3])

@@ -10,7 +10,6 @@ from entmoment.errors import ConvergenceError, DimensionError, NonFiniteError, S
 from entmoment.linalg import (
     hermitian_eigensystem,
     hermitian_eigenvalues,
-    psd_sqrt,
     singular_values,
 )
 from entmoment.states import schmidt_mix, werner
@@ -73,9 +72,6 @@ def test_leading_axes_and_companions_accept_stacks():
     w, v = hermitian_eigensystem(stack)
     assert w.shape == (2, 3, 3) and v.shape == (2, 3, 3, 3)
     assert np.array_equal(hermitian_eigenvalues(stack), w)
-    g = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
-    psd = g @ np.swapaxes(g, 1, 2).conj()
-    assert np.max(np.abs(psd_sqrt(psd) @ psd_sqrt(psd) - psd)) < 1e-10
     x = rng.standard_normal((5, 3, 2))
     assert np.allclose(singular_values(x), np.linalg.svd(x, compute_uv=False), atol=1e-11)
 
@@ -128,7 +124,6 @@ def test_non_hermitian_rejected():
         hermitian_eigensystem(m)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
 def test_non_finite_input_is_rejected_before_the_kernel(bad, monkeypatch):
     # NaN fails every "deviation > tol" test, so unchecked it would reach the kernel,
@@ -139,7 +134,7 @@ def test_non_finite_input_is_rejected_before_the_kernel(bad, monkeypatch):
     stack = np.stack([np.eye(4, dtype=complex)] * 3)
     stack[1, 3, 3] = bad
     for m in (one, stack):
-        for solve in (hermitian_eigensystem, hermitian_eigenvalues, psd_sqrt, singular_values):
+        for solve in (hermitian_eigensystem, hermitian_eigenvalues, singular_values):
             with pytest.raises(NonFiniteError):
                 solve(m)
 
@@ -156,21 +151,47 @@ def test_sweep_budget_enforced():
         hermitian_eigensystem(m, max_sweeps=0)
 
 
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(7)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    s = psd_sqrt(m)
-    assert np.max(np.abs(s @ s - m)) < 1e-10
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_pivoted_cholesky_factors_psd_stacks(rank):
+    rng = np.random.default_rng(7 + rank)
+    g = rng.standard_normal((6, 4, rank)) + 1j * rng.standard_normal((6, 4, rank))
+    a = g @ np.swapaxes(g, -1, -2).conj()
+    w = linalg._pivoted_cholesky(a)
+    assert w.shape == a.shape
+    assert np.max(np.abs(w @ np.swapaxes(w, -1, -2).conj() - a)) < 1e-13 * np.abs(a).max()
+    # One column per unit of rank: the rest fall below the pivot floor and are exactly zero.
+    assert not np.any(w[..., rank:])
+    # Each step pivots on the largest remaining diagonal entry, so column k peaks at
+    # sqrt(pivot k) and the peaks never grow.
+    peaks = np.abs(w).max(axis=-2)
+    assert np.all(peaks[:, :rank] > 0.0)
+    assert np.all(np.diff(peaks, axis=-1) <= 1e-14 * peaks[:, :1])
+    for k in range(len(a)):
+        assert np.array_equal(linalg._pivoted_cholesky(a[k : k + 1])[0], w[k])
 
 
-def test_psd_sqrt_keeps_rank_of_projector():
-    ket = np.zeros(4, dtype=complex)
-    ket[0] = ket[3] = 1 / np.sqrt(2)
-    proj = np.outer(ket, ket.conj())
-    s = psd_sqrt(proj)
-    # sqrt of a rank-1 projector is itself; no noise directions injected
-    assert np.max(np.abs(s - proj)) < 1e-13
+def test_pivoted_cholesky_of_projectors_and_zero():
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    # Tied pivots: the first of two equal diagonal entries is taken, and the
+    # complement it leaves (0.5 - 0.5) ends the factor after one column.
+    w = linalg._pivoted_cholesky(bell[None])[0]
+    assert np.max(np.abs(w @ w.conj().T - bell)) < 1e-15
+    assert not np.any(w[:, 1:])
+    p00 = np.zeros((4, 4), dtype=complex)
+    p00[0, 0] = 1.0
+    assert np.array_equal(linalg._pivoted_cholesky(p00[None])[0], p00)
+    assert not np.any(linalg._pivoted_cholesky(np.zeros((2, 4, 4))))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pivoted_cholesky_rejects_bad_input(bad):
+    m = np.stack([np.eye(4, dtype=complex)] * 2)
+    m[1, 2, 2] = bad
+    with pytest.raises(NonFiniteError):
+        linalg._pivoted_cholesky(m)
+    with pytest.raises(SymmetryError):
+        linalg._pivoted_cholesky(np.triu(np.ones((4, 4)))[None])
 
 
 def test_singular_values_against_svd_oracle():

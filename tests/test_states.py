@@ -34,6 +34,7 @@ from entmoment.states import (
     schmidt_mix,
     schmidt_stack,
     spin_flip,
+    spin_flip_matrix,
     standard_form_stack,
     standard_form_state,
     state_from_dict,
@@ -234,9 +235,41 @@ def test_spin_flip_swaps_computational_extremes():
     assert np.allclose(spin_flip(p00).matrix, p11, atol=1e-15)
 
 
+def test_spin_flip_matrix_equals_the_dense_products_bit_for_bit():
+    # The signed index reversal must give what yy @ conj(M) @ yy gives, down to
+    # the sign of every zero, or a report could print -0.0 where it printed 0.0.
+    sy = generate_basis(2).sigma[2]
+    yy = np.kron(sy, sy)
+    p00 = np.zeros((4, 4), dtype=complex)
+    p00[0, 0] = 1.0
+    rng = np.random.default_rng(61)
+    states = [p00, -p00, bell_state().matrix, werner(0.3).matrix, schmidt_mix(0.4, 0.3).matrix]
+    states += [standard_form_state([0.1, -0.2, 0.3]).matrix]
+    states += [random_density(4, rank=r, rng=rng).matrix for r in (1, 2, 4)]
+    for real, imag in ((-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)):
+        zero = np.empty((4, 4), dtype=complex)
+        zero.real, zero.imag = real, imag
+        states.append(zero)
+    stack = np.stack(states)
+    for m in [*states, stack]:
+        dense, flipped = yy @ m.conj() @ yy, spin_flip_matrix(m)
+        for part in ("real", "imag"):
+            a, b = getattr(dense, part), getattr(flipped, part)
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_spin_flip_dimension_guard():
     with pytest.raises(DimensionError):
         spin_flip(maximally_mixed(9))
+
+
+def test_partial_transpose_of_a_is_the_transpose_of_b():
+    rho = random_density(9, rng=np.random.default_rng(62)).matrix
+    assert np.array_equal(partial_transpose(rho, "A"), partial_transpose(rho, "B").T)
+    for partial in (partial_trace, partial_transpose):
+        with pytest.raises(DomainError):
+            partial(rho, "C")
 
 
 def test_partial_transpose_bell_minimum():
