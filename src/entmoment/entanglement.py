@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CrossCheckError, DimensionError, DomainError
+from .errors import CrossCheckError, DimensionError, DomainError, ShapeError
 from .linalg import _gram, _pivoted_cholesky, hermitian_eigenvalues, singular_values
 from .states import (
     _YY_SIGNS,
@@ -27,7 +27,6 @@ from .states import (
     standard_form_state,
 )
 from .tensors import (
-    FanoForm,
     moments,
     product_representation,
     quadratic_invariant,
@@ -57,22 +56,6 @@ class SeparabilityVerdict:
     witnesses: dict
 
 
-class NecessaryResult(NamedTuple):
-    passes: bool
-    value: float
-    bound: float
-
-
-class SufficientResult(NamedTuple):
-    passes: bool
-    value: float
-
-
-class OmegaResult(NamedTuple):
-    applicable: bool
-    passes: bool
-
-
 class PptResult(NamedTuple):
     separable: bool
     min_eigenvalue: float
@@ -81,14 +64,6 @@ class PptResult(NamedTuple):
 class OctahedronResult(NamedTuple):
     separable: bool
     l1: float
-
-
-class _Evaluation(NamedTuple):
-    fano: FanoForm
-    omega_max: float
-    necessary: NecessaryResult
-    sufficient: SufficientResult
-    omega: OmegaResult
 
 
 class LtildeSignature(NamedTuple):
@@ -181,69 +156,16 @@ def correlation_block(state) -> np.ndarray:
     return moments(state, representation_for(state)).correlation_block()
 
 
-def _criteria(state, tol: float) -> _Evaluation:
-    """One moment evaluation and one Ky Fan solve feed all three criteria.
-
-    The raw correlation block is (4/n^2) times the Fano C, so its Ky Fan
-    norm is (4/n^2) ||C||_KF.
-    """
-    mom = moments(state, representation_for(state))
-    f = mom.fano()
-    n = f.n
-    fano_kyfan = kyfan_norm(f.C)
-    raw_kyfan = (4.0 / (n * n)) * fano_kyfan
-    bound = n * (n - 1) / 2.0
-    quad = 2.0 * (n - 1) / n
-    value = np.sqrt(quad) * (
-        float(np.linalg.norm(f.nvec)) + float(np.linalg.norm(f.mvec))
-    ) + quad * fano_kyfan
-    _, omega = split_sym_antisym(mom.second)
-    omega_abs_max = float(np.max(np.abs(omega)))
-    applicable = omega_abs_max < tol
-    return _Evaluation(
-        fano=f,
-        omega_max=omega_abs_max,
-        necessary=NecessaryResult(bool(raw_kyfan <= bound + tol), raw_kyfan, bound),
-        sufficient=SufficientResult(bool(value <= 1.0 + tol), value),
-        omega=OmegaResult(applicable, bool(applicable and quad * raw_kyfan <= 1.0 + tol)),
-    )
-
-
-def devicente_necessary(state, tol: float = DEFAULT_TOL) -> NecessaryResult:
-    """Necessary criterion ||C||_KF <= n(n-1)/2 (de Vicente, QIC 7, 624 (2007)).
-
-    C here is the raw-trace correlation block.  A violation certifies
-    entanglement; passing decides nothing.
-    """
-    return _criteria(state, tol).necessary
-
-
-def devicente_sufficient(state, tol: float = DEFAULT_TOL) -> SufficientResult:
-    """Sufficient criterion sqrt(2(n-1)/n)(|n|+|m|) + (2(n-1)/n)||C||_KF <= 1.
-
-    Satisfying the inequality certifies separability; failing it decides
-    nothing.  Evaluated with the expansion-convention Fano coefficients.
-    """
-    return _criteria(state, tol).sufficient
-
-
-def omega_sufficient(state, tol: float = DEFAULT_TOL) -> OmegaResult:
-    """Sufficient criterion (2(n-1)/n)||C||_KF <= 1 for vanishing Omega.
-
-    C here is the raw-trace correlation block.  Applicable only when the
-    antisymmetric coefficients vanish, which is equivalent to both
-    reduced states being maximally mixed.
-    """
-    return _criteria(state, tol).omega
-
-
 def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
-    """Positivity under partial transposition of one matrix; decisive for two qubits."""
+    """Positivity under partial transposition; decisive for two qubits.
+
+    One matrix gives a bool and a float, a stack ``(B, 4, 4)`` gives ``(B,)`` arrays.
+    """
     rho = _require_two_qubits(state)
-    if rho.ndim != 2:
-        raise DimensionError(f"ppt_check takes one 4x4 matrix, got shape {rho.shape}")
-    w = hermitian_eigenvalues(partial_transpose(rho))
-    return PptResult(separable=bool(w[0] >= -tol), min_eigenvalue=float(w[0]))
+    low = hermitian_eigenvalues(partial_transpose(rho))[..., 0]
+    if rho.ndim == 2:
+        return PptResult(separable=bool(low >= -tol), min_eigenvalue=float(low))
+    return PptResult(separable=low >= -tol, min_eigenvalue=low)
 
 
 def octahedron_check(d, tol: float = DEFAULT_TOL) -> OctahedronResult:
@@ -289,32 +211,96 @@ def werner_ltilde_signature(x: float) -> LtildeSignature:
     )
 
 
+class _Verdicts(NamedTuple):
+    """The cascade's outcome for each state of a stack: arrays with a leading axis B.
+
+    ``status`` and ``decided_by`` hold strings (``decided_by`` is None where
+    undecided); each witness is a ``(B,)`` float array, with
+    ``pt_min_eigenvalue`` NaN where the partial-transpose test did not run.
+    """
+
+    status: np.ndarray
+    decided_by: np.ndarray
+    witnesses: dict
+
+
+# Indexed by decider code: 0-2 the criterion that decided, 3 none, 4 + separable the PPT test.
+_DECIDED_BY = np.array(
+    ["devicente_necessary", "devicente_sufficient", "omega_sufficient", None, "ppt", "ppt"],
+    dtype=object,
+)
+_STATUS = np.array([ENTANGLED, SEPARABLE, SEPARABLE, UNDECIDED, ENTANGLED, SEPARABLE], dtype=object)
+
+
+def _cascade(rhos: np.ndarray, tol: float) -> _Verdicts:
+    """The criterion cascade over a stack ``(B, d, d)``.
+
+    One moment evaluation and one Ky Fan solve feed three criteria, each a
+    mask over the stack; a state is decided by the first mask that holds
+    for it (de Vicente, QIC 7, 624 (2007)):
+
+    - necessary: ||C||_KF <= n(n-1)/2 for the raw-trace correlation block
+      C, which is (4/n^2) times the Fano C; a violation is Entangled;
+    - sufficient: sqrt(2(n-1)/n)(|n|+|m|) + (2(n-1)/n)||C||_KF <= 1 in the
+      expansion-convention Fano coefficients; a pass is Separable;
+    - Omega: (2(n-1)/n)||C||_KF <= 1 for the raw block, applicable when
+      Omega vanishes (both reduced states maximally mixed).
+
+    The two-qubit states still undecided then share one partial-transpose test.
+    """
+    mom = moments(rhos, representation_for(rhos))
+    f = mom.fano()
+    n, count = f.n, len(rhos)
+    fano_kyfan = kyfan_norm(f.C)
+    raw_kyfan = (4.0 / (n * n)) * fano_kyfan
+    bound = n * (n - 1) / 2.0
+    quad = 2.0 * (n - 1) / n
+    # sqrt(v . v) is bitwise the 1-D np.linalg.norm(v); a norm over axis -1 is not.
+    norm_a = np.sqrt(np.vecdot(f.nvec, f.nvec))
+    norm_b = np.sqrt(np.vecdot(f.mvec, f.mvec))
+    value = np.sqrt(quad) * (norm_a + norm_b) + quad * fano_kyfan
+    omega_max = np.abs(split_sym_antisym(mom.second)[1]).max(axis=(-2, -1))
+    # argmax picks each state's first criterion that holds; the last row, always
+    # true, gives code 3 where none does.
+    holds = np.stack([
+        ~(raw_kyfan <= bound + tol),
+        value <= 1.0 + tol,
+        (omega_max < tol) & (quad * raw_kyfan <= 1.0 + tol),
+        np.ones(count, dtype=bool),
+    ])
+    code = holds.argmax(axis=0)
+    pt_min = np.full(count, np.nan)
+    todo = np.flatnonzero(code == 3) if n == 2 else ()
+    if len(todo):
+        ppt = ppt_check(rhos[todo], tol)
+        code[todo] = 4 + ppt.separable
+        pt_min[todo] = ppt.min_eigenvalue
+    witnesses = {
+        "c_kyfan": raw_kyfan,
+        "necessary_bound": np.full(count, bound),
+        "sufficient_value": value,
+        "bloch_norm_a": norm_a,
+        "bloch_norm_b": norm_b,
+        "omega_max": omega_max,
+        "tolerance": np.full(count, float(tol)),
+        "pt_min_eigenvalue": pt_min,
+    }
+    return _Verdicts(_STATUS[code], _DECIDED_BY[code], witnesses)
+
+
 def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
-    """Run the criterion cascade and return a three-valued verdict.
+    """Run the criterion cascade on one matrix and return a three-valued verdict.
 
     Order: necessary criteria first (a violation settles Entangled), then
     sufficient ones (a pass settles Separable), then, for two qubits,
-    the decisive partial-transpose test.
+    the decisive partial-transpose test.  One matrix goes through
+    :func:`_cascade` as a stack of one; a stack raises ``ShapeError``.
     """
-    f, omega_abs_max, necessary, sufficient, omega = _criteria(state, tol)
-    witnesses = {
-        "c_kyfan": necessary.value,
-        "necessary_bound": necessary.bound,
-        "sufficient_value": sufficient.value,
-        "bloch_norm_a": float(np.linalg.norm(f.nvec)),
-        "bloch_norm_b": float(np.linalg.norm(f.mvec)),
-        "omega_max": omega_abs_max,
-        "tolerance": tol,
-    }
-    if not necessary.passes:
-        return SeparabilityVerdict(ENTANGLED, "devicente_necessary", witnesses)
-    if sufficient.passes:
-        return SeparabilityVerdict(SEPARABLE, "devicente_sufficient", witnesses)
-    if omega.applicable and omega.passes:
-        return SeparabilityVerdict(SEPARABLE, "omega_sufficient", witnesses)
-    if f.n == 2:
-        ppt = ppt_check(state, tol)
-        witnesses["pt_min_eigenvalue"] = ppt.min_eigenvalue
-        status = SEPARABLE if ppt.separable else ENTANGLED
-        return SeparabilityVerdict(status, "ppt", witnesses)
-    return SeparabilityVerdict(UNDECIDED, None, witnesses)
+    rho = as_matrix(state)
+    if rho.ndim != 2:
+        raise ShapeError(f"classify takes one matrix, got shape {rho.shape}")
+    status, decided_by, witnesses = _cascade(rho[None], tol)
+    values = {name: float(v[0]) for name, v in witnesses.items()}
+    if decided_by[0] != "ppt":
+        del values["pt_min_eigenvalue"]
+    return SeparabilityVerdict(status[0], decided_by[0], values)

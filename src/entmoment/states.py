@@ -182,14 +182,6 @@ def bloch_decode(state) -> BlochVector:
     return BlochVector(n=n, m=m)
 
 
-def _bipartite_matrix(state) -> tuple[np.ndarray, int]:
-    """One square matrix ``(n*n, n*n)`` and its local dimension n; a stack is refused."""
-    rho = as_matrix(state)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ShapeError(f"expected one square matrix, got shape {rho.shape}")
-    return rho, local_dimension(rho.shape[0])
-
-
 def _by_subsystem(subsystem: str, a, b):
     if subsystem not in ("A", "B"):
         raise DomainError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
@@ -198,7 +190,10 @@ def _by_subsystem(subsystem: str, a, b):
 
 def partial_trace(state, subsystem: str = "A") -> DensityOperator:
     """Reduced state of the kept subsystem ('A' keeps A, traces out B)."""
-    rho, n = _bipartite_matrix(state)
+    rho = as_matrix(state)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ShapeError(f"expected one square matrix, got shape {rho.shape}")
+    n = local_dimension(rho.shape[0])
     script = _by_subsystem(subsystem, "ikjk->ij", "kikj->ij")
     return DensityOperator.from_matrix(np.einsum(script, rho.reshape(n, n, n, n)))
 
@@ -220,10 +215,17 @@ def spin_flip(state) -> DensityOperator:
 
 
 def partial_transpose(state, subsystem: str = "B") -> np.ndarray:
-    """Transpose one tensor factor; Hermitian but possibly indefinite."""
-    rho, n = _bipartite_matrix(state)
-    axes = _by_subsystem(subsystem, (2, 1, 0, 3), (0, 3, 2, 1))
-    return np.transpose(rho.reshape(n, n, n, n), axes).reshape(n * n, n * n)
+    """Transpose one tensor factor of a matrix, or of each matrix of a stack ``(B, d, d)``.
+
+    The result is Hermitian but possibly indefinite.
+    """
+    rho = as_matrix(state)
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
+    n = local_dimension(rho.shape[-1])
+    # rho[(i, k), (j, l)] as axes (i, k, j, l): transposing A swaps i and j, B swaps k and l.
+    axes = _by_subsystem(subsystem, (-4, -2), (-3, -1))
+    return np.swapaxes(rho.reshape(rho.shape[:-2] + (n,) * 4), *axes).reshape(rho.shape)
 
 
 def bell_state() -> DensityOperator:

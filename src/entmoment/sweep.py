@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import (
+    DEFAULT_TOL,
     ENTANGLED,
     SEPARABLE,
-    classify,
+    _cascade,
     concurrence_variant,
     concurrence_wootters,
     correlation_block,
@@ -30,6 +31,13 @@ from .tensors import quadratic_invariant
 
 VERDICT_CODE = {SEPARABLE: 1.0, ENTANGLED: -1.0}
 
+
+def _verdict_codes(rhos) -> np.ndarray:
+    """:data:`VERDICT_CODE` of each state's cascade status; 0 where undecided."""
+    status = _cascade(rhos, DEFAULT_TOL).status
+    return np.select([status == s for s in VERDICT_CODE], list(VERDICT_CODE.values()), 0.0)
+
+
 # Each quantity maps a validated state stack (B, d, d) to its B values.
 QUANTITIES = {
     "purity": purity,
@@ -41,7 +49,7 @@ QUANTITIES = {
     "concurrence_wootters": concurrence_wootters,
     "concurrence_variant": concurrence_variant,
     "kyfan_c": lambda rhos: kyfan_norm(correlation_block(rhos)),
-    "verdict": lambda rhos: [VERDICT_CODE.get(classify(rho).status, 0.0) for rho in rhos],
+    "verdict": _verdict_codes,
 }
 
 # Grid points per evaluated block: bounds the memory of the state stacks.

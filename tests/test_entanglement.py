@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmoment.entanglement import (
+    DEFAULT_TOL,
     ENTANGLED,
     SEPARABLE,
     classify,
@@ -13,11 +14,8 @@ from entmoment.entanglement import (
     concurrence_wootters,
     correlation_block,
     d_measure,
-    devicente_necessary,
-    devicente_sufficient,
     kyfan_norm,
     octahedron_check,
-    omega_sufficient,
     ppt_check,
     tr_rho_rhotilde,
     werner_ltilde_signature,
@@ -205,11 +203,18 @@ def test_concurrence_dimension_guard():
         concurrence_variant(maximally_mixed(9))
 
 
-def test_per_state_functions_reject_stacks():
-    # The partial transpose is built for one state, so ppt_check takes one 4x4 matrix.
-    stack = np.stack([werner(0.2).matrix, bell_state().matrix])
-    with pytest.raises(DimensionError):
-        ppt_check(stack)
+def test_ppt_check_of_a_stack_equals_per_matrix_checks():
+    rng = np.random.default_rng(49)
+    states = [werner(0.2).matrix, bell_state().matrix, werner(1 / 3).matrix]
+    states += [random_density(4, rank=r, rng=rng).matrix for r in (1, 2, 4)]
+    separable, low = ppt_check(np.stack(states))
+    assert separable.shape == low.shape == (len(states),)
+    for i, rho in enumerate(states):
+        single = ppt_check(rho)
+        assert isinstance(single.separable, bool) and isinstance(single.min_eigenvalue, float)
+        assert (separable[i], low[i]) == single
+    with pytest.raises(ShapeError):
+        ppt_check(np.stack(states)[None])
 
 
 def test_quantities_of_one_matrix_are_floats():
@@ -365,35 +370,46 @@ def test_d_measure_spots():
 # -- criteria -------------------------------------------------------------------
 
 def test_necessary_criterion_werner():
-    res = devicente_necessary(werner(0.5))
-    assert not res.passes and res.value == pytest.approx(1.5, abs=1e-12)
-    assert res.bound == 1.0
-    assert devicente_necessary(maximally_mixed(4)).passes
-    bell = devicente_necessary(bell_state())
-    assert bell.value == pytest.approx(3.0, abs=1e-12) and not bell.passes
+    verdict = classify(werner(0.5))
+    assert verdict.decided_by == "devicente_necessary"
+    assert verdict.witnesses["c_kyfan"] == pytest.approx(1.5, abs=1e-12)
+    assert verdict.witnesses["necessary_bound"] == 1.0
+    mixed = classify(maximally_mixed(4))
+    assert mixed.decided_by != "devicente_necessary"
+    assert mixed.witnesses["c_kyfan"] <= mixed.witnesses["necessary_bound"]
+    bell = classify(bell_state())
+    assert bell.witnesses["c_kyfan"] == pytest.approx(3.0, abs=1e-12)
+    assert bell.decided_by == "devicente_necessary"
 
 
 def test_necessary_criterion_qutrit_bound():
-    res = devicente_necessary(maximally_mixed(9))
-    assert res.bound == 3.0 and res.passes and res.value == pytest.approx(0.0, abs=1e-12)
+    verdict = classify(maximally_mixed(9))
+    assert verdict.witnesses["necessary_bound"] == 3.0
+    assert verdict.decided_by != "devicente_necessary"
+    assert verdict.witnesses["c_kyfan"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sufficient_criterion_values():
-    assert devicente_sufficient(maximally_mixed(4)).value == pytest.approx(0.0, abs=1e-12)
-    res = devicente_sufficient(werner(0.3))
-    assert res.passes and res.value == pytest.approx(0.9, abs=1e-12)
-    p00 = schmidt_mix(1.0, 0.0)
-    res = devicente_sufficient(p00)
-    assert res.value == pytest.approx(3.0, abs=1e-12) and not res.passes
+    assert classify(maximally_mixed(4)).witnesses["sufficient_value"] == pytest.approx(0.0, abs=1e-12)
+    verdict = classify(werner(0.3))
+    assert verdict.decided_by == "devicente_sufficient"
+    assert verdict.witnesses["sufficient_value"] == pytest.approx(0.9, abs=1e-12)
+    p00 = classify(schmidt_mix(1.0, 0.0))
+    assert p00.witnesses["sufficient_value"] == pytest.approx(3.0, abs=1e-12)
+    assert p00.decided_by == "ppt"
+
+
+def _omega_criterion(verdict):
+    """(applicable, passes) of the Omega criterion, read off a two-qubit verdict's witnesses."""
+    w = verdict.witnesses
+    applicable = w["omega_max"] < w["tolerance"]
+    return applicable, applicable and w["c_kyfan"] <= 1.0 + w["tolerance"]
 
 
 def test_omega_sufficient_cases():
-    res = omega_sufficient(werner(0.25))
-    assert res.applicable and res.passes
-    res = omega_sufficient(schmidt_mix(0.5, np.pi / 8))
-    assert not res.applicable
-    res = omega_sufficient(maximally_mixed(4))
-    assert res.applicable and res.passes
+    assert _omega_criterion(classify(werner(0.25))) == (True, True)
+    assert not _omega_criterion(classify(schmidt_mix(0.5, np.pi / 8)))[0]
+    assert _omega_criterion(classify(maximally_mixed(4))) == (True, True)
 
 
 def test_ppt_werner_threshold():
@@ -515,6 +531,68 @@ def test_classify_monotone_consistency_on_werner():
         conc = concurrence_wootters(werner(float(x)))
         verdict = classify(werner(float(x)))
         assert (conc == 0.0) == (verdict.status == SEPARABLE)
+
+
+def _isotropic_qutrits(p):
+    """p |phi+><phi+| + (1 - p) 1/9 on two qutrits."""
+    phi = np.eye(3).reshape(9) / np.sqrt(3)
+    return p * np.outer(phi, phi).astype(complex) + (1 - p) * np.eye(9) / 9
+
+
+@pytest.mark.parametrize(
+    "states, deciders",
+    [
+        (
+            [werner(0.8).matrix, random_density(4, rank=2, rng=np.random.default_rng(4)).matrix,
+             werner(0.2).matrix, schmidt_mix(0.4, np.pi / 8).matrix, schmidt_mix(1.0, 0.0).matrix,
+             bell_state().matrix, maximally_mixed(4).matrix],
+            ["devicente_necessary", "ppt", "devicente_sufficient", "ppt", "ppt",
+             "devicente_necessary", "devicente_sufficient"],
+        ),
+        (
+            [_isotropic_qutrits(p) for p in (1.0, 0.0, 0.1, 0.3)],
+            ["devicente_necessary", "devicente_sufficient", "omega_sufficient", None],
+        ),
+    ],
+    ids=["qubits", "qutrits"],
+)
+def test_every_decider_of_a_stack_equals_classify(states, deciders):
+    # Isotropic qutrits: the raw Ky Fan norm is 16p/3, so the necessary bound 3 fails
+    # above p = 9/16, the sufficient value 16p passes below 1/16 and, as Omega
+    # vanishes, the Omega criterion 64p/9 <= 1 passes below 9/64.
+    status, decided_by, witnesses = entanglement._cascade(np.stack(states), DEFAULT_TOL)
+    assert list(decided_by) == deciders
+    for i, rho in enumerate(states):
+        verdict = classify(rho)
+        assert (verdict.status, verdict.decided_by) == (status[i], decided_by[i])
+        assert type(verdict.status) is str
+        expected = {name: v[i] for name, v in witnesses.items()}
+        if decided_by[i] != "ppt":
+            assert np.isnan(expected.pop("pt_min_eigenvalue"))
+        assert list(verdict.witnesses) == list(expected)
+        for name, value in verdict.witnesses.items():
+            assert type(value) is float
+            assert np.array(value).tobytes() == np.array(expected[name]).tobytes()
+
+
+def test_classify_bloch_norms_are_one_vector_norms():
+    # The stacked cascade must give each state the 1-D np.linalg.norm of its Bloch
+    # vectors to the last bit, or analyze reports would change digits.
+    rng = np.random.default_rng(64)
+    for n in (2, 3):
+        for _ in range(40):
+            rho = random_density(n * n, rank=int(rng.integers(1, n * n + 1)), rng=rng)
+            f = fano_decompose(rho)
+            w = classify(rho).witnesses
+            assert w["bloch_norm_a"] == float(np.linalg.norm(f.nvec))
+            assert w["bloch_norm_b"] == float(np.linalg.norm(f.mvec))
+
+
+def test_classify_takes_one_matrix():
+    rho = werner(0.2).matrix
+    for stack in (rho[None], np.stack([rho, bell_state().matrix])):
+        with pytest.raises(ShapeError, match="one matrix"):
+            classify(stack)
 
 
 def test_spin_flip_invariance_of_werner():

@@ -191,13 +191,27 @@ def test_fano_rejects_non_square_dim():
 # -- partial operations -------------------------------------------------------
 
 
-@pytest.mark.parametrize("partial", [partial_trace, partial_transpose])
-def test_partial_operations_take_one_square_matrix(partial):
+def test_partial_trace_takes_one_square_matrix():
     stack = np.stack([werner(0.2).matrix, bell_state().matrix])
     with pytest.raises(ShapeError, match=r"one square matrix, got shape \(2, 4, 4\)"):
-        partial(stack)
+        partial_trace(stack)
     with pytest.raises(ShapeError, match=r"one square matrix, got shape \(4, 3\)"):
-        partial(np.zeros((4, 3)))
+        partial_trace(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("subsystem", ["A", "B"])
+def test_partial_transpose_of_a_stack_equals_per_matrix_transposes(subsystem):
+    rng = np.random.default_rng(63)
+    for dim in (4, 9):
+        states = [random_density(dim, rank=r, rng=rng).matrix for r in (1, 2, dim)]
+        stack = partial_transpose(np.stack(states), subsystem)
+        assert stack.shape == (3, dim, dim)
+        for pt, rho in zip(stack, states):
+            assert np.array_equal(pt, partial_transpose(rho, subsystem))
+    with pytest.raises(ShapeError, match=r"stack of them, got shape \(1, 2, 4, 4\)"):
+        partial_transpose(np.zeros((1, 2, 4, 4)))
+    with pytest.raises(ShapeError, match=r"got shape \(4, 3\)"):
+        partial_transpose(np.zeros((4, 3)))
 
 
 def test_partial_trace_bell():
