@@ -9,6 +9,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -61,7 +62,7 @@ from .sweep import (
     write_csv,
     write_svg,
 )
-from .tensors import inner_product, moments, representation_for, split_sym_antisym
+from .tensors import inner_product, moments, split_sym_antisym
 
 USAGE_EXIT = 64
 
@@ -238,7 +239,7 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
     """Full analysis payload for a bipartite state."""
     n = local_dimension(state.dim)
     _check_local_dimension(n)
-    mom = moments(state, representation_for(state))
+    mom = moments(state)
     l_sym, omega = split_sym_antisym(mom.second)
     k = mom.covariance()
     fano = mom.fano()
@@ -261,12 +262,7 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
     report["L"] = l_sym
     report["Omega"] = omega
     report["K"] = np.stack([k.values.real, k.values.imag], axis=-1)
-    verdict = classify(state, tol=tol)
-    report["verdict"] = {
-        "status": verdict.status,
-        "decided_by": verdict.decided_by,
-        "witnesses": {k_: float(v) for k_, v in verdict.witnesses.items()},
-    }
+    report["verdict"] = dataclasses.asdict(classify(state, tol=tol))
     return report
 
 
@@ -477,9 +473,6 @@ def run(argv) -> int:
         if exc.code:
             print(f"error: {exc.kind}: {exc}", file=sys.stderr)
         return exc.code
-    except (json.JSONDecodeError, FormatError) as exc:
-        print(f"error: parse: {exc}", file=sys.stderr)
-        return 2
     except (
         DomainError,
         DimensionError,

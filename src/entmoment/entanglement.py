@@ -30,7 +30,6 @@ from .tensors import (
     moments,
     product_representation,
     quadratic_invariant,
-    representation_for,
     split_sym_antisym,
     tensor_coefficients,
 )
@@ -40,6 +39,17 @@ ENTANGLED = "entangled"
 UNDECIDED = "undecided"
 
 DEFAULT_TOL = 1e-9
+
+# (status, decided_by) by decider code: 0-2 the criterion that decided, 3 none,
+# 4 + separable the partial-transpose test.
+_DECIDERS = (
+    (ENTANGLED, "devicente_necessary"),
+    (SEPARABLE, "devicente_sufficient"),
+    (SEPARABLE, "omega_sufficient"),
+    (UNDECIDED, None),
+    (ENTANGLED, "ppt"),
+    (SEPARABLE, "ppt"),
+)
 
 
 @dataclass(frozen=True)
@@ -78,6 +88,12 @@ def _require_two_qubits(state) -> np.ndarray:
     if rho.shape[-2:] != (4, 4):
         raise DimensionError(f"operation requires 4x4 matrices, got shape {rho.shape}")
     return rho
+
+
+def _require_tolerance(tol: float) -> None:
+    """Refuse a NaN, infinite or negative ``tol``: every comparison with NaN is False."""
+    if not 0.0 <= tol < np.inf:
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
 @_per_state
@@ -153,7 +169,7 @@ def correlation_block(state) -> np.ndarray:
     Entries are the raw traces Tr(rho sigma_j x sigma_k); for n=2 this is
     the Fano correlation matrix.
     """
-    return moments(state, representation_for(state)).correlation_block()
+    return moments(state).correlation_block()
 
 
 def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
@@ -161,6 +177,7 @@ def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
 
     One matrix gives a bool and a float, a stack ``(B, 4, 4)`` gives ``(B,)`` arrays.
     """
+    _require_tolerance(tol)
     rho = _require_two_qubits(state)
     low = hermitian_eigenvalues(partial_transpose(rho))[..., 0]
     if rho.ndim == 2:
@@ -175,6 +192,7 @@ def octahedron_check(d, tol: float = DEFAULT_TOL) -> OctahedronResult:
     coincides with the Ky Fan norm of diag(d), which the implementation
     cross-checks.
     """
+    _require_tolerance(tol)
     d = np.asarray(d, dtype=float)
     standard_form_state(d)  # validates tetrahedron membership
     l1 = float(np.sum(np.abs(d)))
@@ -211,29 +229,8 @@ def werner_ltilde_signature(x: float) -> LtildeSignature:
     )
 
 
-class _Verdicts(NamedTuple):
-    """The cascade's outcome for each state of a stack: arrays with a leading axis B.
-
-    ``status`` and ``decided_by`` hold strings (``decided_by`` is None where
-    undecided); each witness is a ``(B,)`` float array, with
-    ``pt_min_eigenvalue`` NaN where the partial-transpose test did not run.
-    """
-
-    status: np.ndarray
-    decided_by: np.ndarray
-    witnesses: dict
-
-
-# Indexed by decider code: 0-2 the criterion that decided, 3 none, 4 + separable the PPT test.
-_DECIDED_BY = np.array(
-    ["devicente_necessary", "devicente_sufficient", "omega_sufficient", None, "ppt", "ppt"],
-    dtype=object,
-)
-_STATUS = np.array([ENTANGLED, SEPARABLE, SEPARABLE, UNDECIDED, ENTANGLED, SEPARABLE], dtype=object)
-
-
-def _cascade(rhos: np.ndarray, tol: float) -> _Verdicts:
-    """The criterion cascade over a stack ``(B, d, d)``.
+def _cascade(rhos: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
+    """The criterion cascade over a stack ``(B, d, d)``: decider codes and witnesses.
 
     One moment evaluation and one Ky Fan solve feed three criteria, each a
     mask over the stack; a state is decided by the first mask that holds
@@ -247,8 +244,11 @@ def _cascade(rhos: np.ndarray, tol: float) -> _Verdicts:
       Omega vanishes (both reduced states maximally mixed).
 
     The two-qubit states still undecided then share one partial-transpose test.
+    Each state's code indexes :data:`_DECIDERS`; each witness is a ``(B,)``
+    float array, with ``pt_min_eigenvalue`` NaN where that test did not run.
     """
-    mom = moments(rhos, representation_for(rhos))
+    _require_tolerance(tol)
+    mom = moments(rhos)
     f = mom.fano()
     n, count = f.n, len(rhos)
     fano_kyfan = kyfan_norm(f.C)
@@ -285,7 +285,7 @@ def _cascade(rhos: np.ndarray, tol: float) -> _Verdicts:
         "tolerance": np.full(count, float(tol)),
         "pt_min_eigenvalue": pt_min,
     }
-    return _Verdicts(_STATUS[code], _DECIDED_BY[code], witnesses)
+    return code, witnesses
 
 
 def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
@@ -299,8 +299,9 @@ def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
     rho = as_matrix(state)
     if rho.ndim != 2:
         raise ShapeError(f"classify takes one matrix, got shape {rho.shape}")
-    status, decided_by, witnesses = _cascade(rho[None], tol)
+    code, witnesses = _cascade(rho[None], tol)
+    status, decided_by = _DECIDERS[code[0]]
     values = {name: float(v[0]) for name, v in witnesses.items()}
-    if decided_by[0] != "ppt":
+    if decided_by != "ppt":
         del values["pt_min_eigenvalue"]
-    return SeparabilityVerdict(status[0], decided_by[0], values)
+    return SeparabilityVerdict(status, decided_by, values)

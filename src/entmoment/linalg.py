@@ -21,6 +21,8 @@ MAX_DIM = 64
 SOLVER_HERMITICITY_TOL = 1e-10
 OFF_DIAGONAL_TOL = 1e-12
 PIVOT_TOL = 1e-14
+# Budget of full Jacobi sweeps (every index pair rotated once) before giving up.
+MAX_SWEEPS = 100
 
 
 def _check_hermitian(matrix: np.ndarray, tol: float = SOLVER_HERMITICITY_TOL) -> np.ndarray:
@@ -124,7 +126,7 @@ def _rotate_pairs(work: np.ndarray, skip: np.ndarray) -> None:
     qp *= keep
 
 
-def _jacobi(a: np.ndarray, max_sweeps: int, carry=None):
+def _jacobi(a: np.ndarray, carry=None):
     """Ascending eigenvalues of the Hermitian stack ``a`` and ``carry @ V``.
 
     ``carry`` (rows ``(..., k, n)``, one block for all matrices, or None)
@@ -152,7 +154,7 @@ def _jacobi(a: np.ndarray, max_sweeps: int, carry=None):
     w = np.empty((count, m))
     carried = np.empty((count, k, m), dtype=complex)
     live = np.arange(count)
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(MAX_SWEEPS + 1):
         # A matrix leaves at the sweep where it would stop if solved alone.
         done = _off_diagonal_norms(work[:, :m]) < tol
         if done.any():
@@ -162,8 +164,8 @@ def _jacobi(a: np.ndarray, max_sweeps: int, carry=None):
             live, work, tol, skip = live[~done], work[~done], tol[~done], skip[~done]
         if not live.size:
             break
-        if sweep == max_sweeps:
-            raise ConvergenceError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+        if sweep == MAX_SWEEPS:
+            raise ConvergenceError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
         for row_index, col_index in steps:
             _rotate_pairs(work, skip[:, None])
             work = work[:, row_index, col_index]
@@ -177,9 +179,7 @@ def _jacobi(a: np.ndarray, max_sweeps: int, carry=None):
     return w, carried.reshape(*batch, k, n)
 
 
-def hermitian_eigensystem(
-    matrix: np.ndarray, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize Hermitian matrices with round-robin Jacobi rotations.
 
     Parameters
@@ -187,9 +187,6 @@ def hermitian_eigensystem(
     matrix : array_like
         Hermitian matrix, or a stack ``(..., n, n)`` of them, with n at
         most 64.
-    max_sweeps : int
-        Budget of full sweeps (every index pair rotated once) before
-        giving up.
 
     Returns
     -------
@@ -206,15 +203,15 @@ def hermitian_eigensystem(
         If an input deviates from Hermiticity by more than 1e-10.
     ConvergenceError
         If some matrix's off-diagonal norm has not dropped below
-        1e-12 * max(1, largest entry) after ``max_sweeps`` sweeps.
+        1e-12 * max(1, largest entry) after ``MAX_SWEEPS`` sweeps.
     """
     a = _check_hermitian(matrix)
-    return _jacobi(a, max_sweeps, carry=np.eye(a.shape[-1]))
+    return _jacobi(a, carry=np.eye(a.shape[-1]))
 
 
-def hermitian_eigenvalues(matrix: np.ndarray, max_sweeps: int = 100) -> np.ndarray:
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues only; same iteration as :func:`hermitian_eigensystem`."""
-    return _jacobi(_check_hermitian(matrix), max_sweeps)[0]
+    return _jacobi(_check_hermitian(matrix))[0]
 
 
 def _pivoted_cholesky(matrix: np.ndarray) -> np.ndarray:
@@ -259,7 +256,7 @@ def _gram(matrix: np.ndarray, carry: bool = True):
     # Scale the entries themselves (real and imaginary parts as one float
     # array): the factor 2^-e alone overflows to inf when max |x| is subnormal.
     x = np.ldexp(np.ascontiguousarray(x).view(float), -e[..., None, None]).view(complex)
-    w, xv = _jacobi(np.swapaxes(x, -1, -2).conj() @ x, 100, x if carry else None)
+    w, xv = _jacobi(np.swapaxes(x, -1, -2).conj() @ x, x if carry else None)
     w = np.ldexp(w[..., ::-1], 2 * e[..., None])
     if not carry:
         return w, None

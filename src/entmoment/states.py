@@ -70,23 +70,23 @@ class DensityOperator:
     violated invariant, so loaders can report exactly which check failed.
     """
 
-    dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape != (self.dim, self.dim):
-            raise ShapeError(f"expected a {self.dim}x{self.dim} matrix, got shape {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ShapeError(f"expected a square matrix, got shape {m.shape}")
         m = validate_densities(m[None])[0].copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
     @classmethod
     def from_matrix(cls, matrix) -> "DensityOperator":
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-        return cls(dim=m.shape[0], matrix=m)
+        return cls(matrix)
 
 
 def validate_densities(matrices) -> np.ndarray:
@@ -408,7 +408,7 @@ def state_from_dict(doc) -> DensityOperator:
         raise FormatError(f"'matrix' must be rows of [re, im] pairs: {exc}") from exc
     if m.shape != (dim, dim):
         raise FormatError(f"'matrix' has shape {m.shape}, expected ({dim}, {dim})")
-    return DensityOperator(dim=dim, matrix=m)
+    return DensityOperator(m)
 
 
 def save_state(state, path) -> None:

@@ -17,6 +17,7 @@ from .entanglement import (
     DEFAULT_TOL,
     ENTANGLED,
     SEPARABLE,
+    _DECIDERS,
     _cascade,
     concurrence_variant,
     concurrence_wootters,
@@ -30,12 +31,13 @@ from .states import purity, schmidt_stack, standard_form_stack, werner_stack
 from .tensors import quadratic_invariant
 
 VERDICT_CODE = {SEPARABLE: 1.0, ENTANGLED: -1.0}
+# The column value of each cascade decider code: VERDICT_CODE of its status, 0 where undecided.
+_VERDICT_BY_DECIDER = np.array([VERDICT_CODE.get(status, 0.0) for status, _ in _DECIDERS])
 
 
 def _verdict_codes(rhos) -> np.ndarray:
     """:data:`VERDICT_CODE` of each state's cascade status; 0 where undecided."""
-    status = _cascade(rhos, DEFAULT_TOL).status
-    return np.select([status == s for s in VERDICT_CODE], list(VERDICT_CODE.values()), 0.0)
+    return _VERDICT_BY_DECIDER[_cascade(rhos, DEFAULT_TOL)[0]]
 
 
 # Each quantity maps a validated state stack (B, d, d) to its B values.

@@ -42,7 +42,6 @@ class Representation:
     n: int
     ops: np.ndarray
     labels: tuple
-    kind: str
 
     @property
     def count(self) -> int:
@@ -61,7 +60,6 @@ class TensorCoefficients:
     """Complex coefficient array of an order-k generator moment tensor."""
 
     order: int
-    dim_index: int
     values: np.ndarray
 
 
@@ -79,7 +77,7 @@ def product_representation(n: int) -> Representation:
     labels = tuple(("A", j + 1) for j in range(count)) + tuple(
         ("B", j + 1) for j in range(count)
     )
-    return Representation(n=n, ops=ops, labels=labels, kind="product")
+    return Representation(n=n, ops=ops, labels=labels)
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +87,7 @@ def defining_representation(n: int) -> Representation:
     ops = np.array(sigma[1:], dtype=complex)
     ops.setflags(write=False)
     labels = tuple(("S", j + 1) for j in range(n * n - 1))
-    return Representation(n=n, ops=ops, labels=labels, kind="defining")
+    return Representation(n=n, ops=ops, labels=labels)
 
 
 def representation_for(state) -> Representation:
@@ -130,9 +128,7 @@ def tensor_coefficients(state, rep: Representation, order: int = 2) -> TensorCoe
         raise DomainError(f"tensor order must be between 1 and {MAX_ORDER}, got {order}")
     rho = as_matrix(state)
     values = _coefficient_stack(_stack_of(rho, rep), rep, order)
-    return TensorCoefficients(
-        order=order, dim_index=rep.count, values=values[0] if rho.ndim == 2 else values
-    )
+    return TensorCoefficients(order=order, values=values[0] if rho.ndim == 2 else values)
 
 
 def first_moments(state, rep: Representation) -> np.ndarray:
@@ -158,7 +154,7 @@ class FanoForm:
 
 @dataclass(frozen=True)
 class Moments:
-    """First and second moments of one state (or a stack) over one representation.
+    """First and second moments of one state (or a stack) over its product representation.
 
     ``first[..., j] = Tr(rho R_j)`` (real) and ``second.values[..., j, k] =
     Tr(rho R_j R_k)``; a stack of states adds the leading axis ``...``.
@@ -172,15 +168,13 @@ class Moments:
         """K_jk = <R_j R_k> - <R_j><R_k>."""
         first = self.first
         values = self.second.values - first[..., :, None] * first[..., None, :]
-        return TensorCoefficients(order=2, dim_index=self.second.dim_index, values=values)
+        return TensorCoefficients(order=2, values=values)
 
     def correlation_block(self) -> np.ndarray:
         """A-B cross block of T: the raw traces Tr(rho sigma_j x sigma_k).
 
         The two sides commute, so the block is real (T_AB = L_AB).
         """
-        if self.rep.kind != "product":
-            raise ShapeError("the correlation block needs the product representation")
         count = self.rep.count // 2
         return self.second.values[..., :count, count:].real
 
@@ -193,14 +187,15 @@ class Moments:
         )
 
 
-def moments(state, rep: Representation) -> Moments:
+def moments(state) -> Moments:
     """Evaluate the first and second moments of ``state`` (or of each state of a stack) once."""
+    rep = representation_for(state)
     return Moments(rep, first_moments(state, rep), tensor_coefficients(state, rep))
 
 
 def fano_decompose(state) -> FanoForm:
     """Local Bloch vectors and correlation matrix of a bipartite state."""
-    return moments(state, representation_for(state)).fano()
+    return moments(state).fano()
 
 
 def fano_compose(f: FanoForm) -> DensityOperator:
@@ -224,9 +219,9 @@ def split_sym_antisym(t: TensorCoefficients) -> tuple[np.ndarray, np.ndarray]:
     return l_sym, omega
 
 
-def covariance_coefficients(state, rep: Representation) -> TensorCoefficients:
+def covariance_coefficients(state) -> TensorCoefficients:
     """Second moments minus products of first moments, K_jk = <R_j R_k> - <R_j><R_k>."""
-    return moments(state, rep).covariance()
+    return moments(state).covariance()
 
 
 def inner_product(t: TensorCoefficients):
@@ -247,7 +242,7 @@ def quadratic_invariant(rhos, mode: str = "linear"):
     """
     if mode not in ("linear", "covariance"):
         raise DomainError(f"mode must be 'linear' or 'covariance', got {mode!r}")
-    mom = moments(rhos, representation_for(rhos))
+    mom = moments(rhos)
     return inner_product(mom.second if mode == "linear" else mom.covariance())
 
 

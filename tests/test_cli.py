@@ -257,6 +257,30 @@ def test_exit_codes(capsys, tmp_path):
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "entries, check",
+    [
+        ([[[0.5, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.5, 0.0]]], "hermiticity"),
+        ([[[0.6, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.0]]], "trace"),
+        ([[[1.2, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.2, 0.0]]], "positivity"),
+    ],
+)
+def test_validation_error_names_the_failed_check(capsys, tmp_path, entries, check):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dim": 2, "matrix": entries}))
+    code, out, err = invoke(capsys, "analyze", "--state", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith(f"error: validation: {path}: {check}: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_an_io_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, _, err = invoke(capsys, "analyze", "--family", "werner", "--x", "0.3", "--out", str(target))
+    assert code == 1
+    assert err.startswith("error: io: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_analyze_rejects_oversized_state_before_building_basis(capsys, tmp_path, monkeypatch):
     from entmoment import tensors
     from entmoment.states import DensityOperator, save_state
@@ -409,10 +433,10 @@ def _reference_report(state, tol):
         tr_rho_rhotilde,
     )
     from entmoment.states import complex_pairs, local_dimension, purity
-    from entmoment.tensors import inner_product, moments, representation_for, split_sym_antisym
+    from entmoment.tensors import inner_product, moments, split_sym_antisym
 
     n = local_dimension(state.dim)
-    mom = moments(state, representation_for(state))
+    mom = moments(state)
     l_sym, omega = split_sym_antisym(mom.second)
     k = mom.covariance()
     fano = mom.fano()

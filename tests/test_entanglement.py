@@ -47,7 +47,6 @@ from entmoment.tensors import (
     inner_product,
     monotone_candidate,
     moments,
-    product_representation,
     quadratic_invariant,
 )
 
@@ -228,7 +227,7 @@ def test_quantities_of_one_matrix_are_floats():
         lambda r: quadratic_invariant(r, "linear"),
         lambda r: quadratic_invariant(r, "covariance"),
         lambda r: monotone_candidate(r, "linear", 2, (0.0, 1.0)),
-        lambda r: inner_product(moments(r, product_representation(2)).second),
+        lambda r: inner_product(moments(r).second),
         lambda r: kyfan_norm(correlation_block(r)),
     ]
     for state in (rho, rho.matrix):
@@ -512,6 +511,23 @@ def test_classify_never_contradicts_criteria():
             assert w["c_kyfan"] <= w["necessary_bound"] + tol
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda tol: classify(maximally_mixed(4), tol=tol),
+        lambda tol: ppt_check(werner(0.1), tol=tol),
+        lambda tol: octahedron_check((0.1, 0.1, 0.1), tol=tol),
+    ],
+    ids=["classify", "ppt_check", "octahedron_check"],
+)
+def test_tolerance_must_be_finite_and_nonnegative(check, tol):
+    # A NaN tolerance fails every comparison, so it would call any state entangled.
+    with pytest.raises(DomainError, match="tolerance must be a finite number >= 0"):
+        check(tol)
+    check(0.0)
+
+
 def test_classify_undecided_possible_for_qutrits():
     # A qutrit-pair pure entangled state is caught by the necessary
     # criterion; a slightly mixed one near the boundary may be undecided.
@@ -560,14 +576,14 @@ def test_every_decider_of_a_stack_equals_classify(states, deciders):
     # Isotropic qutrits: the raw Ky Fan norm is 16p/3, so the necessary bound 3 fails
     # above p = 9/16, the sufficient value 16p passes below 1/16 and, as Omega
     # vanishes, the Omega criterion 64p/9 <= 1 passes below 9/64.
-    status, decided_by, witnesses = entanglement._cascade(np.stack(states), DEFAULT_TOL)
-    assert list(decided_by) == deciders
+    code, witnesses = entanglement._cascade(np.stack(states), DEFAULT_TOL)
+    assert [entanglement._DECIDERS[c][1] for c in code] == deciders
     for i, rho in enumerate(states):
         verdict = classify(rho)
-        assert (verdict.status, verdict.decided_by) == (status[i], decided_by[i])
+        assert (verdict.status, verdict.decided_by) == entanglement._DECIDERS[code[i]]
         assert type(verdict.status) is str
         expected = {name: v[i] for name, v in witnesses.items()}
-        if decided_by[i] != "ppt":
+        if verdict.decided_by != "ppt":
             assert np.isnan(expected.pop("pt_min_eigenvalue"))
         assert list(verdict.witnesses) == list(expected)
         for name, value in verdict.witnesses.items():

@@ -200,13 +200,12 @@ def test_covariance_equals_linear_on_maximally_mixed():
     rep = product_representation(2)
     rho = maximally_mixed(4)
     t = tensor_coefficients(rho, rep, order=2)
-    k = covariance_coefficients(rho, rep)
+    k = covariance_coefficients(rho)
     assert np.allclose(k.values, t.values, atol=1e-15)
 
 
 def test_covariance_bell_cross_block():
-    rep = product_representation(2)
-    k = covariance_coefficients(bell_state(), rep)
+    k = covariance_coefficients(bell_state())
     cross = k.values[:3, 3:].real
     assert np.allclose(cross, np.diag([1.0, -1.0, 1.0]), atol=1e-13)
 
@@ -214,8 +213,7 @@ def test_covariance_bell_cross_block():
 def test_covariance_pure_product_norm():
     p00 = np.zeros((4, 4), dtype=complex)
     p00[0, 0] = 1.0
-    rep = product_representation(2)
-    k = covariance_coefficients(DensityOperator.from_matrix(p00), rep)
+    k = covariance_coefficients(DensityOperator.from_matrix(p00))
     assert inner_product(k) == pytest.approx(8.0, abs=1e-12)
 
 
@@ -225,7 +223,7 @@ def test_covariance_antisymmetric_part_unchanged():
     for _ in range(10):
         rho = random_density(4, rng=rng)
         _, omega_linear = split_sym_antisym(tensor_coefficients(rho, rep, order=2))
-        k = covariance_coefficients(rho, rep)
+        k = covariance_coefficients(rho)
         omega_cov = (k.values.imag - k.values.imag.T) / 2
         assert np.allclose(omega_cov, omega_linear, atol=1e-13)
 
@@ -342,10 +340,10 @@ def test_stacked_moments_match_single_states():
     for n, states in groups:
         rep = product_representation(n)
         matrices = np.stack([r.matrix for r in states])
-        stack = moments(matrices, rep)
+        stack = moments(matrices)
         l_stack, omega_stack = split_sym_antisym(tensor_coefficients(matrices, rep))
         for i, rho in enumerate(states):
-            single = moments(rho, rep)
+            single = moments(rho)
             assert np.array_equal(stack.first[i], single.first)
             assert np.array_equal(stack.second.values[i], single.second.values)
             assert np.array_equal(stack.covariance().values[i], single.covariance().values)
@@ -384,6 +382,6 @@ def test_quadratic_invariant_stack_shares_the_report_path():
     for mode in ("linear", "covariance"):
         values = quadratic_invariant(stack, mode)
         for rho, value in zip(states, values):
-            mom = moments(rho, product_representation(2))
+            mom = moments(rho)
             t = mom.second if mode == "linear" else mom.covariance()
             assert value == quadratic_invariant(rho, mode) == inner_product(t)
