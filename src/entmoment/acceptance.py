@@ -14,7 +14,6 @@ import numpy as np
 from .basis import generate_basis
 from .entanglement import (
     SEPARABLE,
-    classify,
     concurrence_variant,
     concurrence_wootters,
     octahedron_check,
@@ -32,10 +31,11 @@ from .states import (
     random_pure,
     random_unitary,
     schmidt_mix,
-    standard_form_state,
-    werner,
+    standard_form_stack,
+    validate_densities,
+    werner_stack,
 )
-from .sweep import AxisSpec, SweepGrid, grid_sweep, wedge_field
+from .sweep import FAMILIES, VERDICT_CODE, AxisSpec, SweepGrid, grid_sweep, wedge_field
 from .tensors import (
     defining_representation,
     fano_compose,
@@ -62,22 +62,23 @@ class CriterionResult:
 
 
 # -- frozen closed forms -------------------------------------------------------
+# Those in x and a take one value or an array of values.
 
-def werner_l_expected(x: float) -> np.ndarray:
-    """6x6 symmetric coefficient matrix of the Werner family."""
-    l = np.eye(6)
-    l[0, 3] = l[3, 0] = x
-    l[1, 4] = l[4, 1] = -x
-    l[2, 5] = l[5, 2] = x
-    return l
+# The off-diagonal pattern of the Werner coefficient matrix: +x, -x, +x between A and B.
+_WERNER_L_PATTERN = np.kron([[0.0, 1.0], [1.0, 0.0]], np.diag([1.0, -1.0, 1.0]))
 
 
-def f2_linear_closed(x: float) -> float:
+def werner_l_expected(x) -> np.ndarray:
+    """6x6 symmetric coefficient matrix of the Werner family (a stack for an array of x)."""
+    return np.eye(6) + np.asarray(x, dtype=float)[..., None, None] * _WERNER_L_PATTERN
+
+
+def f2_linear_closed(x):
     return 6.0 * (x * x + 1.0)
 
 
-def f2_covariance_closed(x: float, a: float) -> float:
-    return float(
+def f2_covariance_closed(x, a):
+    return (
         2.0 * np.cos(4 * a) * x**4
         + 0.5 * np.cos(8 * a) * x**4
         + 1.5 * x**4
@@ -89,17 +90,18 @@ def f2_covariance_closed(x: float, a: float) -> float:
     )
 
 
-def concurrence_werner_closed(x: float) -> float:
-    return max(0.0, (3.0 * x - 1.0) / 2.0)
+def concurrence_werner_closed(x):
+    return np.maximum(0.0, (3.0 * x - 1.0) / 2.0)
 
 
-def concurrence_schmidt_closed(x: float, a: float) -> float:
-    return max(0.0, x * np.sin(2.0 * a) - (1.0 - x) / 2.0)
+def concurrence_schmidt_closed(x, a):
+    return np.maximum(0.0, x * np.sin(2.0 * a) - (1.0 - x) / 2.0)
 
 
-def concurrence_variant_closed(x: float, a: float) -> float:
+def concurrence_variant_closed(x, a):
     inner = -(x**2) * (2.0 * np.cos(4 * a) * x**2 + (x - 2.0) * x - 1.0) * np.sin(2 * a) ** 2
-    return max(-(x**2) / 8.0 + x / 4.0 + 0.5 * np.sqrt(max(inner, 0.0)) - 1.0 / 8.0, 0.0)
+    root = 0.5 * np.sqrt(np.maximum(inner, 0.0))
+    return np.maximum(-(x**2) / 8.0 + x / 4.0 + root - 1.0 / 8.0, 0.0)
 
 
 def sl_invariant_rhs(state) -> float:
@@ -110,30 +112,35 @@ def sl_invariant_rhs(state) -> float:
     )
 
 
-def _grid(count: int = 21):
-    return np.linspace(0.0, 1.0, count), np.linspace(0.0, np.pi / 2.0, count)
+# The paper's axes: the mixing parameter x in [0, 1], the Schmidt angle alpha in [0, pi/2].
+_AXIS_RANGES = {"x": (0.0, 1.0), "alpha": (0.0, np.pi / 2.0)}
+
+
+def _sweep_columns(family: str, count: int, *quantities: str) -> np.ndarray:
+    """Columns of a sweep of ``family``, ``count`` points per axis: axes, then ``quantities``."""
+    axes = tuple(AxisSpec(name, *_AXIS_RANGES[name], count) for name in FAMILIES[family][0])
+    return grid_sweep(SweepGrid(family, axes, quantities)).rows.T
+
+
+def _max_dev(values, expected) -> float:
+    return float(np.max(np.abs(values - expected)))
 
 
 # -- criteria ------------------------------------------------------------------
 
 def check_werner_threshold() -> tuple[bool, str]:
-    worst_kf = 0.0
-    ok = True
-    for x in np.linspace(0.0, 1.0, 101):
-        verdict = classify(werner(float(x)))
-        want_sep = x <= 1.0 / 3.0 + 1e-9
-        ok &= (verdict.status == SEPARABLE) == want_sep
-        worst_kf = max(worst_kf, abs(verdict.witnesses["c_kyfan"] - 3.0 * x))
+    x, verdict, kyfan = _sweep_columns("werner", 101, "verdict", "kyfan_c")
+    ok = np.array_equal(verdict == VERDICT_CODE[SEPARABLE], x <= 1.0 / 3.0 + 1e-9)
+    worst_kf = _max_dev(kyfan, 3.0 * x)
     ok &= worst_kf <= 1e-10
     return ok, f"threshold exact on 101 points; max |kyfan - 3x| = {worst_kf:.2e}"
 
 
 def check_werner_l_matrix() -> tuple[bool, str]:
-    rep = product_representation(2)
-    worst = 0.0
-    for x in (0.2, 0.7):
-        l, _ = split_sym_antisym(tensor_coefficients(werner(x), rep, order=2))
-        worst = max(worst, float(np.max(np.abs(l - werner_l_expected(x)))))
+    xs = np.array([0.2, 0.7])
+    coefficients = tensor_coefficients(werner_stack(xs), product_representation(2), order=2)
+    l, _ = split_sym_antisym(coefficients)
+    worst = _max_dev(l, werner_l_expected(xs))
     return worst <= 1e-12, f"max entrywise deviation {worst:.2e} (tol 1e-12)"
 
 
@@ -142,31 +149,20 @@ def check_ltilde_spectrum() -> tuple[bool, str]:
     for x in (0.0, 1.0 / 3.0, 0.5, 1.0):
         sig = werner_ltilde_signature(x)
         expected = np.sort(np.array([1.0 - 3.0 * x] * 3 + [1.0 - x] * 3))
-        worst = max(worst, float(np.max(np.abs(sig.eigenvalues - expected))))
+        worst = max(worst, _max_dev(sig.eigenvalues, expected))
     return worst <= 1e-10, f"max eigenvalue deviation {worst:.2e} (tol 1e-10)"
 
 
 def check_f2_linear_closed_form() -> tuple[bool, str]:
-    xs, alphas = _grid()
-    worst = 0.0
-    for x in xs:
-        worst = max(
-            worst, abs(quadratic_invariant(werner(float(x)), "linear") - f2_linear_closed(x))
-        )
-    for x in xs:
-        for a in alphas:
-            v = quadratic_invariant(schmidt_mix(float(x), float(a)), "linear")
-            worst = max(worst, abs(v - f2_linear_closed(x)))
+    x, f2 = _sweep_columns("werner", 21, "f2_linear")
+    xs, _, f2s = _sweep_columns("schmidt", 21, "f2_linear")
+    worst = max(_max_dev(f2, f2_linear_closed(x)), _max_dev(f2s, f2_linear_closed(xs)))
     return worst <= 1e-10, f"max deviation from 6(x^2+1): {worst:.2e} (tol 1e-10)"
 
 
 def check_f2_covariance_closed_form() -> tuple[bool, str]:
-    xs, alphas = _grid()
-    worst = 0.0
-    for x in xs:
-        for a in alphas:
-            v = quadratic_invariant(schmidt_mix(float(x), float(a)), "covariance")
-            worst = max(worst, abs(v - f2_covariance_closed(x, a)))
+    x, a, f2 = _sweep_columns("schmidt", 21, "f2_covariance")
+    worst = _max_dev(f2, f2_covariance_closed(x, a))
     bell_v = quadratic_invariant(schmidt_mix(1.0, np.pi / 4.0), "covariance")
     prod_v = quadratic_invariant(schmidt_mix(1.0, 0.0), "covariance")
     spots = max(abs(bell_v - 12.0), abs(prod_v - 8.0))
@@ -175,26 +171,17 @@ def check_f2_covariance_closed_form() -> tuple[bool, str]:
 
 
 def check_concurrence_wootters() -> tuple[bool, str]:
-    xs, alphas = _grid()
-    worst = 0.0
-    for x in xs:
-        worst = max(
-            worst, abs(concurrence_wootters(werner(float(x))) - concurrence_werner_closed(x))
-        )
-    for x in xs:
-        for a in alphas:
-            v = concurrence_wootters(schmidt_mix(float(x), float(a)))
-            worst = max(worst, abs(v - concurrence_schmidt_closed(x, a)))
+    x, c = _sweep_columns("werner", 21, "concurrence_wootters")
+    xs, a, cs = _sweep_columns("schmidt", 21, "concurrence_wootters")
+    worst = max(
+        _max_dev(c, concurrence_werner_closed(x)), _max_dev(cs, concurrence_schmidt_closed(xs, a))
+    )
     return worst <= 1e-9, f"max deviation from closed forms {worst:.2e} (tol 1e-9)"
 
 
 def check_concurrence_variant() -> tuple[bool, str]:
-    xs, alphas = _grid()
-    worst = 0.0
-    for x in xs:
-        for a in alphas:
-            v = concurrence_variant(schmidt_mix(float(x), float(a)))
-            worst = max(worst, abs(v - concurrence_variant_closed(x, a)))
+    x, a, c = _sweep_columns("schmidt", 21, "concurrence_variant")
+    worst = _max_dev(c, concurrence_variant_closed(x, a))
     return worst <= 1e-9, f"max deviation from closed form {worst:.2e} (tol 1e-9)"
 
 
@@ -211,7 +198,7 @@ def check_identity_suite() -> tuple[bool, str]:
         worst_tangle = max(worst_tangle, abs((sl + so) / 8.0 - 0.5 - purity(rho)))
         worst_tangle = max(worst_tangle, abs((sl - so) / 8.0 - 0.5 - trt))
         back = fano_compose(fano_decompose(rho))
-        worst_fano = max(worst_fano, float(np.max(np.abs(back.matrix - rho.matrix))))
+        worst_fano = max(worst_fano, _max_dev(back.matrix, rho.matrix))
     worst = max(worst_sl, worst_tangle, worst_fano)
     ok = worst <= 1e-10
     return ok, (
@@ -222,34 +209,31 @@ def check_identity_suite() -> tuple[bool, str]:
 
 def check_ppt_octahedron_agreement() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 9)
-    tested = 0
-    for _ in range(1000):
-        d = rng.dirichlet((1.0, 1.0, 1.0, 1.0)) @ TETRAHEDRON_VERTICES
-        octa = octahedron_check(d)
-        if abs(octa.l1 - 1.0) < 1e-9:
-            continue
-        tested += 1
-        ppt = ppt_check(standard_form_state(d))
-        if octa.separable != ppt.separable:
-            return False, f"disagreement at d={tuple(d)}"
-    return True, f"exact agreement on {tested} of 1000 tetrahedron points"
+    d = np.array([rng.dirichlet((1.0, 1.0, 1.0, 1.0)) @ TETRAHEDRON_VERTICES for _ in range(1000)])
+    octa = [octahedron_check(v) for v in d]
+    tested = np.array([abs(o.l1 - 1.0) >= 1e-9 for o in octa])
+    octa_separable = np.array([o.separable for o in octa])
+    ppt = ppt_check(standard_form_stack(d))
+    bad = np.flatnonzero(tested & (octa_separable != ppt.separable))
+    if bad.size:
+        return False, f"disagreement at d={tuple(d[bad[0]])}"
+    return True, f"exact agreement on {np.count_nonzero(tested)} of 1000 tetrahedron points"
 
 
 def check_local_unitary_invariance() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 10)
+    rhos, u = np.empty((2, 100, 4, 4), dtype=complex)
+    for i in range(100):
+        rhos[i] = random_density(4, rng=rng).matrix
+        u[i] = np.kron(random_unitary(2, rng=rng), random_unitary(2, rng=rng))
+    rotated = validate_densities(u @ rhos @ u.conj().swapaxes(-1, -2))
     quantities = (
         lambda r: quadratic_invariant(r, "linear"),
         lambda r: quadratic_invariant(r, "covariance"),
         concurrence_wootters,
         concurrence_variant,
     )
-    worst = 0.0
-    for _ in range(100):
-        rho = random_density(4, rng=rng)
-        u = np.kron(random_unitary(2, rng=rng), random_unitary(2, rng=rng))
-        rotated = DensityOperator.from_matrix(u @ rho.matrix @ u.conj().T)
-        for q in quantities:
-            worst = max(worst, abs(q(rho) - q(rotated)))
+    worst = max(_max_dev(q(rhos), q(rotated)) for q in quantities)
     return worst <= 1e-9, f"max |q(rho) - q(U rho U^H)| = {worst:.2e} (tol 1e-9)"
 
 
@@ -275,7 +259,7 @@ def check_bloch_norm_and_omega() -> tuple[bool, str]:
             min_margin = min(min_margin, bound - float(np.linalg.norm(m)))
             _, om = split_sym_antisym(tensor_coefficients(rho, rep, order=2))
             predicted = (2.0 / n) * np.einsum("jkl,l->jk", basis.c, m)
-            worst_id = max(worst_id, float(np.max(np.abs(om - predicted))))
+            worst_id = max(worst_id, _max_dev(om, predicted))
             omega_matches &= (float(np.max(np.abs(om))) > 1e-9) == (
                 float(np.linalg.norm(m)) > 1e-9
             )
@@ -363,11 +347,5 @@ def run_criterion(number: int) -> CriterionResult:
 
 
 def run_all(numbers=None) -> list[CriterionResult]:
-    selected = set(numbers) if numbers else None
-    results = []
-    for num, name, func in CRITERIA:
-        if selected is not None and num not in selected:
-            continue
-        passed, detail = func()
-        results.append(CriterionResult(number=num, name=name, passed=passed, detail=detail))
-    return results
+    """The selected criteria (all when ``numbers`` is empty), in their numbered order."""
+    return [run_criterion(num) for num, _, _ in CRITERIA if not numbers or num in numbers]

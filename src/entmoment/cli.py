@@ -133,6 +133,17 @@ def _family_flags() -> tuple:
     return tuple(dict.fromkeys(_axis_flag(a) for axes, _ in FAMILIES.values() for a in axes))
 
 
+def _refuse_family_flags(args, taken, owner: str) -> None:
+    """Exit 64 naming each family flag given on the command line but not in ``taken``."""
+    extra = [
+        f"--{flag}"
+        for flag in _family_flags()
+        if flag not in taken and getattr(args, flag, None) is not None
+    ]
+    if extra:
+        raise _Exit(USAGE_EXIT, "usage", f"{owner} does not take {', '.join(extra)}")
+
+
 def _family_values(family: str | None, args, parse) -> tuple[str, list]:
     """The registry name of ``family`` and one ``parse(text, axis)`` value per axis."""
     name = (family or "").replace("-", "_")
@@ -141,6 +152,7 @@ def _family_values(family: str | None, args, parse) -> tuple[str, list]:
     flags = {}
     for axis in FAMILIES[name][0]:
         flags.setdefault(_axis_flag(axis), []).append(axis)
+    _refuse_family_flags(args, flags, f"family {name!r}")
     values = []
     for flag, axes in flags.items():
         spec = getattr(args, flag)
@@ -294,6 +306,7 @@ def cmd_analyze(args) -> int:
     if args.state and args.family:
         raise _Exit(USAGE_EXIT, "usage", "--state and --family are mutually exclusive")
     if args.state:
+        _refuse_family_flags(args, (), "--state")
         rho = _load_checked(args.state)
     elif args.family:
         rho = _family_state(*_family_values(args.family, args, _parse_float))

@@ -361,6 +361,9 @@ def random_density(dim: int, rank: int | None = None, rng=None) -> DensityOperat
     """G G^H / Tr(G G^H) with complex standard-normal G of shape (dim, rank)."""
     rng = np.random.default_rng() if rng is None else rng
     rank = dim if rank is None else rank
+    for name, value in (("dim", dim), ("rank", rank)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     return DensityOperator.from_matrix(m / np.trace(m).real)

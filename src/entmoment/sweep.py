@@ -159,13 +159,18 @@ class SweepTable:
     rows: np.ndarray
 
 
+def _grid_points(grid: SweepGrid) -> np.ndarray:
+    """The grid's points ``(N, axes)``, ordered lexicographically (first axis slowest)."""
+    axes = np.meshgrid(*(axis.values() for axis in grid.axes), indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
 def grid_sweep(grid: SweepGrid) -> SweepTable:
     """Evaluate every requested quantity at every grid point.
 
     Rows are ordered lexicographically over the axes (first axis slowest).
     """
-    axes = np.meshgrid(*(axis.values() for axis in grid.axes), indexing="ij")
-    points = np.stack([a.ravel() for a in axes], axis=1)
+    points = _grid_points(grid)
     funcs = [QUANTITIES[q] for q in grid.quantities]
     rows = np.empty((len(points), len(grid.axes) + len(funcs)))
     rows[:, : len(grid.axes)] = points
@@ -185,7 +190,9 @@ def wedge_field(grid: SweepGrid, f: str, g: str, table: SweepTable | None = None
     five-point stencil straddles an exact-zero clamp boundary of f or g
     (relevant for max(0, .) quantities); wedge values there are reported
     as computed.  An already-evaluated ``table`` holding both quantities
-    on the same grid may be passed to skip re-evaluation.
+    may be passed to skip re-evaluation; its axis columns must hold exactly
+    the grid's points, as :func:`grid_sweep` writes them, or
+    :class:`ConfigurationError` is raised.
     """
     if len(grid.axes) != 2:
         raise ConfigurationError(f"wedge field needs exactly 2 axes, got {len(grid.axes)}")
@@ -196,11 +203,17 @@ def wedge_field(grid: SweepGrid, f: str, g: str, table: SweepTable | None = None
                 f"differences, got {axis.count}"
             )
     fname, gname = resolve_quantities((f, g))
+    names = tuple(axis.name for axis in grid.axes)
     if table is None:
         eval_grid = SweepGrid(
             family=grid.family, axes=grid.axes, quantities=(fname, gname)
         )
         table = grid_sweep(eval_grid)
+    elif table.columns[:2] != names or not np.array_equal(table.rows[:, :2], _grid_points(grid)):
+        raise ConfigurationError(
+            f"supplied table's {', '.join(table.columns[:2])} columns do not hold the "
+            f"points of the {' x '.join(str(axis.count) for axis in grid.axes)} grid"
+        )
     for name in (fname, gname):
         if name not in table.columns:
             raise ConfigurationError(f"supplied table lacks quantity {name!r}")
@@ -224,7 +237,7 @@ def wedge_field(grid: SweepGrid, f: str, g: str, table: SweepTable | None = None
         seam |= (stencil.min(axis=0) == 0.0) & (stencil.max(axis=0) > 0.0)
     p1, p2 = np.meshgrid(x1[1:-1], x2[1:-1], indexing="ij")
     rows = np.stack([p1.ravel(), p2.ravel(), wedge.ravel(), seam.ravel().astype(float)], axis=1)
-    columns = (grid.axes[0].name, grid.axes[1].name, "wedge", "seam")
+    columns = names + ("wedge", "seam")
     return SweepTable(columns=columns, rows=rows)
 
 
@@ -288,6 +301,10 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
     qcols = [c for c in table.columns[n_axes:] if c != "seam"]
     if quantity is None:
         quantity = qcols[0]
+    if quantity not in table.columns:
+        raise ConfigurationError(
+            f"cannot draw column {quantity!r}: the table has only {', '.join(table.columns)}"
+        )
     for name in [*table.columns[:n_axes], quantity]:
         bad = np.count_nonzero(~np.isfinite(table.rows[:, table.columns.index(name)]))
         if bad:

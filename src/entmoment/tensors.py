@@ -124,8 +124,8 @@ def tensor_coefficients(state, rep: Representation, order: int = 2) -> TensorCoe
 
     A stack ``(B, d, d)`` of states gives values of shape ``(B, m, ..., m)``.
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise DomainError(f"tensor order must be between 1 and {MAX_ORDER}, got {order}")
+    if not (isinstance(order, (int, np.integer)) and 1 <= order <= MAX_ORDER):
+        raise DomainError(f"tensor order must be an integer from 1 to {MAX_ORDER}, got {order!r}")
     rho = as_matrix(state)
     values = _coefficient_stack(_stack_of(rho, rep), rep, order)
     return TensorCoefficients(order=order, values=values[0] if rho.ndim == 2 else values)

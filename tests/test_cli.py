@@ -611,3 +611,26 @@ def test_sweep_svg_of_non_finite_column_fails(capsys, tmp_path, monkeypatch):
     assert code == 1 and out == ""
     assert err == "error: configuration: cannot draw column 'purity': 1 non-finite value(s)\n"
     assert not csv_path.exists() and not svg_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,flags",
+    [
+        (("analyze", "--family", "werner", "--x", "0.5", "--alpha", "0.3"), "--alpha"),
+        (("analyze", "--family", "schmidt", "--x", "0.5", "--alpha", "0.3", "--d", "0,0,0"), "--d"),
+        (("analyze", "--family", "standard-form", "--d", "0,0,0", "--x", "0.5"), "--x"),
+        (("analyze", "--state", "{state}", "--x", "0.5"), "--x"),
+        (("analyze", "--state", "{state}", "--alpha", "0.1", "--d", "0,0,0"), "--alpha, --d"),
+        (("sweep", "--family", "werner", "--x", "0:1:3", "--alpha", "0:1:3", "--quantities", "D"),
+         "--alpha"),
+        (("wedge", "--family", "schmidt", "--x", "0:1:5", "--alpha", "0:1:5", "--d", "0:1:3"),
+         "--d"),
+    ],
+)
+def test_family_flag_the_input_does_not_take_is_a_usage_error(capsys, tmp_path, argv, flags):
+    state = tmp_path / "state.json"
+    assert invoke(capsys, "analyze", "--family", "werner", "--x", "0.5", "--dump-state",
+                  str(state))[0] == 0
+    code, out, err = invoke(capsys, *(arg.replace("{state}", str(state)) for arg in argv))
+    assert code == 64 and out == ""
+    assert err.startswith("error: usage: ") and err.rstrip().endswith(f"does not take {flags}")

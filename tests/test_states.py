@@ -488,3 +488,11 @@ def test_state_file_invariant_violation(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(NormalizationError):
         load_state(path)
+
+
+@pytest.mark.parametrize(
+    "dim,rank,name", [(4, 0, "rank"), (4, -1, "rank"), (4, 1.5, "rank"), (0, None, "dim")]
+)
+def test_random_density_refuses_a_non_positive_size(dim, rank, name):
+    with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+        random_density(dim, rank=rank, rng=np.random.default_rng(0))

@@ -510,3 +510,30 @@ def test_svg_bytes_equal_per_cell_reference(tmp_path):
                 assert path.read_bytes() == _reference_svg(table, quantity), quantity
                 drawn += 1
     assert (drawn, rejected) == (156, 100)
+
+
+def test_wedge_refuses_a_table_of_another_grid():
+    quantities = ("concurrence_variant", "d_measure")
+    grid = schmidt_grid(11, 11, quantities)
+    # Same shape, other points: the wedge would be taken with the wrong step and labels.
+    narrow = grid_sweep(schmidt_grid(11, 11, quantities, x=(0.0, 0.5)))
+    with pytest.raises(ConfigurationError, match="do not hold the points of the 11 x 11 grid"):
+        wedge_field(grid, *quantities, table=narrow)
+    # Another point count fails before any reshape.
+    coarse = grid_sweep(schmidt_grid(9, 11, quantities))
+    with pytest.raises(ConfigurationError, match="do not hold the points"):
+        wedge_field(grid, *quantities, table=coarse)
+    # Axis columns in another order hold other points too.
+    swapped = sweep.SweepTable(("alpha", "x") + quantities, grid_sweep(grid).rows)
+    with pytest.raises(ConfigurationError, match="do not hold the points"):
+        wedge_field(grid, *quantities, table=swapped)
+    own = wedge_field(grid, *quantities, table=grid_sweep(grid)).rows
+    assert own.tobytes() == wedge_field(grid, *quantities).rows.tobytes()
+
+
+def test_svg_of_a_missing_column_is_a_configuration_error(tmp_path):
+    path = tmp_path / "t.svg"
+    table = grid_sweep(werner_grid(5, ("purity",)))
+    with pytest.raises(ConfigurationError, match="cannot draw column 'nope'"):
+        write_svg(table, path, quantity="nope")
+    assert not path.exists()

@@ -385,3 +385,10 @@ def test_quadratic_invariant_stack_shares_the_report_path():
             mom = moments(rho)
             t = mom.second if mode == "linear" else mom.covariance()
             assert value == quadratic_invariant(rho, mode) == inner_product(t)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, "2", None])
+def test_order_must_be_an_integer(order):
+    rep = product_representation(2)
+    with pytest.raises(DomainError, match="must be an integer from 1 to 4"):
+        tensor_coefficients(maximally_mixed(4), rep, order=order)
