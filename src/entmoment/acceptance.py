@@ -22,7 +22,6 @@ from .entanglement import (
     werner_ltilde_signature,
 )
 from .states import (
-    DensityOperator,
     bloch_decode,
     maximally_mixed,
     partial_trace,
@@ -30,7 +29,7 @@ from .states import (
     random_density,
     random_pure,
     random_unitary,
-    schmidt_mix,
+    schmidt_stack,
     standard_form_stack,
     validate_densities,
     werner_stack,
@@ -104,12 +103,12 @@ def concurrence_variant_closed(x, a):
     return np.maximum(-(x**2) / 8.0 + x / 4.0 + root - 1.0 / 8.0, 0.0)
 
 
-def sl_invariant_rhs(state) -> float:
-    """(1 - sum m^2 - sum n^2 + sum C^2) / 4 from the Fano coefficients."""
+def sl_invariant_rhs(state):
+    """(1 - sum m^2 - sum n^2 + sum C^2) / 4 from the Fano coefficients (per state of a stack)."""
     f = fano_decompose(state)
-    return float(
-        (1.0 - f.mvec @ f.mvec - f.nvec @ f.nvec + np.sum(f.C * f.C)) / 4.0
-    )
+    return (
+        1.0 - np.vecdot(f.mvec, f.mvec) - np.vecdot(f.nvec, f.nvec) + np.sum(f.C * f.C, (-2, -1))
+    ) / 4.0
 
 
 # The paper's axes: the mixing parameter x in [0, 1], the Schmidt angle alpha in [0, pi/2].
@@ -163,9 +162,9 @@ def check_f2_linear_closed_form() -> tuple[bool, str]:
 def check_f2_covariance_closed_form() -> tuple[bool, str]:
     x, a, f2 = _sweep_columns("schmidt", 21, "f2_covariance")
     worst = _max_dev(f2, f2_covariance_closed(x, a))
-    bell_v = quadratic_invariant(schmidt_mix(1.0, np.pi / 4.0), "covariance")
-    prod_v = quadratic_invariant(schmidt_mix(1.0, 0.0), "covariance")
-    spots = max(abs(bell_v - 12.0), abs(prod_v - 8.0))
+    # The Bell state (alpha = pi/4) and the product state (alpha = 0).
+    spot = quadratic_invariant(schmidt_stack([1.0, 1.0], [np.pi / 4.0, 0.0]), "covariance")
+    spots = _max_dev(spot, np.array([12.0, 8.0]))
     ok = worst <= 1e-9 and spots <= 1e-9
     return ok, f"max grid deviation {worst:.2e}; spot deviations {spots:.2e} (tol 1e-9)"
 
@@ -187,21 +186,17 @@ def check_concurrence_variant() -> tuple[bool, str]:
 
 def check_identity_suite() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED)
-    rep = product_representation(2)
-    worst_sl = worst_tangle = worst_fano = 0.0
-    for _ in range(1000):
-        rho = random_density(4, rng=rng)
-        trt = tr_rho_rhotilde(rho)
-        worst_sl = max(worst_sl, abs(4.0 * trt - 4.0 * sl_invariant_rhs(rho)))
-        l, om = split_sym_antisym(tensor_coefficients(rho, rep, order=2))
-        sl, so = float(np.sum(l * l)), float(np.sum(om * om))
-        worst_tangle = max(worst_tangle, abs((sl + so) / 8.0 - 0.5 - purity(rho)))
-        worst_tangle = max(worst_tangle, abs((sl - so) / 8.0 - 0.5 - trt))
-        back = fano_compose(fano_decompose(rho))
-        worst_fano = max(worst_fano, _max_dev(back.matrix, rho.matrix))
+    rhos = np.stack([random_density(4, rng=rng).matrix for _ in range(1000)])
+    trt = tr_rho_rhotilde(rhos)
+    worst_sl = _max_dev(4.0 * trt, 4.0 * sl_invariant_rhs(rhos))
+    l, om = split_sym_antisym(tensor_coefficients(rhos, product_representation(2), order=2))
+    sl, so = np.sum(l * l, (-2, -1)), np.sum(om * om, (-2, -1))
+    worst_tangle = max(
+        _max_dev((sl + so) / 8.0 - 0.5, purity(rhos)), _max_dev((sl - so) / 8.0 - 0.5, trt)
+    )
+    worst_fano = _max_dev(fano_compose(fano_decompose(rhos)), rhos)
     worst = max(worst_sl, worst_tangle, worst_fano)
-    ok = worst <= 1e-10
-    return ok, (
+    return worst <= 1e-10, (
         f"1000 states: flip-overlap id {worst_sl:.2e}, purity/overlap ids "
         f"{worst_tangle:.2e}, Fano round trip {worst_fano:.2e} (tol 1e-10)"
     )
@@ -210,11 +205,10 @@ def check_identity_suite() -> tuple[bool, str]:
 def check_ppt_octahedron_agreement() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 9)
     d = np.array([rng.dirichlet((1.0, 1.0, 1.0, 1.0)) @ TETRAHEDRON_VERTICES for _ in range(1000)])
-    octa = [octahedron_check(v) for v in d]
-    tested = np.array([abs(o.l1 - 1.0) >= 1e-9 for o in octa])
-    octa_separable = np.array([o.separable for o in octa])
+    octa = octahedron_check(d)
+    tested = np.abs(octa.l1 - 1.0) >= 1e-9
     ppt = ppt_check(standard_form_stack(d))
-    bad = np.flatnonzero(tested & (octa_separable != ppt.separable))
+    bad = np.flatnonzero(tested & (octa.separable != ppt.separable))
     if bad.size:
         return False, f"disagreement at d={tuple(d[bad[0]])}"
     return True, f"exact agreement on {np.count_nonzero(tested)} of 1000 tetrahedron points"
@@ -237,55 +231,49 @@ def check_local_unitary_invariance() -> tuple[bool, str]:
     return worst <= 1e-9, f"max |q(rho) - q(U rho U^H)| = {worst:.2e} (tol 1e-9)"
 
 
+def _norms(v) -> np.ndarray:
+    """|v| over the last axis; sqrt(v . v) is bitwise the 1-D np.linalg.norm(v)."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _omega_max(states, rep) -> np.ndarray:
+    """Largest |Omega| entry of each state of a stack (a 0-d array for one state)."""
+    _, om = split_sym_antisym(tensor_coefficients(states, rep, order=2))
+    return np.abs(om).max(axis=(-2, -1))
+
+
 def check_bloch_norm_and_omega() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 11)
     details = []
     ok = True
     for n in (2, 3, 4):
-        bound = np.sqrt(n * (n - 1) / 2.0)
-        basis = generate_basis(n)
-        worst_pure = 0.0
-        for _ in range(500):
-            m = bloch_decode(random_pure(n, rng=rng)).m
-            worst_pure = max(worst_pure, abs(float(np.linalg.norm(m)) - bound))
-        ok &= worst_pure <= 1e-10
-        min_margin = np.inf
-        worst_id = 0.0
-        omega_matches = True
+        bound = float(np.sqrt(n * (n - 1) / 2.0))
         rep = defining_representation(n)
-        for _ in range(500):
-            rho = random_density(n, rank=int(rng.integers(2, n + 1)), rng=rng)
-            m = bloch_decode(rho).m
-            min_margin = min(min_margin, bound - float(np.linalg.norm(m)))
-            _, om = split_sym_antisym(tensor_coefficients(rho, rep, order=2))
-            predicted = (2.0 / n) * np.einsum("jkl,l->jk", basis.c, m)
-            worst_id = max(worst_id, _max_dev(om, predicted))
-            omega_matches &= (float(np.max(np.abs(om))) > 1e-9) == (
-                float(np.linalg.norm(m)) > 1e-9
-            )
-        _, om_star = split_sym_antisym(
-            tensor_coefficients(maximally_mixed(n), rep, order=2)
-        )
-        ok &= float(np.max(np.abs(om_star))) <= 1e-14
+        pure = np.stack([random_pure(n, rng=rng).matrix for _ in range(500)])
+        worst_pure = _max_dev(_norms(bloch_decode(pure).m), bound)
+        mixed = np.stack([
+            random_density(n, rank=int(rng.integers(2, n + 1)), rng=rng).matrix
+            for _ in range(500)
+        ])
+        m = bloch_decode(mixed).m
+        norms = _norms(m)
+        min_margin = float(np.min(bound - norms))
+        _, om = split_sym_antisym(tensor_coefficients(mixed, rep, order=2))
+        worst_id = _max_dev(om, (2.0 / n) * np.einsum("jkl,...l->...jk", generate_basis(n).c, m))
+        omega_matches = np.array_equal(np.abs(om).max(axis=(-2, -1)) > 1e-9, norms > 1e-9)
+        ok &= worst_pure <= 1e-10 and float(_omega_max(maximally_mixed(n), rep)) <= 1e-14
         ok &= min_margin > 1e-6 and worst_id <= 1e-10 and omega_matches
         # Bipartite reading: product-representation Omega vanishes exactly
         # when both reductions are maximally mixed.
         prep = product_representation(n)
         phi = np.zeros(n * n, dtype=complex)
         phi[:: n + 1] = 1.0 / np.sqrt(n)
-        iso = np.outer(phi, phi.conj())
-        for x in (0.0, 0.3, 0.7, 1.0):
-            mixed = x * iso + (1.0 - x) * np.eye(n * n, dtype=complex) / (n * n)
-            _, om = split_sym_antisym(
-                tensor_coefficients(DensityOperator.from_matrix(mixed), prep, order=2)
-            )
-            ok &= float(np.max(np.abs(om))) <= 1e-12
-        for _ in range(500):
-            rho = random_density(n * n, rng=rng)
-            _, om = split_sym_antisym(tensor_coefficients(rho, prep, order=2))
-            na = float(np.linalg.norm(bloch_decode(partial_trace(rho, "A")).m))
-            nb = float(np.linalg.norm(bloch_decode(partial_trace(rho, "B")).m))
-            ok &= (float(np.max(np.abs(om))) > 1e-9) == (max(na, nb) > 1e-9)
+        x = np.array([0.0, 0.3, 0.7, 1.0])[:, None, None]
+        iso = x * np.outer(phi, phi.conj()) + (1.0 - x) * np.eye(n * n, dtype=complex) / (n * n)
+        ok &= bool(np.all(_omega_max(validate_densities(iso), prep) <= 1e-12))
+        rhos = np.stack([random_density(n * n, rng=rng).matrix for _ in range(500)])
+        reduced = np.maximum(*(_norms(bloch_decode(partial_trace(rhos, s)).m) for s in "AB"))
+        ok &= np.array_equal(_omega_max(rhos, prep) > 1e-9, reduced > 1e-9)
         details.append(
             f"n={n}: pure-norm dev {worst_pure:.2e}, mixed margin {min_margin:.3f}, "
             f"omega id {worst_id:.2e}"

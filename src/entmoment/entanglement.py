@@ -24,7 +24,7 @@ from .states import (
     maximally_mixed,
     partial_transpose,
     spin_flip_matrix,
-    standard_form_state,
+    standard_form_stack,
 )
 from .tensors import (
     moments,
@@ -190,16 +190,27 @@ def octahedron_check(d, tol: float = DEFAULT_TOL) -> OctahedronResult:
 
     The triple must lie inside the state tetrahedron.  The l1 value
     coincides with the Ky Fan norm of diag(d), which the implementation
-    cross-checks.
+    cross-checks.  One triple gives a bool and a float, triples ``(B, 3)``
+    give ``(B,)`` arrays.
     """
     _require_tolerance(tol)
     d = np.asarray(d, dtype=float)
-    standard_form_state(d)  # validates tetrahedron membership
-    l1 = float(np.sum(np.abs(d)))
-    kyfan = kyfan_norm(np.diag(d))
-    if not abs(l1 - kyfan) < 1e-12:
-        raise CrossCheckError(f"l1 norm {l1!r} differs from the Ky Fan norm {kyfan!r} of diag(d)")
-    return OctahedronResult(separable=bool(l1 <= 1.0 + tol), l1=l1)
+    triples = d[None] if d.ndim == 1 else d
+    standard_form_stack(triples)  # validates the shape and tetrahedron membership
+    l1 = np.abs(triples).sum(-1)
+    diag = np.zeros(triples.shape + (3,))
+    diag[:, [0, 1, 2], [0, 1, 2]] = triples
+    gap = np.abs(l1 - kyfan_norm(diag))
+    bad = np.flatnonzero(~(gap < 1e-12))
+    if bad.size:
+        i = bad[0]
+        raise CrossCheckError(
+            f"l1 norm {l1[i]!r} of d={tuple(triples[i].tolist())} differs from the "
+            f"Ky Fan norm of diag(d) by {gap[i]!r}"
+        )
+    if d.ndim == 1:
+        return OctahedronResult(separable=bool(l1[0] <= 1.0 + tol), l1=float(l1[0]))
+    return OctahedronResult(separable=l1 <= 1.0 + tol, l1=l1)
 
 
 def werner_ltilde_signature(x: float) -> LtildeSignature:

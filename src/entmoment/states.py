@@ -135,7 +135,10 @@ def _check_positive(m: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class BlochVector:
-    """Traceless expansion coefficients of a single-system state."""
+    """Traceless expansion coefficients of a single-system state.
+
+    ``m`` has shape ``(n^2 - 1,)``, or ``(B, n^2 - 1)`` for a stack of states.
+    """
 
     n: int
     m: np.ndarray
@@ -171,14 +174,22 @@ def bloch_encode(n: int, m) -> np.ndarray:
     return (sigma[0] + np.einsum("j,jab->ab", m, sigma[1:])) / n
 
 
-def bloch_decode(state) -> BlochVector:
-    """Expansion coefficients m_j = (n/2) Tr(rho sigma_j)."""
+def _square_matrices(state) -> np.ndarray:
+    """The matrix ``(d, d)`` or stack ``(B, d, d)`` of ``state``; anything else raises."""
     rho = as_matrix(state)
-    n = rho.shape[0]
-    if rho.ndim != 2 or rho.shape != (n, n) or n < 2:
-        raise ShapeError(f"expected a square matrix of dimension >= 2, got {rho.shape}")
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
+    return rho
+
+
+def bloch_decode(state) -> BlochVector:
+    """Expansion coefficients m_j = (n/2) Tr(rho sigma_j), per state of a stack ``(B, n, n)``."""
+    rho = _square_matrices(state)
+    n = rho.shape[-1]
+    if n < 2:
+        raise ShapeError(f"expected dimension >= 2, got shape {rho.shape}")
     sigma = generate_basis(n).sigma
-    m = (n / 2.0) * np.einsum("ab,jba->j", rho, sigma[1:]).real
+    m = (n / 2.0) * np.einsum("...ab,jba->...j", rho, sigma[1:]).real
     return BlochVector(n=n, m=m)
 
 
@@ -188,14 +199,17 @@ def _by_subsystem(subsystem: str, a, b):
     return a if subsystem == "A" else b
 
 
-def partial_trace(state, subsystem: str = "A") -> DensityOperator:
-    """Reduced state of the kept subsystem ('A' keeps A, traces out B)."""
-    rho = as_matrix(state)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ShapeError(f"expected one square matrix, got shape {rho.shape}")
-    n = local_dimension(rho.shape[0])
-    script = _by_subsystem(subsystem, "ikjk->ij", "kikj->ij")
-    return DensityOperator.from_matrix(np.einsum(script, rho.reshape(n, n, n, n)))
+def partial_trace(state, subsystem: str = "A"):
+    """Reduced state of the kept subsystem ('A' keeps A, traces out B).
+
+    One matrix gives a :class:`DensityOperator`; a stack ``(B, n*n, n*n)``
+    gives the validated stack ``(B, n, n)`` of reduced matrices.
+    """
+    rho = _square_matrices(state)
+    n = local_dimension(rho.shape[-1])
+    script = _by_subsystem(subsystem, "...ikjk->...ij", "...kikj->...ij")
+    reduced = np.einsum(script, rho.reshape(rho.shape[:-2] + (n,) * 4))
+    return DensityOperator(reduced) if rho.ndim == 2 else validate_densities(reduced)
 
 
 def spin_flip_matrix(m: np.ndarray) -> np.ndarray:
@@ -219,9 +233,7 @@ def partial_transpose(state, subsystem: str = "B") -> np.ndarray:
 
     The result is Hermitian but possibly indefinite.
     """
-    rho = as_matrix(state)
-    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
-        raise ShapeError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
+    rho = _square_matrices(state)
     n = local_dimension(rho.shape[-1])
     # rho[(i, k), (j, l)] as axes (i, k, j, l): transposing A swaps i and j, B swaps k and l.
     axes = _by_subsystem(subsystem, (-4, -2), (-3, -1))

@@ -114,9 +114,10 @@ class SweepGrid:
                 f"family {self.family!r} requires axes {expected}, got {names}"
             )
         for axis in self.axes:
-            if axis.count < 2:
+            if not (isinstance(axis.count, (int, np.integer)) and axis.count >= 2):
                 raise ConfigurationError(
-                    f"axis {axis.name!r} needs at least 2 points, got {axis.count}"
+                    f"axis {axis.name!r} needs an integer count of at least 2 points, "
+                    f"got {axis.count!r}"
                 )
             lo, hi, slack = AXIS_DOMAINS[axis.name]
             lo, hi = lo - slack, hi + slack
@@ -287,8 +288,9 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
 
     Two leading axis columns produce a heatmap, one produces a line plot;
     the value range is annotated.  A table with three axis columns (the
-    standard form), or with a NaN or infinite value in the drawn column or
-    in an axis column, raises :class:`ConfigurationError` before anything
+    standard form), with no quantity column when ``quantity`` is not given,
+    or with a NaN or infinite value in the drawn column or in an axis
+    column, raises :class:`ConfigurationError` before anything
     is written.  The bytes written depend only on the table (and ``quantity``).
     """
     n_axes = sum(1 for c in table.columns if c in AXIS_DOMAINS)
@@ -300,6 +302,10 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
     n_axes = max(1, n_axes)
     qcols = [c for c in table.columns[n_axes:] if c != "seam"]
     if quantity is None:
+        if not qcols:
+            raise ConfigurationError(
+                f"no quantity column to draw: the table has only {', '.join(table.columns)}"
+            )
         quantity = qcols[0]
     if quantity not in table.columns:
         raise ConfigurationError(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import generate_basis
 from .errors import DomainError, ShapeError
-from .states import DensityOperator, _per_state, as_matrix, local_dimension
+from .states import DensityOperator, _per_state, as_matrix, local_dimension, validate_densities
 
 MAX_ORDER = 4
 
@@ -198,15 +198,30 @@ def fano_decompose(state) -> FanoForm:
     return moments(state).fano()
 
 
-def fano_compose(f: FanoForm) -> DensityOperator:
-    """Rebuild the state from its Fano coefficients in the local basis."""
-    n = f.n
+def fano_compose(f: FanoForm):
+    """Rebuild the state from its Fano coefficients in the local basis.
+
+    The form of one state gives a :class:`DensityOperator`; the form of a
+    stack (:func:`fano_decompose` of ``(B, d, d)``) gives the validated
+    stack ``(B, d, d)``.
+    """
+    n, count = f.n, f.n * f.n - 1
     nvec, mvec, corr = (np.asarray(v, dtype=float) for v in (f.nvec, f.mvec, f.C))
-    coef = np.block([[1.0, mvec], [nvec[:, None], corr]])
-    sigma = generate_basis(n).sigma
-    # sum_ab coef_ab sigma_a x sigma_b, with kron(A, B)[(i,k),(j,l)] = A_ij B_kl.
-    m = np.einsum("ab,aij,bkl->ikjl", coef, sigma, sigma, optimize=True)
-    return DensityOperator.from_matrix(m.reshape(n * n, n * n) / (n * n))
+    lead = corr.shape[:-2]
+    vector, matrix = lead + (count,), lead + (count, count)
+    if len(lead) > 1 or nvec.shape != vector or mvec.shape != vector or corr.shape != matrix:
+        shapes = f"nvec {nvec.shape}, mvec {mvec.shape}, C {corr.shape}"
+        raise ShapeError(f"Fano coefficients for n={n} disagree in shape: {shapes}")
+    coef = np.ones(lead + (count + 1, count + 1))
+    coef[..., 0, 1:] = mvec
+    coef[..., 1:, 0] = nvec
+    coef[..., 1:, 1:] = corr
+    # sum_ab coef_ab sigma_a x sigma_b as two matrix products in a fixed order, so
+    # every state of a stack gets the same arithmetic; kron(A, B)[(i,k),(j,l)] = A_ij B_kl.
+    sigma = generate_basis(n).sigma.reshape(count + 1, -1)
+    m = (sigma.T @ coef @ sigma).reshape(lead + (n,) * 4).swapaxes(-3, -2)
+    m = m.reshape(lead + (n * n, n * n)) / (n * n)
+    return validate_densities(m) if lead else DensityOperator(m)
 
 
 def split_sym_antisym(t: TensorCoefficients) -> tuple[np.ndarray, np.ndarray]:

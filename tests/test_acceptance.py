@@ -12,4 +12,6 @@ def test_acceptance_criterion(number, name):
     result = acceptance.run_criterion(number)
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {number:2d} {name}: {result.detail}")
+    # A numpy bool would match the annotation in value but fail json.dumps.
+    assert type(result.passed) is bool
     assert result.passed, f"criterion {number} ({name}): {result.detail}"

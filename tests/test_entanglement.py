@@ -435,6 +435,24 @@ def test_octahedron_cases():
     assert sep and l1 == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(PositivityError):
         octahedron_check((1.0, 1.0, 1.0))
+    # Triples (B, 3) give (B,) arrays, bitwise equal to the single checks.
+    rng = np.random.default_rng(65)
+    d = np.concatenate([
+        [[0.0, 0.0, 0.0], [1.0, -1.0, 1.0], [1 / 3, -1 / 3, 1 / 3], [-0.5, 0.0, 0.0]],
+        rng.dirichlet((1.0, 1.0, 1.0, 1.0), size=20) @ TETRAHEDRON_VERTICES,
+    ])
+    separable, l1 = octahedron_check(d)
+    assert separable.shape == l1.shape == (len(d),)
+    assert np.array_equal(octahedron_check(d[2:9]).l1, l1[2:9])
+    for k, triple in enumerate(d):
+        single = octahedron_check(triple)
+        assert isinstance(single.separable, bool) and isinstance(single.l1, float)
+        assert (separable[k], l1[k]) == single
+    with pytest.raises(PositivityError, match=r"d=\(1.0, 1.0, 1.0\)"):
+        octahedron_check(np.vstack([d[:3], [1.0, 1.0, 1.0]]))
+    for bad in ([0.1, 0.2], np.zeros((2, 2)), np.zeros((1, 2, 3))):
+        with pytest.raises(ShapeError):
+            octahedron_check(bad)
 
 
 def test_octahedron_cross_check_raises(monkeypatch):
@@ -442,6 +460,14 @@ def test_octahedron_cross_check_raises(monkeypatch):
     monkeypatch.setattr(entanglement, "kyfan_norm", lambda c: 0.5)
     with pytest.raises(CrossCheckError):
         octahedron_check((0.1, -0.2, 0.3))
+    # In a stack the error names the first triple whose norms disagree: here the
+    # norm is right for the first diagonal block and off by 1 for the others.
+    def kyfan(c):
+        return np.abs(c).sum(axis=(-2, -1)) + (np.arange(len(c)) >= 1)
+
+    monkeypatch.setattr(entanglement, "kyfan_norm", kyfan)
+    with pytest.raises(CrossCheckError, match=r"of d=\(0.1, -0.2, 0.3\) differs"):
+        octahedron_check(np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [0.0, 0.2, 0.0]]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Density operators, Bloch/Fano codecs, partial operations, families."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from entmoment.states import (
     werner,
     werner_stack,
 )
-from entmoment.tensors import fano_compose, fano_decompose
+from entmoment.tensors import FanoForm, fano_compose, fano_decompose
 from entmoment.basis import generate_basis
 
 
@@ -160,13 +161,34 @@ def test_product_state_correlation_factorizes(n):
     assert np.allclose(f.C, np.outer(av, bv), atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
 def test_fano_round_trip(n):
+    # The form of a stack composes to the validated stack, bitwise equal to the
+    # DensityOperator of each state's form and to any sub-stack.
     rng = np.random.default_rng(14)
-    for _ in range(50 if n < 8 else 3):
-        rho = random_density(n * n, rng=rng)
-        back = fano_compose(fano_decompose(rho))
-        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
+    rhos = np.stack([random_density(n * n, rng=rng).matrix for _ in range(50 if n < 4 else 3)])
+    back = fano_compose(fano_decompose(rhos))
+    assert isinstance(back, np.ndarray) and back.shape == rhos.shape
+    assert np.max(np.abs(back - rhos)) < 1e-12
+    assert np.array_equal(fano_compose(fano_decompose(rhos[1:3])), back[1:3])
+    for rho, composed in zip(rhos, back):
+        single = fano_compose(fano_decompose(rho))
+        assert isinstance(single, DensityOperator)
+        assert np.array_equal(single.matrix, composed)
+
+
+def test_fano_compose_rejects_fields_of_different_shapes():
+    f = fano_decompose(np.stack([bell_state().matrix, maximally_mixed(4).matrix]))
+    one = fano_decompose(bell_state())
+    for bad in (
+        FanoForm(2, f.nvec, f.mvec[0], f.C),
+        FanoForm(2, f.nvec, f.mvec, f.C[0]),
+        FanoForm(2, one.nvec, one.mvec, one.C[:2]),
+        FanoForm(3, one.nvec, one.mvec, one.C),
+        FanoForm(2, f.nvec[None], f.mvec[None], f.C[None]),
+    ):
+        with pytest.raises(ShapeError, match="Fano coefficients for n=. disagree in shape"):
+            fano_compose(bad)
 
 
 def test_fano_n2_matches_raw_traces():
@@ -192,11 +214,40 @@ def test_fano_rejects_non_square_dim():
 
 
 def test_partial_trace_takes_one_square_matrix():
-    stack = np.stack([werner(0.2).matrix, bell_state().matrix])
-    with pytest.raises(ShapeError, match=r"one square matrix, got shape \(2, 4, 4\)"):
-        partial_trace(stack)
-    with pytest.raises(ShapeError, match=r"one square matrix, got shape \(4, 3\)"):
-        partial_trace(np.zeros((4, 3)))
+    # One matrix gives a DensityOperator or a 1-D Bloch vector; a stack gives the
+    # validated reductions or (B, n^2 - 1) vectors, bitwise equal to the single calls.
+    rng = np.random.default_rng(64)
+    to_decode = []
+    for n in (2, 3, 4):
+        dim = n * n
+        states = [random_density(dim, rank=r, rng=rng).matrix for r in (1, 2, dim)]
+        stack = np.stack(states + [maximally_mixed(dim).matrix])
+        for side in "AB":
+            reduced = partial_trace(stack, side)
+            assert reduced.shape == (4, n, n)
+            assert np.array_equal(partial_trace(stack[1:3], side), reduced[1:3])
+            for rho, expected in zip(stack, reduced):
+                single = partial_trace(rho, side)
+                assert isinstance(single, DensityOperator)
+                assert np.array_equal(single.matrix, expected)
+            to_decode.append(reduced)
+        # Not the dim-16 states: building that basis takes tens of seconds.
+        if n < 4:
+            to_decode.append(stack)
+    for stack in to_decode:
+        dim = stack.shape[-1]
+        m = bloch_decode(stack).m
+        assert m.shape == (4, dim * dim - 1)
+        assert np.array_equal(bloch_decode(stack[1:3]).m, m[1:3])
+        for rho, expected in zip(stack, m):
+            vec = bloch_decode(rho)
+            assert vec.n == dim and np.array_equal(vec.m, expected)
+    for bad in (np.zeros((1, 2, 4, 4)), np.zeros((4, 3))):
+        for function in (partial_trace, bloch_decode):
+            with pytest.raises(ShapeError, match=re.escape(f"of them, got shape {bad.shape}")):
+                function(bad)
+    with pytest.raises(ShapeError, match="dimension >= 2"):
+        bloch_decode(np.ones((3, 1, 1)))
 
 
 @pytest.mark.parametrize("subsystem", ["A", "B"])

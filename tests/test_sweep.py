@@ -229,6 +229,9 @@ def test_grid_size_is_capped_before_building():
     # 10^9 points would need gigabytes; the cap rejects the grid before any allocation.
     with pytest.raises(ConfigurationError, match="points"):
         SweepGrid(family="werner", axes=(AxisSpec("x", 0, 1, 10**9),), quantities=("purity",))
+    # A fractional count would reach np.linspace and fail there with a bare TypeError.
+    with pytest.raises(ConfigurationError, match="integer count of at least 2 points, got 2.5"):
+        SweepGrid(family="werner", axes=(AxisSpec("x", 0, 1, 2.5),), quantities=("purity",))
 
 
 def test_svg_rejects_three_axis_tables(tmp_path):
@@ -536,4 +539,8 @@ def test_svg_of_a_missing_column_is_a_configuration_error(tmp_path):
     table = grid_sweep(werner_grid(5, ("purity",)))
     with pytest.raises(ConfigurationError, match="cannot draw column 'nope'"):
         write_svg(table, path, quantity="nope")
+    assert not path.exists()
+    axes_only = sweep.SweepTable(("x",), table.rows[:, :1])
+    with pytest.raises(ConfigurationError, match="no quantity column to draw"):
+        write_svg(axes_only, path)
     assert not path.exists()
