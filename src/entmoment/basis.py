@@ -112,6 +112,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def basis_matrices(n: int) -> np.ndarray:
+    """The stacked basis matrices of u(n), n >= 2, identity first: ``generate_basis(n).sigma``.
+
+    Read-only and cached.  Callers that need only the matrices use this and
+    do not pay for the structure constants, which grow as n^6.
+    """
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise DimensionError(f"basis dimension must be an integer >= 2, got {n!r}")
+    return _freeze(_gell_mann_matrices(int(n)))
+
+
+@lru_cache(maxsize=None)
 def generate_basis(n: int) -> HermitianBasis:
     """Build the generalized Pauli basis of u(n), n >= 2.
 
@@ -119,11 +131,9 @@ def generate_basis(n: int) -> HermitianBasis:
     numerically by trace projection and verified against the halved
     anticommutator identity.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise DimensionError(f"basis dimension must be an integer >= 2, got {n!r}")
-    sigma = _gell_mann_matrices(int(n))
+    sigma = basis_matrices(n)
     c, d = _structure_from_sigma(sigma, int(n))
-    return HermitianBasis(n=int(n), sigma=_freeze(sigma), c=_freeze(c), d=_freeze(d))
+    return HermitianBasis(n=int(n), sigma=sigma, c=_freeze(c), d=_freeze(d))
 
 
 def structure_constants(basis: HermitianBasis) -> tuple[np.ndarray, np.ndarray]:

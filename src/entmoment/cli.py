@@ -9,7 +9,6 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -22,8 +21,8 @@ from . import acceptance
 from .basis import basis_to_dict, generate_basis
 from .entanglement import (
     DEFAULT_TOL,
-    classify,
-    concurrences,
+    _cascade,
+    _verdict,
     d_from_covariance_invariant,
     octahedron_check,
     ppt_check,
@@ -228,8 +227,9 @@ def _json(obj, pad: str = "\n") -> str:
     ``pad`` is the newline and indent of the line that ``obj`` starts on.
     An array is written in one step: its values fill a ``%s`` template of
     its shape, and the ``str`` of a Python float is its ``repr``, which is
-    what ``json`` writes.  Dicts (with string keys) and lists recurse; every
-    other value goes to json's C encoder.
+    what ``json`` writes.  Dicts (with string keys) and lists recurse; a
+    finite float is its ``repr``, and every other value goes to json's C
+    encoder.
     """
     inner = pad + "  "
     if isinstance(obj, np.ndarray):
@@ -244,6 +244,8 @@ def _json(obj, pad: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         items = [_json(value, inner) for value in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)  # what json writes for a finite float
     return _ENCODER.encode(obj)
 
 
@@ -251,8 +253,12 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
     """Full analysis payload for a bipartite state."""
     n = local_dimension(state.dim)
     _check_local_dimension(n)
-    mom = moments(state)
-    l_sym, omega = split_sym_antisym(mom.second)
+    # The state as a stack of one: one moment evaluation feeds the report and the
+    # cascade, which also gives the two-qubit concurrences.
+    rhos = state.matrix[None]
+    mom = moments(rhos)
+    code, witnesses, concurrence = _cascade(rhos, tol, mom)
+    (l_sym,), (omega,) = split_sym_antisym(mom.second)
     k = mom.covariance()
     fano = mom.fano()
     p = purity(state)
@@ -261,20 +267,23 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
         "n_local": n,
         "purity": p,
         "linear_entropy": 1.0 - p,
-        "f2_linear": inner_product(mom.second),
-        "f2_covariance": inner_product(k),
+        "f2_linear": float(inner_product(mom.second)[0]),
+        "f2_covariance": float(inner_product(k)[0]),
     }
     if n == 2:
         report["tr_rho_rhotilde"] = tr_rho_rhotilde(state)
         report["d_measure"] = d_from_covariance_invariant(report["f2_covariance"])
-        report["concurrence_wootters"], report["concurrence_variant"] = concurrences(state)
-    report["bloch_a"] = fano.nvec
-    report["bloch_b"] = fano.mvec
-    report["correlation"] = fano.C
+        report["concurrence_wootters"], report["concurrence_variant"] = (
+            float(c[0]) for c in concurrence
+        )
+    report["bloch_a"] = fano.nvec[0]
+    report["bloch_b"] = fano.mvec[0]
+    report["correlation"] = fano.C[0]
     report["L"] = l_sym
     report["Omega"] = omega
-    report["K"] = np.stack([k.values.real, k.values.imag], axis=-1)
-    report["verdict"] = dataclasses.asdict(classify(state, tol=tol))
+    report["K"] = np.stack([k.values[0].real, k.values[0].imag], axis=-1)
+    # The verdict's fields as a dict; its values are plain floats and strings, so no deep copy.
+    report["verdict"] = dict(vars(_verdict(code, witnesses)))
     return report
 
 

@@ -15,7 +15,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CrossCheckError, DimensionError, DomainError, ShapeError
-from .linalg import _gram, _pivoted_cholesky, hermitian_eigenvalues, singular_values
+from .linalg import (
+    _check_hermitian,
+    _gram,
+    _gram_factor,
+    _gram_values,
+    _jacobi,
+    _pivoted_cholesky,
+    hermitian_eigenvalues,
+    singular_values,
+)
 from .states import (
     _YY_SIGNS,
     _per_state,
@@ -137,15 +146,23 @@ def concurrence_variant(rhos):
 
     Largest-minus-rest of the eigenvalues (clipped at 0) of the Gram matrix
     tau^H tau of tau (:func:`_flip_factor`), the spectrum of rho rho~.
+
+    Not convex, so not an entanglement monotone: a mixture of two pure
+    states can exceed the mixture of their values (by 0.119 for the pair
+    pinned in ``tests/test_invariants.py``).
     """
     return _largest_minus_rest(np.clip(_gram(_flip_factor(rhos), carry=False)[0], 0.0, None))
+
+
+def _concurrence_pair(ev: np.ndarray, lam: np.ndarray) -> tuple:
+    """(Wootters, variant) from tau^H tau's eigenvalues and tau's singular values."""
+    return _largest_minus_rest(lam), _largest_minus_rest(np.clip(ev, 0.0, None))
 
 
 @_per_state
 def concurrences(rhos):
     """(:func:`concurrence_wootters`, :func:`concurrence_variant`) from one Gram solve."""
-    ev, lam = _gram(_flip_factor(rhos))
-    return _largest_minus_rest(lam), _largest_minus_rest(np.clip(ev, 0.0, None))
+    return _concurrence_pair(*_gram(_flip_factor(rhos)))
 
 
 @_per_state
@@ -153,7 +170,10 @@ def d_measure(rhos):
     """Covariance-invariant analogue of the purity: f/8 - 1/2.
 
     f is the quadratic covariance invariant; the value is 1/2 on pure
-    product states and 1 on Bell states.
+    product states and 1 on Bell states.  The paper's monotone candidate
+    is not an entanglement monotone: a local channel can raise it (by
+    0.041 for the separable state and channel pinned in
+    ``tests/test_invariants.py``).
     """
     return d_from_covariance_invariant(quadratic_invariant(_require_two_qubits(rhos), "covariance"))
 
@@ -240,12 +260,38 @@ def werner_ltilde_signature(x: float) -> LtildeSignature:
     )
 
 
-def _cascade(rhos: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
-    """The criterion cascade over a stack ``(B, d, d)``: decider codes and witnesses.
+def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray) -> tuple:
+    """Ky Fan norm of the Fano C, both concurrences and the lowest eigenvalue of the
+    partial transpose, per state of a two-qubit stack ``(B, 4, 4)``, from one Jacobi call.
 
-    One moment evaluation and one Ky Fan solve feed three criteria, each a
-    mask over the stack; a state is decided by the first mask that holds
-    for it (de Vicente, QIC 7, 624 (2007)):
+    Its stack holds three 4x4 matrices per state, each scaled and checked as in
+    its own solve: the Gram of C (3x3, padded with a zero row and column, with
+    size 3, carrying C; :func:`kyfan_norm`), tau^H tau carrying tau
+    (:func:`concurrences`) and the partial transpose with a zero carry
+    (:func:`ppt_check`).  Each value equals that function's bit for bit.
+    """
+    c, e_c = _gram_factor(fano_c)
+    tau, e_tau = _gram_factor(_flip_factor(rhos))
+    a = np.zeros((3,) + rhos.shape, dtype=complex)
+    carry = np.zeros_like(a)
+    a[0, :, :3, :3] = np.swapaxes(c, -1, -2).conj() @ c
+    a[1] = np.swapaxes(tau, -1, -2).conj() @ tau
+    a[2] = _check_hermitian(partial_transpose(rhos))
+    carry[0, :, :3, :3], carry[1] = c, tau
+    w, xv = _jacobi(a, carry, size=np.array([[3], [4], [4]]))
+    # The padding index's singular value is 0, last in descending order.
+    kyfan = _gram_values(w[0], xv[0], e_c)[1][:, :3].sum(axis=-1)
+    concurrence = _concurrence_pair(*_gram_values(w[1], xv[1], e_tau))
+    return kyfan, concurrence, w[2, :, 0]
+
+
+def _cascade(rhos: np.ndarray, tol: float, mom=None) -> tuple[np.ndarray, dict, tuple | None]:
+    """The criterion cascade over a stack ``(B, d, d)``: decider codes, witnesses, concurrences.
+
+    One moment evaluation (``mom``, if the caller has ``moments(rhos)``
+    already) and one Ky Fan solve feed three criteria, each a mask over the
+    stack; a state is decided by the first mask that holds for it (de
+    Vicente, QIC 7, 624 (2007)):
 
     - necessary: ||C||_KF <= n(n-1)/2 for the raw-trace correlation block
       C, which is (4/n^2) times the Fano C; a violation is Entangled;
@@ -254,15 +300,21 @@ def _cascade(rhos: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
     - Omega: (2(n-1)/n)||C||_KF <= 1 for the raw block, applicable when
       Omega vanishes (both reduced states maximally mixed).
 
-    The two-qubit states still undecided then share one partial-transpose test.
+    The two-qubit states still undecided then take the partial-transpose test.
+    For two qubits the Ky Fan norm, the partial transpose of every state and
+    both concurrences come from one Jacobi call (:func:`_two_qubit_solves`),
+    returned as ``(wootters, variant)`` arrays; otherwise the third value is None.
     Each state's code indexes :data:`_DECIDERS`; each witness is a ``(B,)``
-    float array, with ``pt_min_eigenvalue`` NaN where that test did not run.
+    float array, with ``pt_min_eigenvalue`` NaN where that test did not decide.
     """
     _require_tolerance(tol)
-    mom = moments(rhos)
+    mom = moments(rhos) if mom is None else mom
     f = mom.fano()
     n, count = f.n, len(rhos)
-    fano_kyfan = kyfan_norm(f.C)
+    if n == 2:
+        fano_kyfan, concurrence, pt_low = _two_qubit_solves(rhos, f.C)
+    else:
+        fano_kyfan, concurrence = kyfan_norm(f.C), None
     raw_kyfan = (4.0 / (n * n)) * fano_kyfan
     bound = n * (n - 1) / 2.0
     quad = 2.0 * (n - 1) / n
@@ -281,11 +333,10 @@ def _cascade(rhos: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
     ])
     code = holds.argmax(axis=0)
     pt_min = np.full(count, np.nan)
-    todo = np.flatnonzero(code == 3) if n == 2 else ()
-    if len(todo):
-        ppt = ppt_check(rhos[todo], tol)
-        code[todo] = 4 + ppt.separable
-        pt_min[todo] = ppt.min_eigenvalue
+    if n == 2:
+        todo = code == 3
+        code[todo] = 4 + (pt_low[todo] >= -tol)
+        pt_min[todo] = pt_low[todo]
     witnesses = {
         "c_kyfan": raw_kyfan,
         "necessary_bound": np.full(count, bound),
@@ -296,7 +347,16 @@ def _cascade(rhos: np.ndarray, tol: float) -> tuple[np.ndarray, dict]:
         "tolerance": np.full(count, float(tol)),
         "pt_min_eigenvalue": pt_min,
     }
-    return code, witnesses
+    return code, witnesses, concurrence
+
+
+def _verdict(code: np.ndarray, witnesses: dict) -> SeparabilityVerdict:
+    """The verdict of the first state of a :func:`_cascade` result."""
+    status, decided_by = _DECIDERS[code[0]]
+    values = {name: float(v[0]) for name, v in witnesses.items()}
+    if decided_by != "ppt":
+        del values["pt_min_eigenvalue"]
+    return SeparabilityVerdict(status, decided_by, values)
 
 
 def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
@@ -310,9 +370,4 @@ def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
     rho = as_matrix(state)
     if rho.ndim != 2:
         raise ShapeError(f"classify takes one matrix, got shape {rho.shape}")
-    code, witnesses = _cascade(rho[None], tol)
-    status, decided_by = _DECIDERS[code[0]]
-    values = {name: float(v[0]) for name, v in witnesses.items()}
-    if decided_by != "ppt":
-        del values["pt_min_eigenvalue"]
-    return SeparabilityVerdict(status, decided_by, values)
+    return _verdict(*_cascade(rho[None], tol)[:2])

@@ -97,7 +97,7 @@ def _rotate_pairs(work: np.ndarray, skip: np.ndarray) -> None:
     app, aqq = pp.real, qq.real
     mag = np.abs(pq)
     # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
-    keep = np.heaviside(skip - mag, 0.0)
+    keep = (mag < skip).astype(float)
     # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.  A
     # skipped pair divides by |a_pq| + 1 (never by 0) and its t is zeroed: c = 1, s = 0.
     safe = mag + keep
@@ -108,29 +108,36 @@ def _rotate_pairs(work: np.ndarray, skip: np.ndarray) -> None:
     shift = t * mag
     new_pp, new_qq = app - shift, aqq + shift
     c, sbar = c.astype(complex), s.conj()
-    # Columns of A and of the carried rows: A <- A J, X <- X J.
+    # Columns of A and of the carried rows: A <- A J, X <- X J.  Every product
+    # reads the old x and y before either is overwritten.
     cc, sc, sbc = c[:, None, :], s[:, None, :], sbar[:, None, :]
     x, y = work[..., :k], work[..., k:]
-    new_x = x * cc - y * sbc
-    np.add(x * sc, y * cc, out=y)
-    x[...] = new_x
+    xs = x * sc
+    np.subtract(x * cc, y * sbc, out=x)
+    np.add(xs, y * cc, out=y)
     # Rows of A: A <- J^H A.
     cr, sr, sbr = c[:, :, None], s[:, :, None], sbar[:, :, None]
     x, y = work[:, :k], work[:, k:m]
-    new_x = cr * x - sr * y
-    np.add(sbr * x, cr * y, out=y)
-    x[...] = new_x
+    xs = sbr * x
+    np.subtract(cr * x, sr * y, out=x)
+    np.add(xs, cr * y, out=y)
     pp[...] = new_pp
     qq[...] = new_qq
+    # keep as complex: the same multiplication as the implicit cast, without its cost.
+    keep = keep.astype(complex)
     pq *= keep
     qp *= keep
 
 
-def _jacobi(a: np.ndarray, carry=None):
+def _jacobi(a: np.ndarray, carry=None, size=None):
     """Ascending eigenvalues of the Hermitian stack ``a`` and ``carry @ V``.
 
     ``carry`` (rows ``(..., k, n)``, one block for all matrices, or None)
     gets the column rotations of ``a``; its columns follow the eigenvalues.
+    ``size`` (broadcast over the stack; default n) is each matrix's own
+    size where the caller padded it with zero rows and columns: it sets
+    the rotation-skip threshold, so a padded matrix is rotated exactly as
+    it would be alone.
     """
     n = a.shape[-1]
     if n > MAX_DIM:
@@ -141,7 +148,8 @@ def _jacobi(a: np.ndarray, carry=None):
     scale = np.maximum(1.0, np.abs(a.reshape(count, n * n)).max(axis=-1, initial=0.0))
     tol = OFF_DIAGONAL_TOL * scale
     # Rotations below this threshold cannot push the off-norm above tol.
-    skip = tol * (0.25 / max(n, 1))
+    sizes = np.broadcast_to(n if size is None else size, batch).reshape(count)
+    skip = tol * (0.25 / np.maximum(sizes, 1))
     # Odd sizes get a zero padding index; its rotations are all identities.
     m = n + n % 2
     k = 0 if carry is None else carry.shape[-2]
@@ -158,10 +166,10 @@ def _jacobi(a: np.ndarray, carry=None):
         # A matrix leaves at the sweep where it would stop if solved alone.
         done = _off_diagonal_norms(work[:, :m]) < tol
         if done.any():
-            finished = work[done]
-            w[live[done]] = np.diagonal(finished, axis1=1, axis2=2).real
-            carried[live[done]] = finished[:, m:]
-            live, work, tol, skip = live[~done], work[~done], tol[~done], skip[~done]
+            finished, rows, going = work[done], live[done], ~done
+            w[rows] = np.diagonal(finished, axis1=1, axis2=2).real
+            carried[rows] = finished[:, m:]
+            live, work, tol, skip = live[going], work[going], tol[going], skip[going]
         if not live.size:
             break
         if sweep == MAX_SWEEPS:
@@ -235,14 +243,8 @@ def _pivoted_cholesky(matrix: np.ndarray) -> np.ndarray:
     return w
 
 
-def _gram(matrix: np.ndarray, carry: bool = True):
-    """Jacobi on the Gram matrix G = X^H X of X (of X^H when X is wide).
-
-    Returns G's eigenvalues and, if ``carry``, X's singular values (else
-    None), both descending, shape ``(..., min(r, c))``.  X carried through
-    the rotations ends as X V, whose column norms are the singular values
-    (one-sided Jacobi, Hestenes): accurate to about eps ||X||, not sqrt(eps).
-    """
+def _gram_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X (X^H when X is wide) scaled by 2^-e, and e, for :func:`_gram`."""
     x = np.asarray(matrix, dtype=complex)
     if x.ndim < 2:
         raise SymmetryError(f"expected a matrix, got shape {x.shape}")
@@ -255,13 +257,30 @@ def _gram(matrix: np.ndarray, carry: bool = True):
         raise NonFiniteError("matrix has NaN or infinite entries")
     # Scale the entries themselves (real and imaginary parts as one float
     # array): the factor 2^-e alone overflows to inf when max |x| is subnormal.
-    x = np.ldexp(np.ascontiguousarray(x).view(float), -e[..., None, None]).view(complex)
-    w, xv = _jacobi(np.swapaxes(x, -1, -2).conj() @ x, x if carry else None)
+    return np.ldexp(np.ascontiguousarray(x).view(float), -e[..., None, None]).view(complex), e
+
+
+def _gram_values(w: np.ndarray, xv, e: np.ndarray):
+    """G's eigenvalues and X's singular values (None without ``xv``), both descending
+    and rescaled, from the Jacobi output for the factor of :func:`_gram_factor`."""
     w = np.ldexp(w[..., ::-1], 2 * e[..., None])
-    if not carry:
+    if xv is None:
         return w, None
     sv = -np.sort(-np.sqrt((xv.real**2 + xv.imag**2).sum(axis=-2)), axis=-1)
     return w, np.ldexp(sv, e[..., None])
+
+
+def _gram(matrix: np.ndarray, carry: bool = True):
+    """Jacobi on the Gram matrix G = X^H X of X (of X^H when X is wide).
+
+    Returns G's eigenvalues and, if ``carry``, X's singular values (else
+    None), both descending, shape ``(..., min(r, c))``.  X carried through
+    the rotations ends as X V, whose column norms are the singular values
+    (one-sided Jacobi, Hestenes): accurate to about eps ||X||, not sqrt(eps).
+    """
+    x, e = _gram_factor(matrix)
+    w, xv = _jacobi(np.swapaxes(x, -1, -2).conj() @ x, x if carry else None)
+    return _gram_values(w, xv if carry else None, e)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

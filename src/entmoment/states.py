@@ -16,7 +16,7 @@ from functools import wraps
 
 import numpy as np
 
-from .basis import generate_basis
+from .basis import basis_matrices
 from .errors import (
     DimensionError,
     DomainError,
@@ -170,7 +170,7 @@ def bloch_encode(n: int, m) -> np.ndarray:
         raise ShapeError(f"Bloch vector for n={n} must have length {count}, got {m.shape}")
     if not np.isfinite(m).all():
         raise NonFiniteError("Bloch vector has NaN or infinite entries")
-    sigma = generate_basis(n).sigma
+    sigma = basis_matrices(n)
     return (sigma[0] + np.einsum("j,jab->ab", m, sigma[1:])) / n
 
 
@@ -188,7 +188,7 @@ def bloch_decode(state) -> BlochVector:
     n = rho.shape[-1]
     if n < 2:
         raise ShapeError(f"expected dimension >= 2, got shape {rho.shape}")
-    sigma = generate_basis(n).sigma
+    sigma = basis_matrices(n)
     m = (n / 2.0) * np.einsum("...ab,jba->...j", rho, sigma[1:]).real
     return BlochVector(n=n, m=m)
 
@@ -325,7 +325,7 @@ def standard_form_stack(d) -> np.ndarray:
             f"(eigenvalue {low[i]:.6g})",
             min_eigenvalue=float(low[i]),
         )
-    sigma = generate_basis(2).sigma
+    sigma = basis_matrices(2)
     m = np.eye(4, dtype=complex)
     for j in range(3):
         m = m + d[:, j, None, None] * np.kron(sigma[j + 1], sigma[j + 1])

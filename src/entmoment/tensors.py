@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .basis import generate_basis
+from .basis import basis_matrices
 from .errors import DomainError, ShapeError
 from .states import DensityOperator, _per_state, as_matrix, local_dimension, validate_densities
 
@@ -66,7 +66,7 @@ class TensorCoefficients:
 @lru_cache(maxsize=None)
 def product_representation(n: int) -> Representation:
     """Traceless generators sigma_j x 1 (subsystem A) then 1 x sigma_j (B)."""
-    sigma = generate_basis(n).sigma
+    sigma = basis_matrices(n)
     eye = np.eye(n, dtype=complex)
     gens = sigma[1:]
     ops = np.stack(
@@ -83,7 +83,7 @@ def product_representation(n: int) -> Representation:
 @lru_cache(maxsize=None)
 def defining_representation(n: int) -> Representation:
     """Traceless generators sigma_j acting on a single n-level system."""
-    sigma = generate_basis(n).sigma
+    sigma = basis_matrices(n)
     ops = np.array(sigma[1:], dtype=complex)
     ops.setflags(write=False)
     labels = tuple(("S", j + 1) for j in range(n * n - 1))
@@ -218,7 +218,7 @@ def fano_compose(f: FanoForm):
     coef[..., 1:, 1:] = corr
     # sum_ab coef_ab sigma_a x sigma_b as two matrix products in a fixed order, so
     # every state of a stack gets the same arithmetic; kron(A, B)[(i,k),(j,l)] = A_ij B_kl.
-    sigma = generate_basis(n).sigma.reshape(count + 1, -1)
+    sigma = basis_matrices(n).reshape(count + 1, -1)
     m = (sigma.T @ coef @ sigma).reshape(lead + (n,) * 4).swapaxes(-3, -2)
     m = m.reshape(lead + (n * n, n * n)) / (n * n)
     return validate_densities(m) if lead else DensityOperator(m)
@@ -267,7 +267,10 @@ def monotone_candidate(rhos, mode: str, order: int, coefficients):
 
     ``coefficients`` is the sequence (a_0, a_1, ...); the plain quadratic
     invariant is recovered with ``mode='linear'``, ``order=2``,
-    ``coefficients=(0, 1)``.
+    ``coefficients=(0, 1)``.  A candidate, not a certified monotone:
+    local-unitary invariance is all that holds in general, and
+    ``d_measure``, the covariance polynomial (-1/2, 1/8), rises under a
+    local channel (see :func:`entmoment.entanglement.d_measure`).
     """
     if mode == "linear":
         ip = inner_product(tensor_coefficients(rhos, representation_for(rhos), order=order))

@@ -7,6 +7,7 @@ import pytest
 
 from entmoment.basis import (
     HermitianBasis,
+    basis_matrices,
     basis_to_dict,
     generate_basis,
     half_anticommutator,
@@ -126,6 +127,30 @@ def test_invalid_dimension_rejected():
     for bad in (1, 0, -3):
         with pytest.raises(DimensionError):
             generate_basis(bad)
+        with pytest.raises(DimensionError):
+            basis_matrices(bad)
+
+
+def test_sigma_only_callers_skip_the_structure_constants():
+    # The cached basis matrices are generate_basis(n).sigma, read-only; decoding,
+    # encoding, the Fano round trip and the representations read only them, so
+    # they never call generate_basis (its cache counters stay put).
+    from entmoment.states import bloch_decode, bloch_encode, random_density
+    from entmoment.tensors import defining_representation, fano_compose, fano_decompose
+
+    for n in (2, 3, 5):
+        assert basis_matrices(n) is generate_basis(n).sigma
+        assert not basis_matrices(n).flags.writeable
+    before = generate_basis.cache_info()
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4, 16):
+        rho = random_density(n, rng=rng)
+        assert np.allclose(bloch_encode(n, bloch_decode(rho)), rho.matrix, atol=1e-13)
+    rho = random_density(9, rng=rng)
+    assert np.allclose(fano_compose(fano_decompose(rho)).matrix, rho.matrix, atol=1e-13)
+    assert defining_representation(6).ops.shape == (35, 6, 6)
+    after = generate_basis.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_residual_check_flags_corrupted_basis():

@@ -281,6 +281,50 @@ def test_unwritable_out_is_an_io_error(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_two_qubit_analyze_makes_one_kernel_call(capsys, tmp_path, monkeypatch):
+    # The Ky Fan norm, both concurrences and the partial transpose share one Jacobi
+    # call, whichever criterion decides; n = 3 also makes one (its Ky Fan solve).
+    from entmoment import entanglement, linalg
+    from entmoment.states import (
+        bell_state,
+        maximally_mixed,
+        random_density,
+        save_state,
+        schmidt_mix,
+        werner,
+    )
+
+    kernel = linalg._jacobi
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return kernel(*args, **kwargs)
+
+    # Every module that holds the kernel under its own name.
+    for module in (linalg, entanglement):
+        monkeypatch.setattr(module, "_jacobi", counted)
+    rng = np.random.default_rng(68)
+    states = {
+        "devicente_necessary": [bell_state(), werner(0.8), random_density(4, rank=1, rng=rng)],
+        "devicente_sufficient": [maximally_mixed(4), werner(1 / 3), werner(0.2)],
+        "ppt": [
+            schmidt_mix(0.4, np.pi / 8),
+            random_density(4, rank=2, rng=np.random.default_rng(4)),
+        ],
+    }
+    states["any"] = [random_density(9, rng=rng)]
+    for decider, group in states.items():
+        for i, state in enumerate(group):
+            path = tmp_path / f"{decider}-{i}.json"
+            save_state(state, path)
+            calls.clear()
+            code, out, _ = invoke(capsys, "analyze", "--state", str(path))
+            assert code == 0
+            assert decider in ("any", json.loads(out)["verdict"]["decided_by"])
+            assert len(calls) == 1, calls
+
+
 def test_analyze_rejects_oversized_state_before_building_basis(capsys, tmp_path, monkeypatch):
     from entmoment import tensors
     from entmoment.states import DensityOperator, save_state
@@ -291,7 +335,7 @@ def test_analyze_rejects_oversized_state_before_building_basis(capsys, tmp_path,
     def refuse(n):
         raise AssertionError(f"built the n={n} basis")
 
-    monkeypatch.setattr(tensors, "generate_basis", refuse)
+    monkeypatch.setattr(tensors, "basis_matrices", refuse)
     code, out, err = invoke(capsys, "analyze", "--state", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: dimension:")

@@ -12,6 +12,7 @@ from entmoment.entanglement import (
     classify,
     concurrence_variant,
     concurrence_wootters,
+    concurrences,
     correlation_block,
     d_measure,
     kyfan_norm,
@@ -27,6 +28,7 @@ from entmoment.errors import (
     DomainError,
     PositivityError,
     ShapeError,
+    SymmetryError,
 )
 from entmoment.states import (
     DensityOperator,
@@ -43,6 +45,8 @@ from entmoment.states import (
     werner,
 )
 from entmoment.tensors import (
+    FanoForm,
+    fano_compose,
     fano_decompose,
     inner_product,
     monotone_candidate,
@@ -602,7 +606,7 @@ def test_every_decider_of_a_stack_equals_classify(states, deciders):
     # Isotropic qutrits: the raw Ky Fan norm is 16p/3, so the necessary bound 3 fails
     # above p = 9/16, the sufficient value 16p passes below 1/16 and, as Omega
     # vanishes, the Omega criterion 64p/9 <= 1 passes below 9/64.
-    code, witnesses = entanglement._cascade(np.stack(states), DEFAULT_TOL)
+    code, witnesses, _ = entanglement._cascade(np.stack(states), DEFAULT_TOL)
     assert [entanglement._DECIDERS[c][1] for c in code] == deciders
     for i, rho in enumerate(states):
         verdict = classify(rho)
@@ -615,6 +619,80 @@ def test_every_decider_of_a_stack_equals_classify(states, deciders):
         for name, value in verdict.witnesses.items():
             assert type(value) is float
             assert np.array(value).tobytes() == np.array(expected[name]).tobytes()
+
+
+# A Fano correlation block whose Ky Fan Gram meets, in some round, an off-diagonal
+# entry between the skip thresholds of a 4x4 and of a 3x3 matrix (tol/16 and tol/12),
+# so the solve depends on the size the kernel is told; found by a seeded search over
+# diagonal blocks with one tiny and one moderate off-diagonal entry.
+SKIP_BAND_CORRELATION = [
+    [0.2780976704135643, 0.0, 0.0],
+    [0.0, 0.2927117039675818, -3.0826206616409237e-13],
+    [-0.08239565390496867, 0.0, -0.15265835085754356],
+]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_skip_band_block_depends_on_the_kernel_size():
+    # The padded 3x3 Gram solved as a 4x4 (size 4, the old threshold for a caller's
+    # padding) differs from the same solve told its size is 3.
+    rho = fano_compose(FanoForm(2, np.zeros(3), np.zeros(3), np.array(SKIP_BAND_CORRELATION)))
+    x, _ = linalg._gram_factor(moments(rho.matrix[None]).fano().C)
+    gram = np.zeros((1, 4, 4), dtype=complex)
+    carry = np.zeros_like(gram)
+    gram[:, :3, :3] = np.swapaxes(x, -1, -2).conj() @ x
+    carry[:, :3, :3] = x
+    as_3x3 = linalg._jacobi(gram, carry, size=3)
+    as_4x4 = linalg._jacobi(gram, carry)
+    assert any(a.tobytes() != b.tobytes() for a, b in zip(as_3x3, as_4x4))
+
+
+def test_fused_two_qubit_solves_equal_public_functions():
+    # One kernel call gives the Ky Fan norm, both concurrences and the partial
+    # transpose of each state; each equals its public function bit for bit, and the
+    # cascade's verdicts and concurrences equal classify and concurrences.
+    rng = np.random.default_rng(67)
+    states = [
+        werner(x).matrix for x in (0.0, 0.2, 1 / 3, 0.5, 1.0)
+    ] + [
+        bell_state().matrix,
+        maximally_mixed(4).matrix,
+        schmidt_mix(0.4, np.pi / 8).matrix,
+        schmidt_mix(1.0, 0.0).matrix,
+        random_density(4, rank=2, rng=np.random.default_rng(4)).matrix,
+        standard_form_state((-0.3, 0.2, 0.1)).matrix,
+        fano_compose(FanoForm(2, np.zeros(3), np.zeros(3), np.array(SKIP_BAND_CORRELATION))).matrix,
+    ] + [
+        random_density(4, rank=rank, rng=rng).matrix for rank in (1, 1, 2, 2, 3, 4, 4)
+    ]
+    rhos = np.stack(states)
+    fano_c = moments(rhos).fano().C
+    kyfan, (wootters, variant), pt_low = entanglement._two_qubit_solves(rhos, fano_c)
+    code, witnesses, concurrence = entanglement._cascade(rhos, DEFAULT_TOL)
+    assert _bits(concurrence[0]) == _bits(wootters) and _bits(concurrence[1]) == _bits(variant)
+    seen = set()
+    for i, rho in enumerate(states):
+        assert _bits(kyfan[i]) == _bits(kyfan_norm(fano_c[i]))
+        pair = concurrences(rho)
+        assert _bits([wootters[i], variant[i]]) == _bits(pair)
+        assert _bits(pair) == _bits([concurrence_wootters(rho), concurrence_variant(rho)])
+        assert _bits(pt_low[i]) == _bits(ppt_check(rho).min_eigenvalue)
+        verdict = classify(rho)
+        seen.add(entanglement._DECIDERS[code[i]])
+        assert (verdict.status, verdict.decided_by) == entanglement._DECIDERS[code[i]]
+        for name, value in verdict.witnesses.items():
+            assert _bits(value) == _bits(witnesses[name][i])
+        # The partial transpose runs on every state and is reported only where it decides.
+        assert ("pt_min_eigenvalue" in verdict.witnesses) == (verdict.decided_by == "ppt")
+    assert seen == {
+        (ENTANGLED, "devicente_necessary"),
+        (SEPARABLE, "devicente_sufficient"),
+        (ENTANGLED, "ppt"),
+        (SEPARABLE, "ppt"),
+    }
 
 
 def test_classify_bloch_norms_are_one_vector_norms():
@@ -635,6 +713,15 @@ def test_classify_takes_one_matrix():
     for stack in (rho[None], np.stack([rho, bell_state().matrix])):
         with pytest.raises(ShapeError, match="one matrix"):
             classify(stack)
+
+
+def test_classify_rejects_a_non_hermitian_two_qubit_matrix():
+    # The one kernel call factors the state and solves its partial transpose for every
+    # two-qubit matrix, so their Hermiticity checks run even where a criterion decides.
+    rho = werner(0.9).matrix.copy()
+    rho[0, 1] += 1e-6
+    with pytest.raises(SymmetryError):
+        classify(rho)
 
 
 def test_spin_flip_invariance_of_werner():

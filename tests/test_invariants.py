@@ -16,12 +16,19 @@ from entmoment.entanglement import (
     SEPARABLE,
     _cascade,
     classify,
+    concurrence_variant,
     concurrence_wootters,
     concurrences,
     d_measure,
     tr_rho_rhotilde,
 )
-from entmoment.states import partial_transpose, purity, random_density, random_unitary
+from entmoment.states import (
+    partial_transpose,
+    purity,
+    random_density,
+    random_unitary,
+    validate_densities,
+)
 from entmoment.sweep import QUANTITIES
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -60,10 +67,10 @@ def test_concurrence_does_not_increase_under_local_channels(state_seed, count_a,
     """Local channels are LOCC, and the concurrence is an entanglement monotone
     (Vidal, J. Mod. Opt. 47, 355 (2000)).
 
-    ``d_measure`` is only the paper's candidate, so no property asserts that it
-    does not increase.  A probe of 2,000 states and channels built as here, with
-    ``default_rng(2027)``, found 7 increases (0.35%, the largest 1.5e-2) and no
-    concurrence increase: d is 1/2 on pure product states and lower on mixed ones.
+    ``d_measure`` is only the paper's candidate, and it is not monotone:
+    :func:`test_d_measure_rises_under_a_local_channel` pins a separable state and
+    a local channel that raise it by 0.041.  d is 1/2 on pure product states and
+    lower on mixed ones.
     """
     rng = np.random.default_rng(state_seed)
     rho = _random_state(rng)
@@ -82,12 +89,99 @@ def test_concurrence_is_convex_under_mixing(state_seed, p):
 
     The no-square-root variant is not convex: a probe of 2,000 pairs built as
     here, with ``default_rng(2026)`` and p uniform, found 281 mixtures above the
-    bound, by up to 0.12, so no property asserts it.
+    bound, by up to 0.12, so no property asserts it; the largest is pinned in
+    :func:`test_concurrence_variant_is_not_convex`.
     """
     rng = np.random.default_rng(state_seed)
     rho, sigma = _random_state(rng), _random_state(rng)
     c = concurrence_wootters(np.stack([_hermitian(p * rho + (1 - p) * sigma), rho, sigma]))
     assert c[0] <= p * c[1] + (1 - p) * c[2] + 1e-12
+
+
+# -- the paper's monotone candidates: pinned counterexamples -------------------------
+#
+# Each literal was found once by a seeded search and is checked here as it stands.
+#
+# A separable, full-rank state and a local channel, two Kraus operators on each qubit,
+# under which d_measure rises by 0.041.  Search: default_rng(2027), 2,000 draws, each
+# a random_density state of uniform rank 1..4, then both Kraus counts (1..4), then the
+# channel of each qubit as in _random_channel; 8 draws raised d, this one the most.
+D_STATE = np.array([
+    [
+        (0.15540188695542576+0j), (0.00806939353078363-0.003989833671906607j),
+        (-0.08959544839062612+0.02150071975985031j), (0.005588686761829515+0.13351992636045223j),
+    ],
+    [
+        (0.00806939353078363+0.003989833671906607j), (0.14496485424034672+0j),
+        (0.00047015178352812815-0.07899009255699913j), (-0.017732412556214057-0.03119100086631743j),
+    ],
+    [
+        (-0.08959544839062612-0.02150071975985031j), (0.00047015178352812815+0.07899009255699913j),
+        (0.26936480977824867+0j), (-0.0037295707373636677-0.0436270891994081j),
+    ],
+    [
+        (0.005588686761829515-0.13351992636045223j), (-0.017732412556214057+0.03119100086631743j),
+        (-0.0037295707373636677+0.0436270891994081j), (0.4302684490259788+0j),
+    ],
+])
+D_KRAUS_A = np.array([
+    [
+        [(-0.42880582199222994-0.07059107522881394j), (0.25417328119789373-0.7852673614836337j)],
+        [
+            (-0.018132394939437045-0.020331203404760547j),
+            (-0.23592142474221556-0.25881364937591617j),
+        ],
+    ],
+    [
+        [(-0.8538047313524144+0.06612112557933929j), (-0.07738874827830551+0.36845973863562503j)],
+        [(0.018830532813993297+0.2769317859180782j), (0.15072630915644292-0.17786981961679876j)],
+    ],
+])
+D_KRAUS_B = np.array([
+    [
+        [(-0.41495657445054124+0.5011985297590615j), (0.031661570383211594+0.3187904681824702j)],
+        [(0.45080158442186347+0.4136051061032365j), (-0.06407122146705704+0.2416791061089288j)],
+    ],
+    [
+        [(-0.008422149190067132-0.3910618342390205j), (0.40805291034555446+0.3427958646273672j)],
+        [(-0.21723427240798135+0.046138951783751034j), (0.4880567113499505+0.5591428571180611j)],
+    ],
+])
+
+# Two pure states and a weight p whose mixture has a larger no-square-root variant
+# than the mixture of their values, by 0.119.  Search: default_rng(2026), 2,000 draws,
+# each two random_density states of uniform rank 1..4 and p uniform in [0, 1]; 281
+# draws broke convexity, this one the most.  The kets are the states' eigenvectors.
+VARIANT_KET_RHO = np.array([
+    (0.7956947896787042+0j),
+    (-0.3304444465862715+0.49011130733731406j),
+    (0.08069880104814289+0.08766211768530772j),
+    (0.03905750188591858-0.04177013283813218j),
+])
+VARIANT_KET_SIGMA = np.array([
+    (0.1050962878212787+0j),
+    (-0.193610361342322+0.09854577844332409j),
+    (0.9135889845636832+0.03212740774469695j),
+    (0.10943454651588133-0.3067663684344312j),
+])
+VARIANT_P = 0.44945513058442277
+
+
+def test_d_measure_rises_under_a_local_channel():
+    rho = validate_densities(D_STATE[None])[0]
+    ops = [np.kron(a, b) for a in D_KRAUS_A for b in D_KRAUS_B]
+    assert np.abs(sum(k.conj().T @ k for k in ops) - np.eye(4)).max() < 1e-12
+    image = validate_densities(_hermitian(sum(k @ rho @ k.conj().T for k in ops))[None])[0]
+    assert d_measure(image) - d_measure(rho) > 1e-3
+
+
+def test_concurrence_variant_is_not_convex():
+    p = VARIANT_P
+    pure = [np.outer(ket, ket.conj()) for ket in (VARIANT_KET_RHO, VARIANT_KET_SIGMA)]
+    rho, sigma = validate_densities(np.stack(pure))
+    mix = validate_densities(_hermitian(p * rho + (1 - p) * sigma)[None])[0]
+    c = concurrence_variant(np.stack([mix, rho, sigma]))
+    assert c[0] - (p * c[1] + (1 - p) * c[2]) > 1e-3
 
 
 @seed(20003)
@@ -101,7 +195,7 @@ def test_verdict_and_quantities_are_local_unitary_invariant(state_seed):
     for name in ("f2_linear", "f2_covariance", "linear_entropy", "kyfan_c", "verdict"):
         values = QUANTITIES[name](pair)
         assert abs(values[0] - values[1]) < 1e-12
-    code, witnesses = _cascade(pair, DEFAULT_TOL)
+    code, witnesses, _ = _cascade(pair, DEFAULT_TOL)
     assert code[0] == code[1]
     # omega_max, the largest |Omega_jk|, is not invariant: local unitaries rotate Omega.
     for name in ("c_kyfan", "sufficient_value", "bloch_norm_a", "bloch_norm_b", "pt_min_eigenvalue"):

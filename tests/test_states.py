@@ -231,9 +231,7 @@ def test_partial_trace_takes_one_square_matrix():
                 assert isinstance(single, DensityOperator)
                 assert np.array_equal(single.matrix, expected)
             to_decode.append(reduced)
-        # Not the dim-16 states: building that basis takes tens of seconds.
-        if n < 4:
-            to_decode.append(stack)
+        to_decode.append(stack)
     for stack in to_decode:
         dim = stack.shape[-1]
         m = bloch_decode(stack).m
