@@ -29,10 +29,10 @@ from .states import (
     random_density,
     random_pure,
     random_unitary,
-    schmidt_stack,
-    standard_form_stack,
+    schmidt_mix,
+    standard_form_state,
     validate_densities,
-    werner_stack,
+    werner,
 )
 from .sweep import FAMILIES, VERDICT_CODE, AxisSpec, SweepGrid, grid_sweep, wedge_field
 from .tensors import (
@@ -137,7 +137,7 @@ def check_werner_threshold() -> tuple[bool, str]:
 
 def check_werner_l_matrix() -> tuple[bool, str]:
     xs = np.array([0.2, 0.7])
-    coefficients = tensor_coefficients(werner_stack(xs), product_representation(2), order=2)
+    coefficients = tensor_coefficients(werner(xs), product_representation(2), order=2)
     l, _ = split_sym_antisym(coefficients)
     worst = _max_dev(l, werner_l_expected(xs))
     return worst <= 1e-12, f"max entrywise deviation {worst:.2e} (tol 1e-12)"
@@ -163,7 +163,7 @@ def check_f2_covariance_closed_form() -> tuple[bool, str]:
     x, a, f2 = _sweep_columns("schmidt", 21, "f2_covariance")
     worst = _max_dev(f2, f2_covariance_closed(x, a))
     # The Bell state (alpha = pi/4) and the product state (alpha = 0).
-    spot = quadratic_invariant(schmidt_stack([1.0, 1.0], [np.pi / 4.0, 0.0]), "covariance")
+    spot = quadratic_invariant(schmidt_mix([1.0, 1.0], [np.pi / 4.0, 0.0]), "covariance")
     spots = _max_dev(spot, np.array([12.0, 8.0]))
     ok = worst <= 1e-9 and spots <= 1e-9
     return ok, f"max grid deviation {worst:.2e}; spot deviations {spots:.2e} (tol 1e-9)"
@@ -207,7 +207,7 @@ def check_ppt_octahedron_agreement() -> tuple[bool, str]:
     d = np.array([rng.dirichlet((1.0, 1.0, 1.0, 1.0)) @ TETRAHEDRON_VERTICES for _ in range(1000)])
     octa = octahedron_check(d)
     tested = np.abs(octa.l1 - 1.0) >= 1e-9
-    ppt = ppt_check(standard_form_stack(d))
+    ppt = ppt_check(standard_form_state(d))
     bad = np.flatnonzero(tested & (octa.separable != ppt.separable))
     if bad.size:
         return False, f"disagreement at d={tuple(d[bad[0]])}"

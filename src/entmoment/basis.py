@@ -29,16 +29,6 @@ from .errors import BasisConsistencyError, DimensionError
 RESIDUAL_TOL = 1e-12
 
 
-def half_anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Halved anticommutator (a b + b a) / 2."""
-    return 0.5 * (a @ b + b @ a)
-
-
-def half_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Halved commutator (a b - b a) / 2i; Hermitian for Hermitian inputs."""
-    return (a @ b - b @ a) / 2j
-
-
 @dataclass(frozen=True)
 class HermitianBasis:
     """Hermitian operator basis of u(n) plus its structure constants.
@@ -134,15 +124,6 @@ def generate_basis(n: int) -> HermitianBasis:
     sigma = basis_matrices(n)
     c, d = _structure_from_sigma(sigma, int(n))
     return HermitianBasis(n=int(n), sigma=sigma, c=_freeze(c), d=_freeze(d))
-
-
-def structure_constants(basis: HermitianBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute (c, d) from ``basis.sigma`` by trace projection.
-
-    The halved-anticommutator residual check is enforced; a basis whose
-    products are not reproduced raises :class:`BasisConsistencyError`.
-    """
-    return _structure_from_sigma(np.asarray(basis.sigma, dtype=complex), basis.n)
 
 
 def basis_to_dict(basis: HermitianBasis) -> dict:

@@ -170,7 +170,7 @@ def _family_state(family: str, values) -> DensityOperator:
     A NaN or infinite parameter is a domain error, as it is for a sweep axis.
     """
     try:
-        return DensityOperator.from_matrix(build_states(family, np.array([values]))[0])
+        return build_states(family, np.array(values))
     except NonFiniteError as exc:
         raise _Exit(1, "domain", str(exc))
 

@@ -33,7 +33,7 @@ from .states import (
     maximally_mixed,
     partial_transpose,
     spin_flip_matrix,
-    standard_form_stack,
+    standard_form_state,
 )
 from .tensors import (
     moments,
@@ -183,15 +183,6 @@ def d_from_covariance_invariant(f2_covariance):
     return f2_covariance / 8.0 - 0.5
 
 
-def correlation_block(state) -> np.ndarray:
-    """A-B cross block of the order-2 coefficients.
-
-    Entries are the raw traces Tr(rho sigma_j x sigma_k); for n=2 this is
-    the Fano correlation matrix.
-    """
-    return moments(state).correlation_block()
-
-
 def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
     """Positivity under partial transposition; decisive for two qubits.
 
@@ -216,7 +207,7 @@ def octahedron_check(d, tol: float = DEFAULT_TOL) -> OctahedronResult:
     _require_tolerance(tol)
     d = np.asarray(d, dtype=float)
     triples = d[None] if d.ndim == 1 else d
-    standard_form_stack(triples)  # validates the shape and tetrahedron membership
+    standard_form_state(triples)  # validates the shape and tetrahedron membership
     l1 = np.abs(triples).sum(-1)
     diag = np.zeros(triples.shape + (3,))
     diag[:, [0, 1, 2], [0, 1, 2]] = triples
@@ -241,6 +232,8 @@ def werner_ltilde_signature(x: float) -> LtildeSignature:
     the combination is exactly the x < 1/3 separability condition, with
     x = 1/3 the positive-semidefinite boundary.
     """
+    if np.ndim(x) != 0:
+        raise DomainError(f"parameter must be one value, got shape {np.shape(x)}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"parameter must lie in [0, 1], got {x}")
     rep = product_representation(2)

@@ -84,10 +84,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "DensityOperator":
-        return cls(matrix)
-
 
 def validate_densities(matrices) -> np.ndarray:
     """Check a stack ``(B, d, d)`` of density matrices; return it as a complex array.
@@ -225,7 +221,7 @@ def spin_flip_matrix(m: np.ndarray) -> np.ndarray:
 
 def spin_flip(state) -> DensityOperator:
     """Two-qubit spin flip (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
-    return DensityOperator.from_matrix(spin_flip_matrix(as_matrix(state)))
+    return DensityOperator(spin_flip_matrix(as_matrix(state)))
 
 
 def partial_transpose(state, subsystem: str = "B") -> np.ndarray:
@@ -244,11 +240,11 @@ def bell_state() -> DensityOperator:
     """Projector on (|00> + |11>)/sqrt(2)."""
     ket = np.zeros(4, dtype=complex)
     ket[0] = ket[3] = 1.0 / np.sqrt(2.0)
-    return DensityOperator.from_matrix(np.outer(ket, ket.conj()))
+    return DensityOperator(np.outer(ket, ket.conj()))
 
 
 def maximally_mixed(dim: int) -> DensityOperator:
-    return DensityOperator.from_matrix(np.eye(dim, dtype=complex) / dim)
+    return DensityOperator(np.eye(dim, dtype=complex) / dim)
 
 
 def _unit_interval(x, what: str) -> np.ndarray:
@@ -259,20 +255,27 @@ def _unit_interval(x, what: str) -> np.ndarray:
     return x
 
 
-def werner_stack(x) -> np.ndarray:
-    """Validated Werner matrices, one per entry of ``x``: shape ``(B, 4, 4)``."""
+def werner(x):
+    """x |phi+><phi+| + (1-x) 1/4 for x in [0, 1].
+
+    One value gives a :class:`DensityOperator`; an array gives the
+    validated stack ``(B, 4, 4)``, one matrix per entry of ``x``.
+    """
+    one = np.ndim(x) == 0
     x = _unit_interval(x, "werner parameter")
     mixed = (1.0 - x)[:, None, None] * np.eye(4, dtype=complex) / 4.0
-    return validate_densities(x[:, None, None] * bell_state().matrix + mixed)
+    m = x[:, None, None] * bell_state().matrix + mixed
+    return DensityOperator(m[0]) if one else validate_densities(m)
 
 
-def werner(x: float) -> DensityOperator:
-    """x |phi+><phi+| + (1-x) 1/4 for x in [0, 1]."""
-    return DensityOperator.from_matrix(werner_stack(float(x))[0])
+def schmidt_mix(x, alpha0):
+    """x |a0><a0| + (1-x) 1/4 with |a0> = cos(a0)|00> + sin(a0)|11>.
 
-
-def schmidt_stack(x, alpha0) -> np.ndarray:
-    """Validated Schmidt mixtures, one per entry of ``x`` and ``alpha0``: shape ``(B, 4, 4)``."""
+    Two values give a :class:`DensityOperator`; arrays give the validated
+    stack ``(B, 4, 4)``, one matrix per entry of ``x`` and ``alpha0``
+    broadcast together.
+    """
+    one = np.ndim(x) == 0 and np.ndim(alpha0) == 0
     x, alpha0 = np.broadcast_arrays(_unit_interval(x, "mixing parameter"), alpha0)
     # cos and sin of an infinite angle warn before validation would reject the NaN.
     if not np.isfinite(alpha0).all():
@@ -282,12 +285,8 @@ def schmidt_stack(x, alpha0) -> np.ndarray:
     ket[:, 3] = np.sin(alpha0)
     pure = ket[:, :, None] * ket.conj()[:, None, :]
     mixed = (1.0 - x)[:, None, None] * np.eye(4, dtype=complex) / 4.0
-    return validate_densities(x[:, None, None] * pure + mixed)
-
-
-def schmidt_mix(x: float, alpha0: float) -> DensityOperator:
-    """x |a0><a0| + (1-x) 1/4 with |a0> = cos(a0)|00> + sin(a0)|11>."""
-    return DensityOperator.from_matrix(schmidt_stack(float(x), float(alpha0))[0])
+    m = x[:, None, None] * pure + mixed
+    return DensityOperator(m[0]) if one else validate_densities(m)
 
 
 def standard_form_eigenvalues(d) -> np.ndarray:
@@ -305,11 +304,17 @@ def standard_form_eigenvalues(d) -> np.ndarray:
     )
 
 
-def standard_form_stack(d) -> np.ndarray:
-    """Validated standard-form matrices for triples ``d`` of shape ``(B, 3)``: ``(B, 4, 4)``."""
+def standard_form_state(d):
+    """(1/4)(1 x 1 + sum_j d_j sigma_j x sigma_j) for d inside the state tetrahedron.
+
+    One triple gives a :class:`DensityOperator`; triples ``(B, 3)`` give
+    the validated stack ``(B, 4, 4)``.
+    """
     d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[1] != 3:
-        raise ShapeError(f"expected triples (d1, d2, d3), got shape {d.shape}")
+    if d.ndim not in (1, 2) or d.shape[-1] != 3:
+        raise ShapeError(f"expected a triple (d1, d2, d3) or triples (B, 3), got shape {d.shape}")
+    one = d.ndim == 1
+    d = d.reshape(-1, 3)
     # NaN compares False against the tolerance below, so it must be caught first.
     if not np.isfinite(d).all():
         raise NonFiniteError("standard-form triple has NaN or infinite entries")
@@ -329,15 +334,8 @@ def standard_form_stack(d) -> np.ndarray:
     m = np.eye(4, dtype=complex)
     for j in range(3):
         m = m + d[:, j, None, None] * np.kron(sigma[j + 1], sigma[j + 1])
-    return validate_densities(m / 4.0)
-
-
-def standard_form_state(d) -> DensityOperator:
-    """(1/4)(1 x 1 + sum_j d_j sigma_j x sigma_j) for d inside the state tetrahedron."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (3,):
-        raise ShapeError(f"expected a triple (d1, d2, d3), got shape {d.shape}")
-    return DensityOperator.from_matrix(standard_form_stack(d[None])[0])
+    m = m / 4.0
+    return DensityOperator(m[0]) if one else validate_densities(m)
 
 
 def convex_combine(terms) -> DensityOperator:
@@ -358,7 +356,7 @@ def convex_combine(terms) -> DensityOperator:
     out = np.zeros((dim, dim), dtype=complex)
     for w, m in zip(weights, mats):
         out += w * m
-    return DensityOperator.from_matrix(out)
+    return DensityOperator(out)
 
 
 @_per_state
@@ -374,11 +372,12 @@ def random_density(dim: int, rank: int | None = None, rng=None) -> DensityOperat
     rng = np.random.default_rng() if rng is None else rng
     rank = dim if rank is None else rank
     for name, value in (("dim", dim), ("rank", rank)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integer and value >= 1):
             raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
-    return DensityOperator.from_matrix(m / np.trace(m).real)
+    return DensityOperator(m / np.trace(m).real)
 
 
 def random_pure(dim: int, rng=None) -> DensityOperator:

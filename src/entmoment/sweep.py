@@ -21,14 +21,13 @@ from .entanglement import (
     _cascade,
     concurrence_variant,
     concurrence_wootters,
-    correlation_block,
     d_measure,
     kyfan_norm,
     tr_rho_rhotilde,
 )
 from .errors import ConfigurationError, DomainError, ResolutionError
-from .states import purity, schmidt_stack, standard_form_stack, werner_stack
-from .tensors import quadratic_invariant
+from .states import purity, schmidt_mix, standard_form_state, werner
+from .tensors import moments, quadratic_invariant
 
 VERDICT_CODE = {SEPARABLE: 1.0, ENTANGLED: -1.0}
 # The column value of each cascade decider code: VERDICT_CODE of its status, 0 where undecided.
@@ -50,7 +49,7 @@ QUANTITIES = {
     "d_measure": d_measure,
     "concurrence_wootters": concurrence_wootters,
     "concurrence_variant": concurrence_variant,
-    "kyfan_c": lambda rhos: kyfan_norm(correlation_block(rhos)),
+    "kyfan_c": lambda rhos: kyfan_norm(moments(rhos).correlation_block()),
     "verdict": _verdict_codes,
 }
 
@@ -61,13 +60,14 @@ MAX_GRID_POINTS = 10**6
 
 QUANTITY_ALIASES = {"C": "concurrence_variant", "D": "d_measure"}
 
-# Each family maps to its axis names and to a builder of the validated state
-# stack (B, 4, 4) for grid points (B, axes).  The lambdas look the stack
-# builders up here at call time, so wrappers installed on them see the calls.
+# Each family maps to its axis names and to a builder of its states: one point
+# (axes,) gives a DensityOperator, points (B, axes) the validated stack (B, 4, 4).
+# The lambdas look the builders up here at call time, so wrappers installed on
+# them see the calls.
 FAMILIES = {
-    "werner": (("x",), lambda points: werner_stack(points[:, 0])),
-    "schmidt": (("x", "alpha"), lambda points: schmidt_stack(points[:, 0], points[:, 1])),
-    "standard_form": (("d1", "d2", "d3"), lambda points: standard_form_stack(points)),
+    "werner": (("x",), lambda points: werner(points[..., 0])),
+    "schmidt": (("x", "alpha"), lambda points: schmidt_mix(points[..., 0], points[..., 1])),
+    "standard_form": (("d1", "d2", "d3"), lambda points: standard_form_state(points)),
 }
 
 # (low, high, slack): slack covers rounded endpoints like 1.5708 for pi/2
@@ -147,8 +147,8 @@ def resolve_quantities(names) -> tuple:
     return tuple(resolved)
 
 
-def build_states(family: str, points: np.ndarray) -> np.ndarray:
-    """Validated state stack ``(B, 4, 4)`` for grid points ``(B, axes)`` of a family."""
+def build_states(family: str, points: np.ndarray):
+    """A family's state at one point ``(axes,)``, or its validated stack at points ``(B, axes)``."""
     return FAMILIES[family][1](points)
 
 

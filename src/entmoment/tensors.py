@@ -30,18 +30,16 @@ MAX_ORDER = 4
 
 @dataclass(frozen=True)
 class Representation:
-    """Stacked Hermitian generator operators with provenance labels.
+    """Stacked Hermitian generator operators.
 
-    ``labels[g]`` maps generator index g to ``(subsystem, basis_index)``
-    where ``basis_index`` indexes the traceless part of the underlying
-    u(n) basis (1-based into ``HermitianBasis.sigma``), and subsystem is
-    'A'/'B' for the bipartite product representation or 'S' for the
-    defining single-system one.
+    With m = n^2 - 1 traceless basis matrices ``sigma[1:]`` of u(n), the
+    product representation's generator g < m is ``sigma[g + 1] x 1``
+    (subsystem A) and generator m + g is ``1 x sigma[g + 1]`` (B); the
+    defining representation's generator g is ``sigma[g + 1]``.
     """
 
     n: int
     ops: np.ndarray
-    labels: tuple
 
     @property
     def count(self) -> int:
@@ -73,11 +71,7 @@ def product_representation(n: int) -> Representation:
         [np.kron(g, eye) for g in gens] + [np.kron(eye, g) for g in gens]
     )
     ops.setflags(write=False)
-    count = n * n - 1
-    labels = tuple(("A", j + 1) for j in range(count)) + tuple(
-        ("B", j + 1) for j in range(count)
-    )
-    return Representation(n=n, ops=ops, labels=labels)
+    return Representation(n=n, ops=ops)
 
 
 @lru_cache(maxsize=None)
@@ -86,8 +80,7 @@ def defining_representation(n: int) -> Representation:
     sigma = basis_matrices(n)
     ops = np.array(sigma[1:], dtype=complex)
     ops.setflags(write=False)
-    labels = tuple(("S", j + 1) for j in range(n * n - 1))
-    return Representation(n=n, ops=ops, labels=labels)
+    return Representation(n=n, ops=ops)
 
 
 def representation_for(state) -> Representation:
@@ -124,16 +117,12 @@ def tensor_coefficients(state, rep: Representation, order: int = 2) -> TensorCoe
 
     A stack ``(B, d, d)`` of states gives values of shape ``(B, m, ..., m)``.
     """
-    if not (isinstance(order, (int, np.integer)) and 1 <= order <= MAX_ORDER):
+    integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
+    if not (integer and 1 <= order <= MAX_ORDER):
         raise DomainError(f"tensor order must be an integer from 1 to {MAX_ORDER}, got {order!r}")
     rho = as_matrix(state)
     values = _coefficient_stack(_stack_of(rho, rep), rep, order)
     return TensorCoefficients(order=order, values=values[0] if rho.ndim == 2 else values)
-
-
-def first_moments(state, rep: Representation) -> np.ndarray:
-    """Expectation values Tr(rho R_j), real for Hermitian generators: the order-1 coefficients."""
-    return tensor_coefficients(state, rep, order=1).values.real
 
 
 @dataclass(frozen=True)
@@ -190,7 +179,9 @@ class Moments:
 def moments(state) -> Moments:
     """Evaluate the first and second moments of ``state`` (or of each state of a stack) once."""
     rep = representation_for(state)
-    return Moments(rep, first_moments(state, rep), tensor_coefficients(state, rep))
+    # Tr(rho R_j) is real for Hermitian generators.
+    first = tensor_coefficients(state, rep, order=1).values.real
+    return Moments(rep, first, tensor_coefficients(state, rep))
 
 
 def fano_decompose(state) -> FanoForm:

@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from entmoment.basis import (
-    HermitianBasis,
+    _structure_from_sigma,
     basis_matrices,
     basis_to_dict,
     generate_basis,
-    half_anticommutator,
-    half_commutator,
-    structure_constants,
 )
 from entmoment.errors import BasisConsistencyError, DimensionError
 
@@ -92,14 +89,16 @@ def test_d118_value_n3():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_product_reconstruction_identity(n):
-    sigma = generate_basis(n).sigma
-    for j in range(1, n * n):
-        for k in range(1, n * n):
-            lhs = sigma[j] @ sigma[k]
-            rhs = half_anticommutator(sigma[j], sigma[k]) + 1j * half_commutator(
-                sigma[j], sigma[k]
-            )
-            assert np.max(np.abs(lhs - rhs)) < 1e-14
+    # sigma_j sigma_k = {sigma_j, sigma_k} + i [sigma_j, sigma_k]
+    #                 = (2/n) delta_jk sigma_0 + (d_jkl + i c_jkl) sigma_l
+    b = generate_basis(n)
+    sigma, m = b.sigma, n * n - 1
+    for j in range(m):
+        for k in range(m):
+            lhs = sigma[j + 1] @ sigma[k + 1]
+            rhs = (2.0 / n) * (j == k) * sigma[0]
+            rhs = rhs + np.einsum("l,lab->ab", b.d[j, k] + 1j * b.c[j, k], sigma[1:])
+            assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -114,13 +113,6 @@ def test_total_symmetry_of_structure_constants(n):
                     parity = -parity
         assert np.allclose(b.c, parity * np.transpose(b.c, perm), atol=1e-13)
         assert np.allclose(b.d, np.transpose(b.d, perm), atol=1e-13)
-
-
-def test_structure_constants_match_generation():
-    b = generate_basis(3)
-    c, d = structure_constants(b)
-    assert np.allclose(c, b.c, atol=1e-14)
-    assert np.allclose(d, b.d, atol=1e-14)
 
 
 def test_invalid_dimension_rejected():
@@ -157,9 +149,8 @@ def test_residual_check_flags_corrupted_basis():
     good = generate_basis(2)
     sigma = np.array(good.sigma, dtype=complex)
     sigma[3] *= 1.1  # breaks the normalization the constants assume
-    broken = HermitianBasis(n=2, sigma=sigma, c=good.c, d=good.d)
     with pytest.raises(BasisConsistencyError):
-        structure_constants(broken)
+        _structure_from_sigma(sigma, 2)
 
 
 def test_basis_to_dict_shape():

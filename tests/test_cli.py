@@ -330,7 +330,7 @@ def test_analyze_rejects_oversized_state_before_building_basis(capsys, tmp_path,
     from entmoment.states import DensityOperator, save_state
 
     path = tmp_path / "dim100.json"
-    save_state(DensityOperator.from_matrix(np.eye(100) / 100), path)
+    save_state(DensityOperator(np.eye(100) / 100), path)
 
     def refuse(n):
         raise AssertionError(f"built the n={n} basis")
@@ -529,7 +529,7 @@ def _random_state(n, rank, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n * n, rank)) + 1j * rng.standard_normal((n * n, rank))
     rho = g @ g.conj().T
-    return DensityOperator.from_matrix(rho / np.trace(rho).real)
+    return DensityOperator(rho / np.trace(rho).real)
 
 
 @pytest.mark.parametrize(

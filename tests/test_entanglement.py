@@ -13,7 +13,6 @@ from entmoment.entanglement import (
     concurrence_variant,
     concurrence_wootters,
     concurrences,
-    correlation_block,
     d_measure,
     kyfan_norm,
     octahedron_check,
@@ -99,7 +98,7 @@ def test_kyfan_matches_svd_oracle():
     for n in (2, 3, 4, 6, 8):
         for _ in range(2):
             a, b = random_density(n, rng=rng), random_density(n, rng=rng)
-            c = correlation_block(np.kron(a.matrix, b.matrix))
+            c = moments(np.kron(a.matrix, b.matrix)).correlation_block()
             assert kyfan_norm(c) == pytest.approx(
                 np.sum(np.linalg.svd(c, compute_uv=False)), abs=1e-12
             )
@@ -150,7 +149,7 @@ def test_wootters_product_states_vanish():
     for _ in range(10):
         a = random_pure(2, rng=rng)
         b = random_pure(2, rng=rng)
-        rho = DensityOperator.from_matrix(np.kron(a.matrix, b.matrix))
+        rho = DensityOperator(np.kron(a.matrix, b.matrix))
         assert concurrence_wootters(rho) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -232,7 +231,7 @@ def test_quantities_of_one_matrix_are_floats():
         lambda r: quadratic_invariant(r, "covariance"),
         lambda r: monotone_candidate(r, "linear", 2, (0.0, 1.0)),
         lambda r: inner_product(moments(r).second),
-        lambda r: kyfan_norm(correlation_block(r)),
+        lambda r: kyfan_norm(moments(r).correlation_block()),
     ]
     for state in (rho, rho.matrix):
         for quantity in quantities:
@@ -342,7 +341,7 @@ def test_concurrence_local_unitary_invariance():
     for _ in range(20):
         rho = random_density(4, rng=rng)
         u = np.kron(random_unitary(2, rng=rng), random_unitary(2, rng=rng))
-        rotated = DensityOperator.from_matrix(u @ rho.matrix @ u.conj().T)
+        rotated = DensityOperator(u @ rho.matrix @ u.conj().T)
         assert concurrence_wootters(rho) == pytest.approx(
             concurrence_wootters(rotated), abs=1e-9
         )
@@ -426,7 +425,7 @@ def test_ppt_product_states():
     rng = np.random.default_rng(46)
     a = random_density(2, rng=rng)
     b = random_density(2, rng=rng)
-    rho = DensityOperator.from_matrix(np.kron(a.matrix, b.matrix))
+    rho = DensityOperator(np.kron(a.matrix, b.matrix))
     assert ppt_check(rho).separable
 
 
@@ -496,14 +495,15 @@ def test_ltilde_signature_values():
     assert np.allclose(np.sort(sig.eigenvalues), [0.0] * 3 + [2 / 3] * 3, atol=1e-12)
     assert not sig.positive_definite
     assert sig.classification == "positive semidefinite"
-    with pytest.raises(DomainError):
-        werner_ltilde_signature(1.5)
+    for bad in (1.5, np.array([0.5]), [0.2, 0.7], np.array([[0.5]])):
+        with pytest.raises(DomainError):
+            werner_ltilde_signature(bad)
 
 
 def test_correlation_block_is_fano_c_for_qubits():
     rng = np.random.default_rng(47)
     rho = random_density(4, rng=rng)
-    assert np.allclose(correlation_block(rho), fano_decompose(rho).C, atol=1e-13)
+    assert np.allclose(moments(rho).correlation_block(), fano_decompose(rho).C, atol=1e-13)
 
 
 # -- classify -------------------------------------------------------------------
@@ -564,9 +564,9 @@ def test_classify_undecided_possible_for_qutrits():
     phi = np.zeros(9, dtype=complex)
     phi[0] = phi[4] = phi[8] = 1 / np.sqrt(3)
     pure = np.outer(phi, phi.conj())
-    verdict = classify(DensityOperator.from_matrix(pure))
+    verdict = classify(DensityOperator(pure))
     assert verdict.status == ENTANGLED
-    mixed = DensityOperator.from_matrix(0.5 * pure + 0.5 * np.eye(9) / 9)
+    mixed = DensityOperator(0.5 * pure + 0.5 * np.eye(9) / 9)
     verdict = classify(mixed)
     assert verdict.status in (SEPARABLE, ENTANGLED, "undecided")
     assert "c_kyfan" in verdict.witnesses

@@ -33,15 +33,12 @@ from entmoment.states import (
     random_pure,
     save_state,
     schmidt_mix,
-    schmidt_stack,
     spin_flip,
     spin_flip_matrix,
-    standard_form_stack,
     standard_form_state,
     state_from_dict,
     validate_densities,
     werner,
-    werner_stack,
 )
 from entmoment.tensors import FanoForm, fano_compose, fano_decompose
 from entmoment.basis import generate_basis
@@ -51,25 +48,23 @@ from entmoment.basis import generate_basis
 
 def test_invariant_violations_are_named():
     with pytest.raises(SymmetryError):
-        DensityOperator.from_matrix(np.array([[0.5, 0.1], [0.4, 0.5]], dtype=complex))
+        DensityOperator(np.array([[0.5, 0.1], [0.4, 0.5]], dtype=complex))
     with pytest.raises(NormalizationError):
-        DensityOperator.from_matrix(np.eye(2, dtype=complex))
+        DensityOperator(np.eye(2, dtype=complex))
     with pytest.raises(PositivityError) as err:
-        DensityOperator.from_matrix(np.diag([1.5, -0.5]).astype(complex))
+        DensityOperator(np.diag([1.5, -0.5]).astype(complex))
     assert err.value.min_eigenvalue == pytest.approx(-0.5, abs=1e-12)
     # NaN passes every tolerance comparison, so it needs its own check.
     for bad in (np.nan, np.inf):
         m = np.eye(2, dtype=complex) / 2
         m[0, 1] = m[1, 0] = bad
         with pytest.raises(NonFiniteError):
-            DensityOperator.from_matrix(m)
+            DensityOperator(m)
 
 
 def test_boundary_positivity_accepted():
-    DensityOperator.from_matrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-    DensityOperator.from_matrix(
-        np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
-    )
+    DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    DensityOperator(np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex))
 
 
 # -- Bloch codec --------------------------------------------------------------
@@ -80,7 +75,7 @@ def test_zero_bloch_vector_is_maximally_mixed():
 
 
 def test_ground_state_bloch_vector():
-    rho = DensityOperator.from_matrix(np.diag([1.0, 0.0]).astype(complex))
+    rho = DensityOperator(np.diag([1.0, 0.0]).astype(complex))
     vec = bloch_decode(rho)
     assert np.allclose(vec.m, [0.0, 0.0, 1.0], atol=1e-14)
     assert abs(np.linalg.norm(vec.m) - 1.0) < 1e-14
@@ -127,7 +122,7 @@ def test_bloch_encode_does_not_enforce_positivity():
 @given(st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3))
 def test_bloch_round_trip_inside_ball(coords):
     m = np.array(coords)
-    rho = DensityOperator.from_matrix(bloch_encode(2, m))
+    rho = DensityOperator(bloch_encode(2, m))
     assert np.allclose(bloch_decode(rho).m, m, atol=1e-12)
 
 
@@ -152,7 +147,7 @@ def test_product_state_correlation_factorizes(n):
     rng = np.random.default_rng(13)
     a = random_density(n, rng=rng)
     b = random_density(n, rng=rng)
-    rho = DensityOperator.from_matrix(np.kron(a.matrix, b.matrix))
+    rho = DensityOperator(np.kron(a.matrix, b.matrix))
     f = fano_decompose(rho)
     av = bloch_decode(a).m
     bv = bloch_decode(b).m
@@ -419,17 +414,28 @@ def test_non_finite_family_parameters_raise_without_warnings():
 
 
 def test_stack_builders_and_validation():
+    # One value gives a DensityOperator whose matrix is bitwise the matching row
+    # of the array result; an array of one value gives a stack of one.
     xs, alphas = np.array([0.0, 0.4, 1.0]), np.array([0.3, 0.0, 1.5])
+    d = np.array([[0.1, 0.2, -0.3], [1.0, -1.0, 1.0], [0.0, 0.0, 0.0]])
+    stacks = werner(xs), schmidt_mix(xs, alphas), standard_form_state(d)
     for k, (x, a) in enumerate(zip(xs, alphas)):
-        assert np.array_equal(werner_stack(xs)[k], werner(x).matrix)
-        assert np.array_equal(schmidt_stack(xs, alphas)[k], schmidt_mix(x, a).matrix)
-    d = np.array([[0.1, 0.2, -0.3], [1.0, -1.0, 1.0]])
-    assert np.array_equal(standard_form_stack(d)[1], standard_form_state(d[1]).matrix)
+        ones = werner(x), schmidt_mix(x, a), standard_form_state(d[k])
+        for one, stack in zip(ones, stacks):
+            assert isinstance(one, DensityOperator)
+            assert stack.shape == (3, 4, 4)
+            assert np.array_equal(one.matrix, stack[k])
+    assert werner(np.array([0.5])).shape == (1, 4, 4)
+    assert schmidt_mix(0.5, [0.1, 0.2]).shape == (2, 4, 4)
+    assert standard_form_state(d[:1]).shape == (1, 4, 4)
+    for bad in (np.zeros(4), np.zeros((2, 2, 3)), 0.5):
+        with pytest.raises(ShapeError):
+            standard_form_state(bad)
     with pytest.raises(DomainError, match="got 1.2"):
-        werner_stack([0.5, 1.2, -1.0])
+        werner([0.5, 1.2, -1.0])
     with pytest.raises(PositivityError, match=r"d=\(1.0, 1.0, 1.0\)"):
-        standard_form_stack([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    good = werner_stack([0.3])
+        standard_form_state([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    good = werner([0.3])
     nan = np.full((1, 4, 4), np.nan)
     trace2 = 2 * good
     negative = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)[None]
@@ -446,6 +452,35 @@ def test_stack_builders_and_validation():
         validate_densities(np.concatenate([good, negative, good]))
     assert err.value.min_eigenvalue == pytest.approx(-0.25, abs=1e-12)
     assert np.array_equal(validate_densities(good), good)
+
+
+def test_every_package_export_resolves():
+    import entmoment
+
+    missing = [name for name in entmoment.__all__ if not hasattr(entmoment, name)]
+    assert not missing
+    assert len(set(entmoment.__all__)) == len(entmoment.__all__)
+
+
+def test_one_value_builders_validate_once(monkeypatch):
+    from entmoment import cli, states
+
+    calls = []
+
+    def counted(matrices):
+        calls.append(np.shape(matrices))
+        return validate_densities(matrices)
+
+    monkeypatch.setattr(states, "validate_densities", counted)
+    for build, count in (
+        (lambda: standard_form_state((0.1, 0.2, -0.3)), 1),
+        (lambda: cli._family_state("standard_form", [0.1, 0.2, -0.3]), 1),
+        (lambda: schmidt_mix(0.5, 0.3), 1),
+        (lambda: werner(0.5), 2),  # the Bell projector, then the state
+    ):
+        calls.clear()
+        assert isinstance(build(), DensityOperator)
+        assert len(calls) == count
 
 
 def test_standard_form_outside_tetrahedron():
@@ -471,7 +506,7 @@ def test_convex_combine_product_states_correlation():
     rng = np.random.default_rng(19)
     pairs = [(random_pure(2, rng=rng), random_pure(2, rng=rng)) for _ in range(2)]
     rho = convex_combine(
-        [(0.5, DensityOperator.from_matrix(np.kron(a.matrix, b.matrix))) for a, b in pairs]
+        [(0.5, DensityOperator(np.kron(a.matrix, b.matrix))) for a, b in pairs]
     )
     f = fano_decompose(rho)
     expected = 0.5 * sum(
@@ -540,7 +575,15 @@ def test_state_file_invariant_violation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "dim,rank,name", [(4, 0, "rank"), (4, -1, "rank"), (4, 1.5, "rank"), (0, None, "dim")]
+    "dim,rank,name",
+    [
+        (4, 0, "rank"),
+        (4, -1, "rank"),
+        (4, 1.5, "rank"),
+        (4, True, "rank"),
+        (0, None, "dim"),
+        (True, None, "dim"),
+    ],
 )
 def test_random_density_refuses_a_non_positive_size(dim, rank, name):
     with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):

@@ -8,13 +8,12 @@ from entmoment.entanglement import (
     classify,
     concurrence_variant,
     concurrence_wootters,
-    correlation_block,
     d_measure,
     kyfan_norm,
     tr_rho_rhotilde,
 )
 from entmoment.errors import ConfigurationError, DomainError, ResolutionError
-from entmoment.states import purity, schmidt_mix, werner
+from entmoment.states import DensityOperator, purity, schmidt_mix, werner
 from entmoment.sweep import (
     QUANTITIES,
     VERDICT_CODE,
@@ -26,7 +25,7 @@ from entmoment.sweep import (
     write_csv,
     write_svg,
 )
-from entmoment.tensors import quadratic_invariant
+from entmoment.tensors import moments, quadratic_invariant
 
 
 def werner_grid(count=3, quantities=("concurrence_wootters",)):
@@ -196,7 +195,7 @@ PER_STATE = {
     "d_measure": d_measure,
     "concurrence_wootters": concurrence_wootters,
     "concurrence_variant": concurrence_variant,
-    "kyfan_c": lambda rho: kyfan_norm(correlation_block(rho)),
+    "kyfan_c": lambda rho: kyfan_norm(moments(rho).correlation_block()),
     "verdict": lambda rho: VERDICT_CODE.get(classify(rho).status, 0.0),
 }
 
@@ -216,6 +215,17 @@ def test_stacked_quantities_equal_per_state_functions(grid, build):
         rho = build(*row[:n_axes])
         expected = [PER_STATE[q](rho) for q in grid.quantities]
         assert np.array_equal(row[n_axes:], expected)
+
+
+@pytest.mark.parametrize(
+    "family, point",
+    [("werner", [0.4]), ("schmidt", [0.7, 0.6]), ("standard_form", [0.1, -0.2, 0.3])],
+)
+def test_build_states_of_one_point_is_the_stack_row(family, point):
+    point = np.array(point)
+    one = sweep.build_states(family, point)
+    assert isinstance(one, DensityOperator)
+    assert np.array_equal(one.matrix, sweep.build_states(family, point[None])[0])
 
 
 def test_rows_do_not_depend_on_block_size(monkeypatch):

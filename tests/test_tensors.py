@@ -23,7 +23,6 @@ from entmoment.tensors import (
     covariance_coefficients,
     defining_representation,
     fano_decompose,
-    first_moments,
     inner_product,
     moments,
     monotone_candidate,
@@ -50,8 +49,6 @@ def test_product_representation_n2_layout():
     assert rep.count == 6
     assert np.allclose(rep.ops[0], np.kron(sigma[1], np.eye(2)), atol=1e-14)
     assert np.allclose(rep.ops[3], np.kron(np.eye(2), sigma[1]), atol=1e-14)
-    assert rep.labels[0] == ("A", 1)
-    assert rep.labels[3] == ("B", 1)
 
 
 def test_product_representation_sides_commute():
@@ -68,9 +65,10 @@ def test_product_representation_n3():
         op = rep.ops[g]
         assert abs(np.trace(op)) < 1e-13
         assert np.allclose(op, op.conj().T)
-        side, idx = rep.labels[g]
+        # Generators 0-7 act on A, 8-15 on B, each over sigma[1:] in order.
+        side, idx = divmod(g, 8)
         expected = (
-            np.kron(sigma[idx], np.eye(3)) if side == "A" else np.kron(np.eye(3), sigma[idx])
+            np.kron(sigma[idx + 1], np.eye(3)) if side == 0 else np.kron(np.eye(3), sigma[idx + 1])
         )
         assert np.allclose(op, expected, atol=1e-14)
 
@@ -157,6 +155,8 @@ def test_order_bounds():
         tensor_coefficients(rho, rep, order=0)
     with pytest.raises(DomainError):
         tensor_coefficients(rho, rep, order=5)
+    with pytest.raises(DomainError):
+        tensor_coefficients(rho, rep, order=True)
 
 
 def test_dimension_mismatch():
@@ -213,7 +213,7 @@ def test_covariance_bell_cross_block():
 def test_covariance_pure_product_norm():
     p00 = np.zeros((4, 4), dtype=complex)
     p00[0, 0] = 1.0
-    k = covariance_coefficients(DensityOperator.from_matrix(p00))
+    k = covariance_coefficients(DensityOperator(p00))
     assert inner_product(k) == pytest.approx(8.0, abs=1e-12)
 
 
@@ -230,9 +230,8 @@ def test_covariance_antisymmetric_part_unchanged():
 
 def test_first_moments_match_fano():
     rng = np.random.default_rng(27)
-    rep = product_representation(2)
     rho = random_density(4, rng=rng)
-    mom = first_moments(rho, rep)
+    mom = moments(rho).first
     f = fano_decompose(rho)
     assert np.allclose(mom[:3], f.nvec, atol=1e-13)
     assert np.allclose(mom[3:], f.mvec, atol=1e-13)
@@ -280,7 +279,7 @@ def test_local_unitary_invariance_subset():
     for _ in range(20):
         rho = random_density(4, rng=rng)
         u = np.kron(random_unitary(2, rng=rng), random_unitary(2, rng=rng))
-        rotated = DensityOperator.from_matrix(u @ rho.matrix @ u.conj().T)
+        rotated = DensityOperator(u @ rho.matrix @ u.conj().T)
         for mode in ("linear", "covariance"):
             worst = max(
                 worst,
