@@ -7,10 +7,8 @@ Outputs, written into --outdir:
   fig3_dmeasure.csv      covariance-invariant measure over the same plane
   fig4_wedge.csv         functional-dependence wedge of the two surfaces
 
-The two-parameter grids default to 101x101 over [0,1] x [0, pi/2].  On a
-2-core x86-64 virtual machine (Python 3.11, numpy 2.4, one BLAS thread)
-the whole run takes about 0.3 s, with or without --svg; evaluating the
-101x101 plane is about 0.15 s of that, the rest is writing the files.
+The two-parameter grids default to 101x101 over [0,1] x [0, pi/2].  The
+script prints its own run time.
 """
 
 import argparse

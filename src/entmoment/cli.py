@@ -386,11 +386,8 @@ def cmd_standard_form(args) -> int:
         "d": [float(v) for v in d],
         "state": state_to_dict(rho),
         "spectrum": spectrum,
-        "octahedron": {"separable": bool(octa.separable), "l1": float(octa.l1)},
-        "ppt": {
-            "separable": bool(ppt.separable),
-            "min_eigenvalue": float(ppt.min_eigenvalue),
-        },
+        "octahedron": octa._asdict(),
+        "ppt": ppt._asdict(),
     }
     print(_json(report))
     if args.out:

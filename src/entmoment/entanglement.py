@@ -28,12 +28,12 @@ from .linalg import (
 from .states import (
     _YY_SIGNS,
     _per_state,
+    _tetrahedron_triples,
     as_matrix,
     bell_state,
     maximally_mixed,
     partial_transpose,
     spin_flip_matrix,
-    standard_form_state,
 )
 from .tensors import (
     moments,
@@ -48,6 +48,10 @@ ENTANGLED = "entangled"
 UNDECIDED = "undecided"
 
 DEFAULT_TOL = 1e-9
+# Largest gap allowed between octahedron_check's l1 value and its Ky Fan cross-check.
+CROSS_CHECK_TOL = 1e-12
+# werner_ltilde_signature calls a smallest eigenvalue within this of 0 semidefinite.
+LTILDE_BOUNDARY_TOL = 1e-12
 
 # (status, decided_by) by decider code: 0-2 the criterion that decided, 3 none,
 # 4 + separable the partial-transpose test.
@@ -95,7 +99,7 @@ def _require_two_qubits(state) -> np.ndarray:
     """The state's matrix (or stack of matrices), checked to be two-qubit."""
     rho = as_matrix(state)
     if rho.shape[-2:] != (4, 4):
-        raise DimensionError(f"operation requires 4x4 matrices, got shape {rho.shape}")
+        raise DimensionError(f"operation requires 4x4 matrices, got matrix shape {rho.shape[-2:]}")
     return rho
 
 
@@ -160,12 +164,6 @@ def _concurrence_pair(ev: np.ndarray, lam: np.ndarray) -> tuple:
 
 
 @_per_state
-def concurrences(rhos):
-    """(:func:`concurrence_wootters`, :func:`concurrence_variant`) from one Gram solve."""
-    return _concurrence_pair(*_gram(_flip_factor(rhos)))
-
-
-@_per_state
 def d_measure(rhos):
     """Covariance-invariant analogue of the purity: f/8 - 1/2.
 
@@ -199,27 +197,25 @@ def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
 def octahedron_check(d, tol: float = DEFAULT_TOL) -> OctahedronResult:
     """Separability of the standard-form state: |d1| + |d2| + |d3| <= 1.
 
-    The triple must lie inside the state tetrahedron.  The l1 value
-    coincides with the Ky Fan norm of diag(d), which the implementation
-    cross-checks.  One triple gives a bool and a float, triples ``(B, 3)``
-    give ``(B,)`` arrays.
+    The triple must lie inside the state tetrahedron, which is checked on
+    the triple itself: no state is built.  The l1 value coincides with the
+    Ky Fan norm of diag(d), which the implementation cross-checks.  One triple gives a
+    bool and a float, triples ``(B, 3)`` give ``(B,)`` arrays.
     """
     _require_tolerance(tol)
-    d = np.asarray(d, dtype=float)
-    triples = d[None] if d.ndim == 1 else d
-    standard_form_state(triples)  # validates the shape and tetrahedron membership
+    triples = _tetrahedron_triples(d)
     l1 = np.abs(triples).sum(-1)
     diag = np.zeros(triples.shape + (3,))
     diag[:, [0, 1, 2], [0, 1, 2]] = triples
     gap = np.abs(l1 - kyfan_norm(diag))
-    bad = np.flatnonzero(~(gap < 1e-12))
+    bad = np.flatnonzero(~(gap < CROSS_CHECK_TOL))
     if bad.size:
         i = bad[0]
         raise CrossCheckError(
             f"l1 norm {l1[i]!r} of d={tuple(triples[i].tolist())} differs from the "
             f"Ky Fan norm of diag(d) by {gap[i]!r}"
         )
-    if d.ndim == 1:
+    if np.ndim(d) == 1:
         return OctahedronResult(separable=bool(l1[0] <= 1.0 + tol), l1=float(l1[0]))
     return OctahedronResult(separable=l1 <= 1.0 + tol, l1=l1)
 
@@ -241,15 +237,14 @@ def werner_ltilde_signature(x: float) -> LtildeSignature:
     l_mixed, _ = split_sym_antisym(tensor_coefficients(maximally_mixed(4), rep, order=2))
     ltilde = -x * l_bell + (1.0 - x) * l_mixed
     w = hermitian_eigenvalues(ltilde)
-    boundary = 1e-12
-    if w[0] > boundary:
+    if w[0] > LTILDE_BOUNDARY_TOL:
         cls = "positive definite"
-    elif w[0] >= -boundary:
+    elif w[0] >= -LTILDE_BOUNDARY_TOL:
         cls = "positive semidefinite"
     else:
         cls = "indefinite"
     return LtildeSignature(
-        eigenvalues=w, positive_definite=bool(w[0] > boundary), classification=cls
+        eigenvalues=w, positive_definite=bool(w[0] > LTILDE_BOUNDARY_TOL), classification=cls
     )
 
 
@@ -260,8 +255,9 @@ def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray) -> tuple:
     Its stack holds three 4x4 matrices per state, each scaled and checked as in
     its own solve: the Gram of C (3x3, padded with a zero row and column, with
     size 3, carrying C; :func:`kyfan_norm`), tau^H tau carrying tau
-    (:func:`concurrences`) and the partial transpose with a zero carry
-    (:func:`ppt_check`).  Each value equals that function's bit for bit.
+    (:func:`concurrence_wootters`, :func:`concurrence_variant`) and the partial
+    transpose with a zero carry (:func:`ppt_check`).  Each value equals that
+    function's bit for bit.
     """
     c, e_c = _gram_factor(fano_c)
     tau, e_tau = _gram_factor(_flip_factor(rhos))

@@ -25,14 +25,14 @@ PIVOT_TOL = 1e-14
 MAX_SWEEPS = 100
 
 
-def _check_hermitian(matrix: np.ndarray, tol: float = SOLVER_HERMITICITY_TOL) -> np.ndarray:
+def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise SymmetryError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteError("matrix has NaN or infinite entries")
     dev = float(np.abs(a - np.swapaxes(a, -1, -2).conj()).max()) if a.size else 0.0
-    if dev > tol:
+    if dev > SOLVER_HERMITICITY_TOL:
         raise SymmetryError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return a
 
@@ -52,29 +52,25 @@ def _round_robin(m: int, rows: int) -> tuple:
     The working matrix is kept permuted so that each round rotates the
     position pairs (j, j + m/2).  Returns the position of each original
     index in the first round's layout, the index pair that permutes a
-    ``(rows, m)`` working array into that layout and, per round, the
-    index pair that moves it to the next round's layout.  Rows past m
-    (carried rows) keep their order.  The last step returns to the
-    first layout, so every sweep starts and ends there.  Each sweep
-    rotates every index pair exactly once (circle method; Brent & Luk,
-    SIAM J. Sci. Stat. Comput. 6, 69 (1985)).
+    ``(rows, m)`` working array into that layout, and the index pair that
+    moves any round's layout to the next round's.  Rows past m (carried
+    rows) keep their order.  Every round turns the ring by the same step,
+    so a sweep of m - 1 rounds rotates every index pair exactly once and
+    ends on the first layout (circle method; Brent & Luk, SIAM J. Sci.
+    Stat. Comput. 6, 69 (1985)).
     """
     tail = np.arange(m, rows)
 
     def index(perm):
         return np.concatenate([perm, tail])[:, None], perm
 
-    if m < 2:
-        return np.arange(m), index(np.arange(m)), ()
-    layouts = []
-    for r in range(m - 1):
+    def layout(r):
         ring = [0] + [1 + (j + r) % (m - 1) for j in range(m - 1)]
-        layouts.append(np.array(ring[: m // 2] + ring[: m // 2 - 1 : -1]))
-    steps = tuple(
-        index(np.argsort(layout)[layouts[(r + 1) % (m - 1)]])
-        for r, layout in enumerate(layouts)
-    )
-    return np.argsort(layouts[0]), index(layouts[0]), steps
+        return np.array(ring[: m // 2] + ring[: m // 2 - 1 : -1], dtype=int)
+
+    first = layout(0)
+    position = np.argsort(first)
+    return position, index(first), index(position[layout(1)])
 
 
 def _rotate_pairs(work: np.ndarray, skip: np.ndarray) -> None:
@@ -153,7 +149,7 @@ def _jacobi(a: np.ndarray, carry=None, size=None):
     # Odd sizes get a zero padding index; its rotations are all identities.
     m = n + n % 2
     k = 0 if carry is None else carry.shape[-2]
-    position, start, steps = _round_robin(m, m + k)
+    position, start, (row_index, col_index) = _round_robin(m, m + k)
     work = np.zeros((count, m + k, m), dtype=complex)
     work[:, :n, :n] = a
     if k:
@@ -174,7 +170,7 @@ def _jacobi(a: np.ndarray, carry=None, size=None):
             break
         if sweep == MAX_SWEEPS:
             raise ConvergenceError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
-        for row_index, col_index in steps:
+        for _ in range(m - 1):
             _rotate_pairs(work, skip[:, None])
             work = work[:, row_index, col_index]
     # Back to the original index order with the padding dropped; a stable

@@ -275,8 +275,13 @@ def schmidt_mix(x, alpha0):
     stack ``(B, 4, 4)``, one matrix per entry of ``x`` and ``alpha0``
     broadcast together.
     """
-    one = np.ndim(x) == 0 and np.ndim(alpha0) == 0
-    x, alpha0 = np.broadcast_arrays(_unit_interval(x, "mixing parameter"), alpha0)
+    x = np.asarray(x, dtype=float)
+    try:
+        x, alpha0 = np.broadcast_arrays(x, alpha0)
+    except ValueError as exc:
+        raise ShapeError(f"x and alpha0 do not broadcast: {exc}") from None
+    one = x.ndim == 0
+    x, alpha0 = _unit_interval(x, "mixing parameter"), alpha0.reshape(-1)
     # cos and sin of an infinite angle warn before validation would reject the NaN.
     if not np.isfinite(alpha0).all():
         raise NonFiniteError("Schmidt angle has NaN or infinite entries")
@@ -304,16 +309,12 @@ def standard_form_eigenvalues(d) -> np.ndarray:
     )
 
 
-def standard_form_state(d):
-    """(1/4)(1 x 1 + sum_j d_j sigma_j x sigma_j) for d inside the state tetrahedron.
-
-    One triple gives a :class:`DensityOperator`; triples ``(B, 3)`` give
-    the validated stack ``(B, 4, 4)``.
-    """
+def _tetrahedron_triples(d) -> np.ndarray:
+    """One triple or triples ``(B, 3)`` as float triples ``(B, 3)``, checked to lie
+    inside the state tetrahedron, where the standard-form spectrum is nonnegative."""
     d = np.asarray(d, dtype=float)
     if d.ndim not in (1, 2) or d.shape[-1] != 3:
         raise ShapeError(f"expected a triple (d1, d2, d3) or triples (B, 3), got shape {d.shape}")
-    one = d.ndim == 1
     d = d.reshape(-1, 3)
     # NaN compares False against the tolerance below, so it must be caught first.
     if not np.isfinite(d).all():
@@ -330,12 +331,22 @@ def standard_form_state(d):
             f"(eigenvalue {low[i]:.6g})",
             min_eigenvalue=float(low[i]),
         )
+    return d
+
+
+def standard_form_state(d):
+    """(1/4)(1 x 1 + sum_j d_j sigma_j x sigma_j) for d inside the state tetrahedron.
+
+    One triple gives a :class:`DensityOperator`; triples ``(B, 3)`` give
+    the validated stack ``(B, 4, 4)``.
+    """
+    triples = _tetrahedron_triples(d)
     sigma = basis_matrices(2)
     m = np.eye(4, dtype=complex)
     for j in range(3):
-        m = m + d[:, j, None, None] * np.kron(sigma[j + 1], sigma[j + 1])
+        m = m + triples[:, j, None, None] * np.kron(sigma[j + 1], sigma[j + 1])
     m = m / 4.0
-    return DensityOperator(m[0]) if one else validate_densities(m)
+    return DensityOperator(m[0]) if np.ndim(d) == 1 else validate_densities(m)
 
 
 def convex_combine(terms) -> DensityOperator:
@@ -346,7 +357,7 @@ def convex_combine(terms) -> DensityOperator:
     weights = np.array([float(w) for w, _ in terms])
     if np.any(weights < 0.0):
         raise NormalizationError(f"weights must be nonnegative, got {weights.tolist()}")
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if abs(weights.sum() - 1.0) > TRACE_TOL:
         raise NormalizationError(f"weights sum to {weights.sum():.15g}, expected 1")
     mats = [as_matrix(s) for _, s in terms]
     dim = mats[0].shape[0]

@@ -104,9 +104,11 @@ def _coefficient_stack(rhos: np.ndarray, rep: Representation, order: int) -> np.
 def _stack_of(state, rep: Representation) -> np.ndarray:
     """``state``'s matrix as a stack ``(B, d, d)``, checked against ``rep``."""
     rho = as_matrix(state)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != rep.ops.shape[1:]:
+    if rho.ndim not in (2, 3):
+        raise ShapeError(f"expected a matrix or a stack of matrices, got shape {rho.shape}")
+    if rho.shape[-2:] != rep.ops.shape[1:]:
         raise ShapeError(
-            f"state dimension {rho.shape[-1]} does not match representation "
+            f"state matrix shape {rho.shape[-2:]} does not match representation "
             f"dimension {rep.ops.shape[1]}"
         )
     return rho[None] if rho.ndim == 2 else rho
@@ -223,11 +225,6 @@ def split_sym_antisym(t: TensorCoefficients) -> tuple[np.ndarray, np.ndarray]:
     l_sym = (v.real + np.swapaxes(v.real, -1, -2)) / 2.0
     omega = (v.imag - np.swapaxes(v.imag, -1, -2)) / 2.0
     return l_sym, omega
-
-
-def covariance_coefficients(state) -> TensorCoefficients:
-    """Second moments minus products of first moments, K_jk = <R_j R_k> - <R_j><R_k>."""
-    return moments(state).covariance()
 
 
 def inner_product(t: TensorCoefficients):

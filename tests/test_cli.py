@@ -472,7 +472,8 @@ def _reference_report(state, tol):
     """The report built element by element with ``float``, as ``_json``'s input must read."""
     from entmoment.entanglement import (
         classify,
-        concurrences,
+        concurrence_variant,
+        concurrence_wootters,
         d_from_covariance_invariant,
         tr_rho_rhotilde,
     )
@@ -496,7 +497,8 @@ def _reference_report(state, tol):
     if n == 2:
         report["tr_rho_rhotilde"] = tr_rho_rhotilde(state)
         report["d_measure"] = d_from_covariance_invariant(report["f2_covariance"])
-        report["concurrence_wootters"], report["concurrence_variant"] = concurrences(state)
+        report["concurrence_wootters"] = concurrence_wootters(state)
+        report["concurrence_variant"] = concurrence_variant(state)
     report["bloch_a"] = [float(v) for v in fano.nvec]
     report["bloch_b"] = [float(v) for v in fano.mvec]
     report["correlation"] = [[float(v) for v in row] for row in fano.C]

@@ -1,5 +1,7 @@
 """Concurrences, separability criteria, and the verdict cascade."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,6 @@ from entmoment.entanglement import (
     classify,
     concurrence_variant,
     concurrence_wootters,
-    concurrences,
     d_measure,
     kyfan_norm,
     octahedron_check,
@@ -199,10 +200,10 @@ def test_variant_bell_is_one():
 
 
 def test_concurrence_dimension_guard():
-    with pytest.raises(DimensionError):
-        concurrence_wootters(maximally_mixed(9))
-    with pytest.raises(DimensionError):
-        concurrence_variant(maximally_mixed(9))
+    # One matrix goes through as a stack of one; the message names the matrix's shape.
+    for quantity in (concurrence_wootters, concurrence_variant, tr_rho_rhotilde, d_measure):
+        with pytest.raises(DimensionError, match=r"got matrix shape \(9, 9\)$"):
+            quantity(np.eye(9) / 9)
 
 
 def test_ppt_check_of_a_stack_equals_per_matrix_checks():
@@ -236,7 +237,6 @@ def test_quantities_of_one_matrix_are_floats():
     for state in (rho, rho.matrix):
         for quantity in quantities:
             assert isinstance(quantity(state), float)
-        assert all(isinstance(v, float) for v in entanglement.concurrences(state))
     # A stack has one leading axis: anything else is rejected, not broadcast.
     for quantity in quantities[:5]:
         with pytest.raises(ShapeError):
@@ -261,14 +261,11 @@ def test_shared_sqrt_concurrences_match_public_functions():
     states += [schmidt_mix(x, a) for x in (0.1, 0.5, 0.9) for a in (0.2, np.pi / 4, 1.3)]
     rng = np.random.default_rng(48)
     states += [random_density(4, rank=r, rng=rng) for r in (1, 2, 3, 4) for _ in range(5)]
-    for rho in states:
-        pair = entanglement.concurrences(rho)
-        assert pair == (concurrence_wootters(rho), concurrence_variant(rho))
+    # A stack shares one pivoted Cholesky factor per state and one Gram solve; each
+    # value equals the single-state call bit for bit.
     stack = np.stack([rho.matrix for rho in states])
-    wootters, variant = entanglement.concurrences(stack)
-    assert np.array_equal(wootters, concurrence_wootters(stack))
-    assert np.array_equal(variant, concurrence_variant(stack))
-    assert np.array_equal(variant, [concurrence_variant(rho) for rho in states])
+    for quantity in (concurrence_wootters, concurrence_variant):
+        assert np.array_equal(quantity(stack), [quantity(rho) for rho in states])
 
 
 def test_concurrences_make_one_gram_solve(monkeypatch):
@@ -283,7 +280,7 @@ def test_concurrences_make_one_gram_solve(monkeypatch):
 
     monkeypatch.setattr(linalg, "_jacobi", counting)
     for state in (werner(0.6).matrix, np.stack([werner(0.6).matrix, bell_state().matrix])):
-        for quantity in (entanglement.concurrences, concurrence_wootters, concurrence_variant):
+        for quantity in (concurrence_wootters, concurrence_variant):
             calls.clear()
             quantity(state)
             assert len(calls) == 1
@@ -322,10 +319,8 @@ def _rank_deficient_states():
 def test_rank_deficient_and_tied_pivot_states_match_lapack(rho):
     # |00><00| and the Bell state leave an exactly vanishing Schur complement;
     # the Bell state and werner(1/3) have tied largest diagonal entries.
-    wootters, variant = entanglement.concurrences(rho)
-    assert wootters == pytest.approx(_wootters_reference(rho), abs=1e-13)
-    assert variant == pytest.approx(_variant_reference(rho), abs=1e-13)
-    assert (wootters, variant) == (concurrence_wootters(rho), concurrence_variant(rho))
+    assert concurrence_wootters(rho) == pytest.approx(_wootters_reference(rho), abs=1e-13)
+    assert concurrence_variant(rho) == pytest.approx(_variant_reference(rho), abs=1e-13)
 
 
 @pytest.mark.parametrize("a", [1e-5, 1e-4, 1e-3])
@@ -454,8 +449,19 @@ def test_octahedron_cases():
     with pytest.raises(PositivityError, match=r"d=\(1.0, 1.0, 1.0\)"):
         octahedron_check(np.vstack([d[:3], [1.0, 1.0, 1.0]]))
     for bad in ([0.1, 0.2], np.zeros((2, 2)), np.zeros((1, 2, 3))):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {np.shape(bad)}")):
             octahedron_check(bad)
+
+
+def test_octahedron_check_builds_no_states(monkeypatch):
+    # The triples are checked against the tetrahedron; no 4x4 matrix is built or validated.
+    def refuse(*args):
+        raise AssertionError("octahedron_check built a state")
+
+    monkeypatch.setattr("entmoment.states.validate_densities", refuse)
+    monkeypatch.setattr("entmoment.states.DensityOperator", refuse)
+    assert octahedron_check((0.1, -0.2, 0.3)) == (True, pytest.approx(0.6))
+    assert octahedron_check(np.array([[1.0, -1.0, 1.0]])).l1.tolist() == [3.0]
 
 
 def test_octahedron_cross_check_raises(monkeypatch):
@@ -653,7 +659,7 @@ def test_skip_band_block_depends_on_the_kernel_size():
 def test_fused_two_qubit_solves_equal_public_functions():
     # One kernel call gives the Ky Fan norm, both concurrences and the partial
     # transpose of each state; each equals its public function bit for bit, and the
-    # cascade's verdicts and concurrences equal classify and concurrences.
+    # cascade's verdicts and concurrences equal classify and the two concurrences.
     rng = np.random.default_rng(67)
     states = [
         werner(x).matrix for x in (0.0, 0.2, 1 / 3, 0.5, 1.0)
@@ -676,9 +682,8 @@ def test_fused_two_qubit_solves_equal_public_functions():
     seen = set()
     for i, rho in enumerate(states):
         assert _bits(kyfan[i]) == _bits(kyfan_norm(fano_c[i]))
-        pair = concurrences(rho)
+        pair = [concurrence_wootters(rho), concurrence_variant(rho)]
         assert _bits([wootters[i], variant[i]]) == _bits(pair)
-        assert _bits(pair) == _bits([concurrence_wootters(rho), concurrence_variant(rho)])
         assert _bits(pt_low[i]) == _bits(ppt_check(rho).min_eigenvalue)
         verdict = classify(rho)
         seen.add(entanglement._DECIDERS[code[i]])

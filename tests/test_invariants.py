@@ -18,7 +18,6 @@ from entmoment.entanglement import (
     classify,
     concurrence_variant,
     concurrence_wootters,
-    concurrences,
     d_measure,
     tr_rho_rhotilde,
 )
@@ -56,7 +55,8 @@ def test_quantities_are_local_unitary_invariant(state_seed):
     rho = _random_state(rng)
     u = np.kron(random_unitary(2, rng=rng), random_unitary(2, rng=rng))
     pair = np.stack([rho, _hermitian(u @ rho @ u.conj().T)])
-    for values in (*concurrences(pair), tr_rho_rhotilde(pair), d_measure(pair), purity(pair)):
+    quantities = (concurrence_wootters, concurrence_variant, tr_rho_rhotilde, d_measure, purity)
+    for values in (quantity(pair) for quantity in quantities):
         assert abs(values[0] - values[1]) < 1e-12
 
 

@@ -144,6 +144,22 @@ def test_oversized_rejected():
         hermitian_eigensystem(np.eye(65, dtype=complex))
 
 
+@pytest.mark.parametrize("m", range(2, 65, 2))
+def test_round_robin_sweep_rotates_each_pair_once(m):
+    # The kernel applies the one cached step m - 1 times per sweep: that must pair
+    # every two indices exactly once and end on the first layout.
+    position, (rows, first), (step_rows, step) = linalg._round_robin(m, m + 3)
+    assert np.array_equal(first[position], np.arange(m))
+    assert np.array_equal(rows[:, 0], np.concatenate([first, np.arange(m, m + 3)]))
+    assert np.array_equal(step_rows[m:, 0], np.arange(m, m + 3))
+    layout, seen = first, set()
+    for _ in range(m - 1):
+        seen.update(frozenset(pair) for pair in zip(layout[: m // 2], layout[m // 2 :]))
+        layout = layout[step]
+    assert len(seen) == m * (m - 1) // 2
+    assert np.array_equal(layout, first)
+
+
 def test_sweep_budget_enforced(monkeypatch):
     rng = np.random.default_rng(6)
     m = random_hermitian(8, rng)

@@ -427,6 +427,9 @@ def test_stack_builders_and_validation():
             assert np.array_equal(one.matrix, stack[k])
     assert werner(np.array([0.5])).shape == (1, 4, 4)
     assert schmidt_mix(0.5, [0.1, 0.2]).shape == (2, 4, 4)
+    assert np.array_equal(schmidt_mix(0.5, np.zeros((2, 2))), schmidt_mix(np.full(4, 0.5), 0.0))
+    with pytest.raises(ShapeError, match="do not broadcast"):
+        schmidt_mix([0.1, 0.2], [0.1, 0.2, 0.3])
     assert standard_form_state(d[:1]).shape == (1, 4, 4)
     for bad in (np.zeros(4), np.zeros((2, 2, 3)), 0.5):
         with pytest.raises(ShapeError):

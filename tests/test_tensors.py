@@ -20,7 +20,6 @@ from entmoment.states import (
     werner,
 )
 from entmoment.tensors import (
-    covariance_coefficients,
     defining_representation,
     fano_decompose,
     inner_product,
@@ -161,8 +160,11 @@ def test_order_bounds():
 
 def test_dimension_mismatch():
     rep = product_representation(3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"\(4, 4\) does not match representation dimension 9"):
         tensor_coefficients(maximally_mixed(4), rep, order=2)
+    # A stack with two leading axes is not a dimension mismatch.
+    with pytest.raises(ShapeError, match=r"stack of matrices, got shape \(2, 2, 4, 4\)"):
+        tensor_coefficients(np.zeros((2, 2, 4, 4)), product_representation(2))
 
 
 @pytest.mark.parametrize("kind", ["product", "defining"])
@@ -200,12 +202,12 @@ def test_covariance_equals_linear_on_maximally_mixed():
     rep = product_representation(2)
     rho = maximally_mixed(4)
     t = tensor_coefficients(rho, rep, order=2)
-    k = covariance_coefficients(rho)
+    k = moments(rho).covariance()
     assert np.allclose(k.values, t.values, atol=1e-15)
 
 
 def test_covariance_bell_cross_block():
-    k = covariance_coefficients(bell_state())
+    k = moments(bell_state()).covariance()
     cross = k.values[:3, 3:].real
     assert np.allclose(cross, np.diag([1.0, -1.0, 1.0]), atol=1e-13)
 
@@ -213,7 +215,7 @@ def test_covariance_bell_cross_block():
 def test_covariance_pure_product_norm():
     p00 = np.zeros((4, 4), dtype=complex)
     p00[0, 0] = 1.0
-    k = covariance_coefficients(DensityOperator(p00))
+    k = moments(DensityOperator(p00)).covariance()
     assert inner_product(k) == pytest.approx(8.0, abs=1e-12)
 
 
@@ -223,7 +225,7 @@ def test_covariance_antisymmetric_part_unchanged():
     for _ in range(10):
         rho = random_density(4, rng=rng)
         _, omega_linear = split_sym_antisym(tensor_coefficients(rho, rep, order=2))
-        k = covariance_coefficients(rho)
+        k = moments(rho).covariance()
         omega_cov = (k.values.imag - k.values.imag.T) / 2
         assert np.allclose(omega_cov, omega_linear, atol=1e-13)
 
