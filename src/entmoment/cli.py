@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -210,6 +211,7 @@ def _check_local_dimension(n: int) -> None:
 _ENCODER = json.JSONEncoder(allow_nan=False)
 
 
+@functools.lru_cache(maxsize=None)
 def _array_template(shape: tuple, pad: str) -> str:
     """A ``%s`` template laid out like ``json.dumps(a.tolist(), indent=2)`` at ``pad``."""
     if not shape:
@@ -221,28 +223,57 @@ def _array_template(shape: tuple, pad: str) -> str:
     return "[" + inner + ("," + inner).join([item] * shape[0]) + pad + "]"
 
 
-def _json(obj, pad: str = "\n") -> str:
+def _float_arrays(obj):
+    """Every float array in ``obj``, flattened, in the order :func:`_json` writes them."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            yield obj.ravel()
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _float_arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _float_arrays(value)
+
+
+def _float_texts(obj):
+    """The ``repr`` of every value of ``obj``'s float arrays, in order, as an iterator.
+
+    Each distinct bit pattern (0.0 and -0.0 differ) over all the arrays is
+    formatted once: moment matrices repeat most of their values.
+    """
+    arrays = list(_float_arrays(obj))
+    values = np.concatenate(arrays).astype(float) if arrays else np.empty(0)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    return iter(texts[inverse].tolist())
+
+
+def _json(obj, pad: str = "\n", texts=None) -> str:
     """``json.dumps(obj, indent=2, allow_nan=False)``, with float arrays as nested lists.
 
     ``pad`` is the newline and indent of the line that ``obj`` starts on.
     An array is written in one step: its values fill a ``%s`` template of
-    its shape, and the ``str`` of a Python float is its ``repr``, which is
-    what ``json`` writes.  Dicts (with string keys) and lists recurse; a
-    finite float is its ``repr``, and every other value goes to json's C
-    encoder.
+    its shape with their ``repr``, which is what ``json`` writes for a
+    finite float; ``texts`` (:func:`_float_texts` of the whole document)
+    holds them.  Dicts (with string keys) and lists recurse; a finite float
+    is its ``repr``, and every other value goes to json's C encoder.
     """
+    texts = _float_texts(obj) if texts is None else texts
     inner = pad + "  "
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind != "f":
             raise TypeError(f"only float arrays are written, got dtype {obj.dtype}")
         if not np.isfinite(obj).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        return _array_template(obj.shape, pad) % tuple(obj.ravel().tolist())
+        return _array_template(obj.shape, pad) % tuple(islice(texts, obj.size))
     if isinstance(obj, dict):
-        items = [f"{_ENCODER.encode(key)}: {_json(value, inner)}" for key, value in obj.items()]
+        items = [
+            f"{_ENCODER.encode(key)}: {_json(value, inner, texts)}" for key, value in obj.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple)):
-        items = [_json(value, inner) for value in obj]
+        items = [_json(value, inner, texts) for value in obj]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if isinstance(obj, float) and math.isfinite(obj):
         return float.__repr__(obj)  # what json writes for a finite float

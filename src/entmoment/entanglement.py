@@ -282,8 +282,10 @@ def _cascade(rhos: np.ndarray, tol: float, mom=None) -> tuple[np.ndarray, dict, 
     stack; a state is decided by the first mask that holds for it (de
     Vicente, QIC 7, 624 (2007)):
 
-    - necessary: ||C||_KF <= n(n-1)/2 for the raw-trace correlation block
-      C, which is (4/n^2) times the Fano C; a violation is Entangled;
+    - necessary: ||C||_KF <= 2(n-1)/n for the raw-trace correlation block
+      C, which is (4/n^2) times the Fano C, whose bound is n(n-1)/2; a
+      violation is Entangled.  The isotropic state is flagged exactly for
+      p > 1/(n+1), where it is entangled;
     - sufficient: sqrt(2(n-1)/n)(|n|+|m|) + (2(n-1)/n)||C||_KF <= 1 in the
       expansion-convention Fano coefficients; a pass is Separable;
     - Omega: (2(n-1)/n)||C||_KF <= 1 for the raw block, applicable when
@@ -305,7 +307,7 @@ def _cascade(rhos: np.ndarray, tol: float, mom=None) -> tuple[np.ndarray, dict, 
     else:
         fano_kyfan, concurrence = kyfan_norm(f.C), None
     raw_kyfan = (4.0 / (n * n)) * fano_kyfan
-    bound = n * (n - 1) / 2.0
+    # 2(n-1)/n: the necessary bound on the raw block and the sufficient criteria's factor.
     quad = 2.0 * (n - 1) / n
     # sqrt(v . v) is bitwise the 1-D np.linalg.norm(v); a norm over axis -1 is not.
     norm_a = np.sqrt(np.vecdot(f.nvec, f.nvec))
@@ -315,7 +317,7 @@ def _cascade(rhos: np.ndarray, tol: float, mom=None) -> tuple[np.ndarray, dict, 
     # argmax picks each state's first criterion that holds; the last row, always
     # true, gives code 3 where none does.
     holds = np.stack([
-        ~(raw_kyfan <= bound + tol),
+        ~(raw_kyfan <= quad + tol),
         value <= 1.0 + tol,
         (omega_max < tol) & (quad * raw_kyfan <= 1.0 + tol),
         np.ones(count, dtype=bool),
@@ -328,7 +330,7 @@ def _cascade(rhos: np.ndarray, tol: float, mom=None) -> tuple[np.ndarray, dict, 
         pt_min[todo] = pt_low[todo]
     witnesses = {
         "c_kyfan": raw_kyfan,
-        "necessary_bound": np.full(count, bound),
+        "necessary_bound": np.full(count, quad),
         "sufficient_value": value,
         "bloch_norm_a": norm_a,
         "bloch_norm_b": norm_b,

@@ -25,8 +25,14 @@ PIVOT_TOL = 1e-14
 MAX_SWEEPS = 100
 
 
+def _real_or_complex(matrix) -> np.ndarray:
+    """``matrix`` as a float64 array, or complex128 when its entries are complex."""
+    a = np.asarray(matrix)
+    return a.astype(complex if a.dtype.kind in "cO" else float, copy=False)
+
+
 def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
-    a = np.asarray(matrix, dtype=complex)
+    a = _real_or_complex(matrix)
     if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise SymmetryError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -73,56 +79,131 @@ def _round_robin(m: int, rows: int) -> tuple:
     return position, index(first), index(position[layout(1)])
 
 
-def _rotate_pairs(work: np.ndarray, skip: np.ndarray) -> None:
-    """Apply one round of m/2 disjoint Jacobi rotations in place.
+def _round_views(work: np.ndarray) -> tuple:
+    """Views of a working array ``(rows, m, B)`` that a round reads and writes.
 
-    ``work`` is ``(B, rows, m)``: A in the first m rows and the carried
-    rows X below it.  Pair j is (p, q) = (j, j + m/2).  With J the direct
-    sum of the 2x2 rotations this is ``A <- J^H A J`` and ``X <- X J``;
-    the rotated (p, q) entries are then set to zero and the rotated
-    diagonal entries to their closed forms.  A pair whose
-    ``|a_pq|`` is below ``skip`` gets an exact identity rotation.
+    The flat array ``(rows * m, B)``, the diagonal, the real part of its p and q
+    halves, the (p, q) and (q, p) entries of every pair, the column halves
+    ``(rows, 2, m/2, B)`` and their p and q columns, and the row halves of A
+    ``(2, m/2, m, B)`` and their p and q rows.  copy=False (numpy >= 2.1)
+    raises rather than let a round's writes land in a copy.
     """
-    count, rows, m = work.shape
+    rows, m, count = work.shape
     k = m // 2
-    # Strided views of the (p, p), (q, q), (p, q) and (q, p) entries of every pair;
-    # copy=False (numpy >= 2.1) raises rather than let the writes below land in a copy.
-    flat = work.reshape(count, rows * m, copy=False)
-    pp, qq = flat[:, : k * (m + 1) : m + 1], flat[:, k * (m + 1) : m * m : m + 1]
-    pq, qp = flat[:, k : k * (m + 2) : m + 1], flat[:, k * m : k * (2 * m + 1) : m + 1]
-    app, aqq = pp.real, qq.real
-    mag = np.abs(pq)
-    # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
-    keep = (mag < skip).astype(float)
-    # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.  A
-    # skipped pair divides by |a_pq| + 1 (never by 0) and its t is zeroed: c = 1, s = 0.
-    safe = mag + keep
-    tau = (aqq - app) / (safe + safe)
-    t = np.copysign((1.0 - keep) / (np.abs(tau) + np.hypot(1.0, tau)), tau)
-    c = 1.0 / np.hypot(1.0, t)
-    s = (t * c / safe) * pq
-    shift = t * mag
-    new_pp, new_qq = app - shift, aqq + shift
-    c, sbar = c.astype(complex), s.conj()
-    # Columns of A and of the carried rows: A <- A J, X <- X J.  Every product
-    # reads the old x and y before either is overwritten.
-    cc, sc, sbc = c[:, None, :], s[:, None, :], sbar[:, None, :]
-    x, y = work[..., :k], work[..., k:]
-    xs = x * sc
-    np.subtract(x * cc, y * sbc, out=x)
-    np.add(xs, y * cc, out=y)
-    # Rows of A: A <- J^H A.
-    cr, sr, sbr = c[:, :, None], s[:, :, None], sbar[:, :, None]
-    x, y = work[:, :k], work[:, k:m]
-    xs = sbr * x
-    np.subtract(cr * x, sr * y, out=x)
-    np.add(xs, cr * y, out=y)
-    pp[...] = new_pp
-    qq[...] = new_qq
-    # keep as complex: the same multiplication as the implicit cast, without its cost.
-    keep = keep.astype(complex)
-    pq *= keep
-    qp *= keep
+    flat = work.reshape(rows * m, count, copy=False)
+    diag = flat[: m * m : m + 1]
+    cols = work.reshape(rows, 2, k, count, copy=False)
+    halves = work[:m].reshape(2, k, m, count, copy=False)
+    return (
+        flat,
+        diag,
+        diag.real[:k],
+        diag.real[k:],
+        flat[k : k * (m + 2) : m + 1],
+        flat[k * m : k * (2 * m + 1) : m + 1],
+        cols,
+        cols[:, 0],
+        cols[:, 1],
+        halves,
+        halves[0],
+        halves[1],
+    )
+
+
+def _rotation_rounds(work: np.ndarray, skip: np.ndarray, step: np.ndarray):
+    """``run(rounds)``: apply that many round-robin rounds to ``work``; returns the result.
+
+    ``work`` is ``(rows, m, B)``, the stack axis last so that every ufunc loops
+    over the whole stack: A in the first m rows and the carried rows X below
+    it.  A round rotates every pair j, (p, q) = (j, j + m/2): with J the direct
+    sum of the m/2 2x2 rotations it applies ``A <- J^H A J`` and ``X <- X J``,
+    then sets the rotated (p, q) entries to zero and the rotated diagonal
+    entries to their closed forms.  A pair whose ``|a_pq|`` is below ``skip``
+    (one per matrix) gets an exact identity rotation.  ``step`` (flat row
+    indices) then moves the array into the next round's layout, in a second
+    buffer.  Views of both buffers and every temporary are made once, here.
+
+    Real ``work`` is rotated in real arithmetic.  Complex input with zero
+    imaginary parts gets the same eigenvalues and carried magnitudes bit for
+    bit: each real part is the same product or sum up to the sign of a zero,
+    and the diagonal (so every tau and copysign) is set from closed forms.
+    """
+    rows, m, count = work.shape
+    k = m // 2
+    real = not np.iscomplexobj(work)
+    buffers = [_round_views(work), _round_views(np.empty_like(work))]
+    mag, keep, safe, tau, t, c, tmp, shift = np.empty((8, k, count))
+    new_diag = np.empty((m, count))
+    new_p, new_q = new_diag[:k], new_diag[k:]
+    # s, and on complex work its conjugate: the columns take (s, conj s), the rows
+    # (conj s, s).  Complex work multiplies by complex copies of c and keep, the
+    # same products as numpy's implicit cast, without its cost.
+    coef = np.empty((1 if real else 2, k, count), dtype=work.dtype)
+    s, sbar = coef[0], coef[-1]
+    cz, keepz = (c, keep) if real else np.empty((2, k, count), dtype=complex)
+    row_c, row_s = cz[:, None], coef[::-1, :, None]
+    col_p, col_q = np.empty((2, rows, 2, k, count), dtype=work.dtype)
+    row_p, row_q = np.empty((2, 2, k, m, count), dtype=work.dtype)
+    (col_p0, col_p1), (col_q0, col_q1) = col_p.swapaxes(0, 1), col_q.swapaxes(0, 1)
+    (row_p0, row_p1), (row_q0, row_q1) = row_p, row_q
+
+    def rotate(views):
+        _, diag, app, aqq, pq, qp, cols, x_col, y_col, halves, x_row, y_row = views
+        np.abs(pq, out=mag)
+        # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
+        np.less(mag, skip, out=keep)
+        # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.  A
+        # skipped pair divides by |a_pq| + 1 (never by 0) and its t is zeroed: c = 1, s = 0.
+        np.add(mag, keep, out=safe)
+        np.subtract(aqq, app, out=tau)
+        np.add(safe, safe, out=tmp)
+        np.divide(tau, tmp, out=tau)
+        np.hypot(1.0, tau, out=tmp)
+        np.abs(tau, out=t)
+        np.add(t, tmp, out=t)
+        np.subtract(1.0, keep, out=tmp)
+        np.divide(tmp, t, out=t)
+        np.copysign(t, tau, out=t)
+        np.hypot(1.0, t, out=c)
+        np.divide(1.0, c, out=c)
+        np.multiply(t, c, out=tmp)
+        np.divide(tmp, safe, out=tmp)
+        np.multiply(tmp, pq, out=s)
+        np.multiply(t, mag, out=shift)
+        np.subtract(app, shift, out=new_p)
+        np.add(aqq, shift, out=new_q)
+        if not real:
+            np.copyto(cz, c)
+            np.copyto(keepz, keep)
+            np.conjugate(s, out=sbar)
+        # Columns of A and of the carried rows: A <- A J, X <- X J, from products of
+        # the old x and y.
+        np.multiply(cols, cz, out=col_p)
+        np.multiply(cols, coef, out=col_q)
+        np.subtract(col_p0, col_q1, out=x_col)
+        np.add(col_q0, col_p1, out=y_col)
+        # Rows of A: A <- J^H A.
+        np.multiply(row_c, halves, out=row_p)
+        np.multiply(row_s, halves, out=row_q)
+        np.subtract(row_p0, row_q1, out=x_row)
+        np.add(row_q0, row_p1, out=y_row)
+        np.copyto(diag, new_diag)
+        np.multiply(pq, keepz, out=pq)
+        np.multiply(qp, keepz, out=qp)
+
+    current = 0
+
+    def run(rounds: int) -> np.ndarray:
+        nonlocal current
+        for _ in range(rounds):
+            views, spare = buffers[current], buffers[1 - current]
+            rotate(views)
+            # mode="clip" lets np.take write straight into ``out``; every index is valid.
+            np.take(views[0], step, axis=0, out=spare[0], mode="clip")
+            current = 1 - current
+        return buffers[current][0].reshape(rows, m, count)
+
+    return run
 
 
 def _jacobi(a: np.ndarray, carry=None, size=None):
@@ -133,13 +214,17 @@ def _jacobi(a: np.ndarray, carry=None, size=None):
     ``size`` (broadcast over the stack; default n) is each matrix's own
     size where the caller padded it with zero rows and columns: it sets
     the rotation-skip threshold, so a padded matrix is rotated exactly as
-    it would be alone.
+    it would be alone.  Real ``a`` and ``carry`` are solved in real arithmetic.
     """
     n = a.shape[-1]
     if n > MAX_DIM:
         raise DimensionError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
     batch = a.shape[:-2]
     count = math.prod(batch)
+    k = 0 if carry is None else carry.shape[-2]
+    dtype = a.dtype if carry is None else np.result_type(a, carry)
+    if not count * n:
+        return np.zeros(batch + (n,)), np.zeros(batch + (k, n), dtype=dtype)
     a = a.reshape(count, n, n)
     scale = np.maximum(1.0, np.abs(a.reshape(count, n * n)).max(axis=-1, initial=0.0))
     tol = OFF_DIAGONAL_TOL * scale
@@ -148,31 +233,34 @@ def _jacobi(a: np.ndarray, carry=None, size=None):
     skip = tol * (0.25 / np.maximum(sizes, 1))
     # Odd sizes get a zero padding index; its rotations are all identities.
     m = n + n % 2
-    k = 0 if carry is None else carry.shape[-2]
     position, start, (row_index, col_index) = _round_robin(m, m + k)
-    work = np.zeros((count, m + k, m), dtype=complex)
+    step = (row_index * m + col_index).ravel()
+    work = np.zeros((count, m + k, m), dtype=dtype)
     work[:, :n, :n] = a
     if k:
-        work[:, m:, :n] = carry.reshape(-1, k, n)
-    work = work[:, start[0], start[1]]
+        work[:, m:, :n] = carry.reshape(math.prod(carry.shape[:-2]), k, n)
+    # The rounds work on (rows, m, B), the stack axis last.
+    work = np.ascontiguousarray(work[:, start[0], start[1]].transpose(1, 2, 0))
     w = np.empty((count, m))
-    carried = np.empty((count, k, m), dtype=complex)
+    carried = np.empty((count, k, m), dtype=dtype)
     live = np.arange(count)
+    run = None
     for sweep in range(MAX_SWEEPS + 1):
         # A matrix leaves at the sweep where it would stop if solved alone.
-        done = _off_diagonal_norms(work[:, :m]) < tol
+        done = _off_diagonal_norms(work[:m].transpose(2, 0, 1)) < tol
         if done.any():
-            finished, rows, going = work[done], live[done], ~done
-            w[rows] = np.diagonal(finished, axis1=1, axis2=2).real
-            carried[rows] = finished[:, m:]
-            live, work, tol, skip = live[going], work[going], tol[going], skip[going]
+            finished, rows, going = work[..., done], live[done], ~done
+            w[rows] = np.diagonal(finished, axis1=0, axis2=1).real
+            carried[rows] = finished[m:].transpose(2, 0, 1)
+            live, work, tol, skip = live[going], work[..., going], tol[going], skip[going]
+            run = None
         if not live.size:
             break
         if sweep == MAX_SWEEPS:
             raise ConvergenceError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
-        for _ in range(m - 1):
-            _rotate_pairs(work, skip[:, None])
-            work = work[:, row_index, col_index]
+        if run is None:
+            run = _rotation_rounds(work, skip, step)
+        work = run(m - 1)
     # Back to the original index order with the padding dropped; a stable
     # sort keeps tied eigenvalues in that order.
     position = position[:n]
@@ -210,7 +298,9 @@ def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         1e-12 * max(1, largest entry) after ``MAX_SWEEPS`` sweeps.
     """
     a = _check_hermitian(matrix)
-    return _jacobi(a, carry=np.eye(a.shape[-1]))
+    # Complex carried rows keep real input on the complex path: the eigenvectors
+    # are complex, with every sign of zero the complex solve gives them.
+    return _jacobi(a, carry=np.eye(a.shape[-1], dtype=complex))
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -240,8 +330,8 @@ def _pivoted_cholesky(matrix: np.ndarray) -> np.ndarray:
 
 
 def _gram_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X (X^H when X is wide) scaled by 2^-e, and e, for :func:`_gram`."""
-    x = np.asarray(matrix, dtype=complex)
+    """X (X^H when X is wide) scaled by 2^-e, and e, for :func:`_gram`; real X stays real."""
+    x = _real_or_complex(matrix)
     if x.ndim < 2:
         raise SymmetryError(f"expected a matrix, got shape {x.shape}")
     if x.shape[-1] > x.shape[-2]:
@@ -253,7 +343,19 @@ def _gram_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NonFiniteError("matrix has NaN or infinite entries")
     # Scale the entries themselves (real and imaginary parts as one float
     # array): the factor 2^-e alone overflows to inf when max |x| is subnormal.
-    return np.ldexp(np.ascontiguousarray(x).view(float), -e[..., None, None]).view(complex), e
+    scaled = np.ldexp(np.ascontiguousarray(x).view(float), -e[..., None, None])
+    return scaled.view(x.dtype), e
+
+
+def _gram_product(x: np.ndarray) -> np.ndarray:
+    """X^H X as a complex matrix product, also for real X.
+
+    BLAS sums a real and a complex product in different orders (the 15x15 and
+    35x35 Fano blocks among others), so a real product would move the last bits
+    of G; the real part of this one is the Gram that real X is solved from.
+    """
+    x = x.astype(complex, copy=False)
+    return np.swapaxes(x, -1, -2).conj() @ x
 
 
 def _gram_values(w: np.ndarray, xv, e: np.ndarray):
@@ -273,9 +375,12 @@ def _gram(matrix: np.ndarray, carry: bool = True):
     None), both descending, shape ``(..., min(r, c))``.  X carried through
     the rotations ends as X V, whose column norms are the singular values
     (one-sided Jacobi, Hestenes): accurate to about eps ||X||, not sqrt(eps).
+    Real X is solved in real arithmetic, with the values the complex solve
+    would give it bit for bit.
     """
     x, e = _gram_factor(matrix)
-    w, xv = _jacobi(np.swapaxes(x, -1, -2).conj() @ x, x if carry else None)
+    g = _gram_product(x)
+    w, xv = _jacobi(g if np.iscomplexobj(x) else g.real, x if carry else None)
     return _gram_values(w, xv if carry else None, e)
 
 

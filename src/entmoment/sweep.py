@@ -324,12 +324,12 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if n_axes == 2:
-        a1 = np.unique(table.rows[:, 0])
-        a2 = np.unique(table.rows[:, 1])
+        # Each axis's sorted values and every cell's index into them, in one call (with
+        # return_inverse, np.unique also stays clear of its numpy.ma import).
+        a1, i1 = np.unique(table.rows[:, 0], return_inverse=True)
+        a2, i2 = np.unique(table.rows[:, 1], return_inverse=True)
         cw = (width - 2 * margin) / len(a1)
         ch = (height - 2 * margin) / len(a2)
-        i1 = np.searchsorted(a1, table.rows[:, 0]).tolist()
-        i2 = np.searchsorted(a2, table.rows[:, 1]).tolist()
         # One string per axis index and per colour, not per cell.
         x_parts = [f'<rect x="{margin + i * cw:.2f}" y="' for i in range(len(a1))]
         y_parts = [
@@ -339,7 +339,8 @@ def write_svg(table: SweepTable, path, quantity: str | None = None) -> None:
         ]
         colors = _color_indices((vals - vmin) / span)
         parts += [
-            x_parts[i] + y_parts[j] + _COLORS[c] + '"/>' for i, j, c in zip(i1, i2, colors)
+            x_parts[i] + y_parts[j] + _COLORS[c] + '"/>'
+            for i, j, c in zip(i1.tolist(), i2.tolist(), colors)
         ]
     else:
         xs = table.rows[:, 0]

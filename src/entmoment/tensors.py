@@ -16,6 +16,7 @@ state (a float) or a stack ``(B, d, d)`` (an array with a leading axis).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -90,15 +91,18 @@ def representation_for(state) -> Representation:
 
 def _coefficient_stack(rhos: np.ndarray, rep: Representation, order: int) -> np.ndarray:
     """Tr(rho R_i1 ... R_ik) for each rho of a stack ``(B, d, d)``: shape ``(B, m, ..., m)``."""
-    # Tr(rho R_i1 ... R_ik) = Tr(R_i1 (R_i2 ... R_ik rho)): batched products build the
-    # right factor and one GEMM per state with the dual closes the trace.  Order 2
+    # Tr(rho R_i1 ... R_ik) = Tr(R_i1 (R_i2 ... R_ik rho)): each step stacks the m
+    # generators into one (m d x d) matrix, so one product per state and right factor
+    # builds every R_i X; one GEMM per state with the dual closes the trace.  Order 2
     # needs O(m d^2) memory per state and no cached operator products.
-    count, d = rhos.shape[0], rhos.shape[-1]
+    count, d, m = rhos.shape[0], rhos.shape[-1], rep.count
+    stacked = rep.ops.reshape(m * d, d)
     right = rhos[:, None]
-    for _ in range(order - 1):
-        right = (rep.ops[None, :, None] @ right[:, None]).reshape(count, -1, d, d)
-    values = rep.dual @ right.reshape(count, -1, d * d).swapaxes(1, 2)
-    return values.reshape((count,) + (rep.count,) * order)
+    for step in range(order - 1):
+        right = (stacked @ right).reshape(count, m**step, m, d, d).swapaxes(1, 2)
+        right = right.reshape(count, m ** (step + 1), d, d)
+    values = rep.dual @ right.reshape(count, m ** (order - 1), d * d).swapaxes(1, 2)
+    return values.reshape((count,) + (m,) * order)
 
 
 def _stack_of(state, rep: Representation) -> np.ndarray:
@@ -230,7 +234,8 @@ def split_sym_antisym(t: TensorCoefficients) -> tuple[np.ndarray, np.ndarray]:
 def inner_product(t: TensorCoefficients):
     """Sum of squared moduli of all coefficients (per state of a stack)."""
     values = t.values
-    flat = values.reshape(values.shape[: values.ndim - t.order] + (-1,))
+    lead = values.ndim - t.order
+    flat = values.reshape(values.shape[:lead] + (math.prod(values.shape[lead:]),))
     norms = (np.abs(flat) ** 2).sum(axis=-1)
     return float(norms) if flat.ndim == 1 else norms
 

@@ -380,8 +380,9 @@ def test_necessary_criterion_werner():
 
 
 def test_necessary_criterion_qutrit_bound():
+    # The Fano C's Ky Fan bound n(n-1)/2 = 3 times 4/n^2, the raw block's scale: 4/3.
     verdict = classify(maximally_mixed(9))
-    assert verdict.witnesses["necessary_bound"] == 3.0
+    assert verdict.witnesses["necessary_bound"] == 4.0 / 3.0
     assert verdict.decided_by != "devicente_necessary"
     assert verdict.witnesses["c_kyfan"] == pytest.approx(0.0, abs=1e-12)
 
@@ -585,10 +586,26 @@ def test_classify_monotone_consistency_on_werner():
         assert (conc == 0.0) == (verdict.status == SEPARABLE)
 
 
-def _isotropic_qutrits(p):
-    """p |phi+><phi+| + (1 - p) 1/9 on two qutrits."""
-    phi = np.eye(3).reshape(9) / np.sqrt(3)
-    return p * np.outer(phi, phi).astype(complex) + (1 - p) * np.eye(9) / 9
+def _isotropic(n, p):
+    """p |phi+><phi+| + (1 - p) 1/n^2 on two n-level systems."""
+    phi = np.eye(n).reshape(n * n) / np.sqrt(n)
+    return p * np.outer(phi, phi).astype(complex) + (1 - p) * np.eye(n * n) / (n * n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_necessary_criterion_flags_the_isotropic_state_exactly_when_entangled(n):
+    # The isotropic state is entangled exactly for p > 1/(n+1) (Horodecki & Horodecki,
+    # PRA 59, 4206 (1999)).  Its raw correlation block is 2p/n times a signed identity
+    # of size n^2 - 1, so its Ky Fan norm 2p(n^2 - 1)/n meets the raw bound 2(n-1)/n
+    # at p = 1/(n+1).  Against the Fano C's bound n(n-1)/2 it would be flagged only
+    # above p = n^2/(4(n+1)), which is 1/(n+1) at n = 2 alone.
+    edge = 1.0 / (n + 1)
+    ps = np.concatenate([np.linspace(0.0, 1.0, 41), edge + np.array([-1e-6, 0.0, 1e-6])])
+    code, witnesses, _ = entanglement._cascade(
+        np.stack([_isotropic(n, p) for p in ps]), DEFAULT_TOL
+    )
+    assert np.array_equal(code == 0, ps > edge)
+    assert np.all(witnesses["necessary_bound"] == 2.0 * (n - 1) / n)
 
 
 @pytest.mark.parametrize(
@@ -602,15 +619,16 @@ def _isotropic_qutrits(p):
              "devicente_necessary", "devicente_sufficient"],
         ),
         (
-            [_isotropic_qutrits(p) for p in (1.0, 0.0, 0.1, 0.3)],
-            ["devicente_necessary", "devicente_sufficient", "omega_sufficient", None],
+            [_isotropic(3, p) for p in (1.0, 0.0, 0.1, 0.3)],
+            ["devicente_necessary", "devicente_sufficient", "omega_sufficient",
+             "devicente_necessary"],
         ),
     ],
     ids=["qubits", "qutrits"],
 )
 def test_every_decider_of_a_stack_equals_classify(states, deciders):
-    # Isotropic qutrits: the raw Ky Fan norm is 16p/3, so the necessary bound 3 fails
-    # above p = 9/16, the sufficient value 16p passes below 1/16 and, as Omega
+    # Isotropic qutrits: the raw Ky Fan norm is 16p/3, so the necessary bound 4/3 fails
+    # above p = 1/4, the sufficient value 16p passes below 1/16 and, as Omega
     # vanishes, the Omega criterion 64p/9 <= 1 passes below 9/64.
     code, witnesses, _ = entanglement._cascade(np.stack(states), DEFAULT_TOL)
     assert [entanglement._DECIDERS[c][1] for c in code] == deciders

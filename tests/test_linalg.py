@@ -250,6 +250,62 @@ def test_rotation_round_refuses_a_layout_that_needs_a_copy():
     # A round writes the closed-form diagonal and the zeroed (p, q) entries through
     # strided views of its working array; a layout those views cannot alias must raise
     # instead of losing the writes.
-    work = np.zeros((3, 4, 4), dtype=complex).transpose(0, 2, 1)
+    work = np.zeros((4, 4, 3), dtype=complex).transpose(1, 0, 2)
     with pytest.raises(ValueError):
-        linalg._rotate_pairs(work, np.zeros((3, 1)))
+        linalg._rotation_rounds(work, np.zeros(3), np.arange(4))
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_real_input_is_solved_in_real_arithmetic_bit_for_bit(monkeypatch):
+    # Real input runs a float64 working array; the same matrices as complex input give
+    # the same eigenvalues, singular values (so Ky Fan norms) and carried rows bit for bit.
+    # A carried zero may differ in sign only: the real part of a complex product,
+    # ac - bd, adds the sign of a zero bd, and nothing downstream reads that sign.
+    from entmoment.entanglement import kyfan_norm
+    from entmoment.states import random_density
+    from entmoment.tensors import moments
+
+    dtypes = []
+    rounds = linalg._rotation_rounds
+
+    def recording(work, *args):
+        dtypes.append(work.dtype)
+        return rounds(work, *args)
+
+    monkeypatch.setattr(linalg, "_rotation_rounds", recording)
+    rng = np.random.default_rng(41)
+    fano = [moments(random_density(n * n, rng=rng).matrix).fano().C for n in (3, 4, 6, 8)]
+    symmetric = []
+    for dim in list(range(1, 18)) + [64]:
+        g = rng.standard_normal((4, dim, dim))
+        g[1] = np.diag(np.round(g[1].diagonal()))  # already diagonal, with ties
+        g[2, :, dim // 2 :] = 0.0  # a zero block
+        symmetric.append(g + np.swapaxes(g, -1, -2))
+    for c in fano + [rng.standard_normal((3, 5, 2)), rng.standard_normal((2, 3, 7))]:
+        dtypes.clear()
+        sv = singular_values(c)
+        assert dtypes and all(d == np.float64 for d in dtypes)
+        assert _bitwise(sv, singular_values(c.astype(complex)))
+        assert _bitwise(kyfan_norm(c), kyfan_norm(c.astype(complex)))
+    for a in symmetric + [c.T @ c for c in fano]:
+        dtypes.clear()
+        w = hermitian_eigenvalues(a)
+        assert all(d == np.float64 for d in dtypes)  # 1x1 matrices need no round
+        assert _bitwise(w, hermitian_eigenvalues(a.astype(complex)))
+    # Carried rows, and a padded stack that tells the kernel each matrix's own size.
+    blocks = rng.standard_normal((5, 3, 3))
+    padded, carry = np.zeros((2, 5, 4, 4))
+    padded[:, :3, :3] = np.swapaxes(blocks, 1, 2) @ blocks
+    carry[:, :3, :3] = blocks
+    cases = [(c.T @ c, c, None) for c in fano] + [(padded, carry, 3)]
+    cases += [(a, rng.standard_normal(a.shape[:-2] + (3, a.shape[-1])), None) for a in symmetric]
+    for a, x, size in cases:
+        w, xv = linalg._jacobi(a, x, size)
+        wz, xz = linalg._jacobi(a.astype(complex), x.astype(complex), size)
+        assert xv.dtype == np.float64 and _bitwise(w, wz)
+        assert np.array_equal(xv, xz.real) and not xz.imag.any()
+        assert _bitwise(np.abs(xv), np.abs(xz))

@@ -591,3 +591,63 @@ def test_state_file_invariant_violation(tmp_path):
 def test_random_density_refuses_a_non_positive_size(dim, rank, name):
     with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
         random_density(dim, rank=rank, rng=np.random.default_rng(0))
+
+
+def _empty_stack_cases():
+    """(name, call, expected shapes) of every public function that takes a state stack."""
+    import entmoment as em
+    from entmoment.entanglement import _cascade
+    from entmoment.linalg import hermitian_eigenvalues, singular_values
+    from entmoment.tensors import TensorCoefficients, moments, product_representation
+
+    qubits, qutrits = np.zeros((0, 4, 4), dtype=complex), np.zeros((0, 9, 9), dtype=complex)
+    rep = product_representation(2)
+    return [
+        ("purity", lambda: em.purity(qubits), [(0,)]),
+        ("partial_transpose", lambda: em.partial_transpose(qutrits), [(0, 9, 9)]),
+        ("partial_trace", lambda: em.partial_trace(qutrits), [(0, 3, 3)]),
+        ("bloch_decode", lambda: em.bloch_decode(np.zeros((0, 3, 3))).m, [(0, 8)]),
+        ("fano_decompose", lambda: tuple(vars(em.fano_decompose(qutrits)).values())[1:],
+         [(0, 8), (0, 8), (0, 8, 8)]),
+        ("fano_compose", lambda: em.fano_compose(em.fano_decompose(qubits)), [(0, 4, 4)]),
+        ("moments", lambda: (moments(qutrits).first, moments(qutrits).second.values),
+         [(0, 16), (0, 16, 16)]),
+        ("tensor_coefficients", lambda: em.tensor_coefficients(qubits, rep, order=3).values,
+         [(0, 6, 6, 6)]),
+        ("split_sym_antisym", lambda: em.split_sym_antisym(moments(qubits).second),
+         [(0, 6, 6), (0, 6, 6)]),
+        ("inner_product", lambda: em.inner_product(TensorCoefficients(2, np.zeros((0, 6, 6)))),
+         [(0,)]),
+        ("quadratic_invariant", lambda: em.quadratic_invariant(qutrits), [(0,)]),
+        ("quadratic_invariant covariance",
+         lambda: em.quadratic_invariant(qubits, "covariance"), [(0,)]),
+        ("monotone_candidate", lambda: em.monotone_candidate(qubits, "linear", 3, (0, 1)),
+         [(0,)]),
+        ("d_measure", lambda: em.d_measure(qubits), [(0,)]),
+        ("tr_rho_rhotilde", lambda: em.tr_rho_rhotilde(qubits), [(0,)]),
+        ("concurrence_wootters", lambda: em.concurrence_wootters(qubits), [(0,)]),
+        ("concurrence_variant", lambda: em.concurrence_variant(qubits), [(0,)]),
+        ("ppt_check", lambda: em.ppt_check(qubits), [(0,), (0,)]),
+        ("kyfan_norm", lambda: em.kyfan_norm(np.zeros((0, 8, 8))), [(0,)]),
+        ("octahedron_check", lambda: em.octahedron_check(np.zeros((0, 3))), [(0,), (0,)]),
+        ("cascade qubits", lambda: _cascade(qubits, 1e-9)[0], [(0,)]),
+        ("cascade qutrits", lambda: _cascade(qutrits, 1e-9)[0], [(0,)]),
+        ("validate_densities", lambda: validate_densities(qutrits), [(0, 9, 9)]),
+        ("standard_form_state", lambda: standard_form_state(np.zeros((0, 3))), [(0, 4, 4)]),
+        ("werner", lambda: em.werner(np.zeros(0)), [(0, 4, 4)]),
+        ("schmidt_mix", lambda: schmidt_mix(np.zeros(0), np.zeros(0)), [(0, 4, 4)]),
+        ("hermitian_eigensystem", lambda: em.hermitian_eigensystem(qubits), [(0, 4), (0, 4, 4)]),
+        ("hermitian_eigenvalues", lambda: hermitian_eigenvalues(qubits), [(0, 4)]),
+        ("singular_values (0, 3)", lambda: singular_values(np.zeros((0, 3))), [(0,)]),
+        ("singular_values (3, 0)", lambda: singular_values(np.zeros((3, 0))), [(0,)]),
+        ("singular_values (2, 0, 3)", lambda: singular_values(np.zeros((2, 0, 3))), [(2, 0)]),
+    ]
+
+
+def test_empty_stacks_give_empty_results():
+    # A stack of no states, or a matrix with a zero-length axis, gives empty results of
+    # the stack's shape, not numpy's bare ValueError from a -1 reshape.
+    for name, call, shapes in _empty_stack_cases():
+        values = call()
+        values = values if isinstance(values, tuple) else (values,)
+        assert [np.shape(v) for v in values] == shapes, name
