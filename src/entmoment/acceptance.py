@@ -22,12 +22,11 @@ from .entanglement import (
     werner_ltilde_signature,
 )
 from .states import (
+    _random_matrix,
     bloch_decode,
     maximally_mixed,
     partial_trace,
     purity,
-    random_density,
-    random_pure,
     random_unitary,
     schmidt_mix,
     standard_form_state,
@@ -115,6 +114,12 @@ def sl_invariant_rhs(state):
 _AXIS_RANGES = {"x": (0.0, 1.0), "alpha": (0.0, np.pi / 2.0)}
 
 
+def _random_densities(rng, dim: int, ranks) -> np.ndarray:
+    """A loop of ``random_density(dim, rank, rng)`` over ``ranks`` (which may draw each
+    rank from ``rng`` just before its matrix), validated as one stack."""
+    return validate_densities(np.stack([_random_matrix(dim, rank, rng) for rank in ranks]))
+
+
 def _sweep_columns(family: str, count: int, *quantities: str) -> np.ndarray:
     """Columns of a sweep of ``family``, ``count`` points per axis: axes, then ``quantities``."""
     axes = tuple(AxisSpec(name, *_AXIS_RANGES[name], count) for name in FAMILIES[family][0])
@@ -186,7 +191,7 @@ def check_concurrence_variant() -> tuple[bool, str]:
 
 def check_identity_suite() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED)
-    rhos = np.stack([random_density(4, rng=rng).matrix for _ in range(1000)])
+    rhos = _random_densities(rng, 4, [4] * 1000)
     trt = tr_rho_rhotilde(rhos)
     worst_sl = _max_dev(4.0 * trt, 4.0 * sl_invariant_rhs(rhos))
     l, om = split_sym_antisym(tensor_coefficients(rhos, product_representation(2), order=2))
@@ -218,8 +223,9 @@ def check_local_unitary_invariance() -> tuple[bool, str]:
     rng = np.random.default_rng(SEED + 10)
     rhos, u = np.empty((2, 100, 4, 4), dtype=complex)
     for i in range(100):
-        rhos[i] = random_density(4, rng=rng).matrix
+        rhos[i] = _random_matrix(4, 4, rng)
         u[i] = np.kron(random_unitary(2, rng=rng), random_unitary(2, rng=rng))
+    rhos = validate_densities(rhos)
     rotated = validate_densities(u @ rhos @ u.conj().swapaxes(-1, -2))
     quantities = (
         lambda r: quadratic_invariant(r, "linear"),
@@ -249,12 +255,9 @@ def check_bloch_norm_and_omega() -> tuple[bool, str]:
     for n in (2, 3, 4):
         bound = float(np.sqrt(n * (n - 1) / 2.0))
         rep = defining_representation(n)
-        pure = np.stack([random_pure(n, rng=rng).matrix for _ in range(500)])
+        pure = _random_densities(rng, n, [1] * 500)
         worst_pure = _max_dev(_norms(bloch_decode(pure).m), bound)
-        mixed = np.stack([
-            random_density(n, rank=int(rng.integers(2, n + 1)), rng=rng).matrix
-            for _ in range(500)
-        ])
+        mixed = _random_densities(rng, n, (int(rng.integers(2, n + 1)) for _ in range(500)))
         m = bloch_decode(mixed).m
         norms = _norms(m)
         min_margin = float(np.min(bound - norms))
@@ -271,7 +274,7 @@ def check_bloch_norm_and_omega() -> tuple[bool, str]:
         x = np.array([0.0, 0.3, 0.7, 1.0])[:, None, None]
         iso = x * np.outer(phi, phi.conj()) + (1.0 - x) * np.eye(n * n, dtype=complex) / (n * n)
         ok &= bool(np.all(_omega_max(validate_densities(iso), prep) <= 1e-12))
-        rhos = np.stack([random_density(n * n, rng=rng).matrix for _ in range(500)])
+        rhos = _random_densities(rng, n * n, [n * n] * 500)
         reduced = np.maximum(*(_norms(bloch_decode(partial_trace(rhos, s)).m) for s in "AB"))
         ok &= np.array_equal(_omega_max(rhos, prep) > 1e-9, reduced > 1e-9)
         details.append(

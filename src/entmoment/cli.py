@@ -20,15 +20,7 @@ import numpy as np
 
 from . import acceptance
 from .basis import basis_to_dict, generate_basis
-from .entanglement import (
-    DEFAULT_TOL,
-    _cascade,
-    _verdict,
-    d_from_covariance_invariant,
-    octahedron_check,
-    ppt_check,
-    tr_rho_rhotilde,
-)
+from .entanglement import DEFAULT_TOL, _Evaluation, _verdict, octahedron_check, ppt_check
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -42,16 +34,10 @@ from .errors import (
     SymmetryError,
 )
 from .linalg import MAX_DIM, hermitian_eigenvalues
-from .states import (
-    DensityOperator,
-    load_state,
-    local_dimension,
-    purity,
-    save_state,
-    state_to_dict,
-)
+from .states import DensityOperator, load_state, local_dimension, save_state, state_to_dict
 from .sweep import (
     FAMILIES,
+    QUANTITIES,
     AxisSpec,
     SweepGrid,
     SweepTable,
@@ -62,7 +48,6 @@ from .sweep import (
     write_csv,
     write_svg,
 )
-from .tensors import inner_product, moments, split_sym_antisym
 
 USAGE_EXIT = 64
 
@@ -284,37 +269,21 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
     """Full analysis payload for a bipartite state."""
     n = local_dimension(state.dim)
     _check_local_dimension(n)
-    # The state as a stack of one: one moment evaluation feeds the report and the
-    # cascade, which also gives the two-qubit concurrences.
-    rhos = state.matrix[None]
-    mom = moments(rhos)
-    code, witnesses, concurrence = _cascade(rhos, tol, mom)
-    (l_sym,), (omega,) = split_sym_antisym(mom.second)
-    k = mom.covariance()
-    fano = mom.fano()
-    p = purity(state)
-    report = {
-        "dim": state.dim,
-        "n_local": n,
-        "purity": p,
-        "linear_entropy": 1.0 - p,
-        "f2_linear": float(inner_product(mom.second)[0]),
-        "f2_covariance": float(inner_product(k)[0]),
-    }
+    # The scalar fields, in order, are sweep columns, read as the sweep reads them.
+    columns = ("purity", "linear_entropy", "f2_linear", "f2_covariance")
     if n == 2:
-        report["tr_rho_rhotilde"] = tr_rho_rhotilde(state)
-        report["d_measure"] = d_from_covariance_invariant(report["f2_covariance"])
-        report["concurrence_wootters"], report["concurrence_variant"] = (
-            float(c[0]) for c in concurrence
-        )
-    report["bloch_a"] = fano.nvec[0]
-    report["bloch_b"] = fano.mvec[0]
-    report["correlation"] = fano.C[0]
-    report["L"] = l_sym
-    report["Omega"] = omega
-    report["K"] = np.stack([k.values[0].real, k.values[0].imag], axis=-1)
+        columns += ("tr_rho_rhotilde", "d_measure", "concurrence_wootters", "concurrence_variant")
+    # The state as a stack of one: one moment evaluation feeds the columns, the
+    # matrices and the cascade, which also gives the two-qubit concurrences.
+    ev = _Evaluation(state.matrix[None], columns + ("verdict",), tol)
+    report = {"dim": state.dim, "n_local": n}
+    report.update((name, float(QUANTITIES[name](ev)[0])) for name in columns)
+    (l_sym,), (omega,) = ev.sym_antisym
+    f, k = ev.fano, ev.covariance.values[0]
+    report.update(bloch_a=f.nvec[0], bloch_b=f.mvec[0], correlation=f.C[0], L=l_sym, Omega=omega)
+    report["K"] = np.stack([k.real, k.imag], axis=-1)
     # The verdict's fields as a dict; its values are plain floats and strings, so no deep copy.
-    report["verdict"] = dict(vars(_verdict(code, witnesses)))
+    report["verdict"] = dict(vars(_verdict(*ev.cascade[:2])))
     return report
 
 

@@ -10,6 +10,7 @@ Each scalar quantity takes one matrix and returns a float, or a stack
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -141,7 +142,7 @@ def concurrence_wootters(rhos):
     max(0, l1 - l2 - l3 - l4) over the descending singular values of
     tau (:func:`_flip_factor`), the square roots of the eigenvalues of rho rho~.
     """
-    return _largest_minus_rest(singular_values(_flip_factor(rhos)))
+    return _Evaluation(rhos, ("concurrence_wootters",)).concurrences[0]
 
 
 @_per_state
@@ -155,12 +156,7 @@ def concurrence_variant(rhos):
     states can exceed the mixture of their values (by 0.119 for the pair
     pinned in ``tests/test_invariants.py``).
     """
-    return _largest_minus_rest(np.clip(_gram(_flip_factor(rhos), carry=False)[0], 0.0, None))
-
-
-def _concurrence_pair(ev: np.ndarray, lam: np.ndarray) -> tuple:
-    """(Wootters, variant) from tau^H tau's eigenvalues and tau's singular values."""
-    return _largest_minus_rest(lam), _largest_minus_rest(np.clip(ev, 0.0, None))
+    return _Evaluation(rhos, ("concurrence_variant",)).concurrences[1]
 
 
 @_per_state
@@ -248,101 +244,138 @@ def werner_ltilde_signature(x: float) -> LtildeSignature:
     )
 
 
-def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray) -> tuple:
-    """Ky Fan norm of the Fano C, both concurrences and the lowest eigenvalue of the
-    partial transpose, per state of a two-qubit stack ``(B, 4, 4)``, from one Jacobi call.
+def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray, tau=None) -> tuple:
+    """Ky Fan norm of the Fano C, the lowest eigenvalue of the partial transpose and,
+    given the flip factor ``tau``, tau^H tau's eigenvalues and tau's singular values
+    (else None), per state of a two-qubit stack ``(B, 4, 4)``, from one Jacobi call.
 
-    Its stack holds three 4x4 matrices per state, each scaled and checked as in
-    its own solve: the Gram of C (3x3, padded with a zero row and column, with
-    size 3, carrying C; :func:`kyfan_norm`), tau^H tau carrying tau
+    Its stack holds two or three 4x4 matrices per state, each scaled and checked
+    as in its own solve: the Gram of C (3x3, padded with a zero row and column,
+    with size 3, carrying C; :func:`kyfan_norm`), tau^H tau carrying tau
     (:func:`concurrence_wootters`, :func:`concurrence_variant`) and the partial
     transpose with a zero carry (:func:`ppt_check`).  Each value equals that
     function's bit for bit.
     """
     c, e_c = _gram_factor(fano_c)
-    tau, e_tau = _gram_factor(_flip_factor(rhos))
-    a = np.zeros((3,) + rhos.shape, dtype=complex)
-    carry = np.zeros_like(a)
-    a[0, :, :3, :3] = np.swapaxes(c, -1, -2).conj() @ c
-    a[1] = np.swapaxes(tau, -1, -2).conj() @ tau
-    a[2] = _check_hermitian(partial_transpose(rhos))
-    carry[0, :, :3, :3], carry[1] = c, tau
-    w, xv = _jacobi(a, carry, size=np.array([[3], [4], [4]]))
+    # One (matrix, carry) pair per solve, in the order of the stack.
+    kyfan_pair = np.zeros((2,) + rhos.shape, dtype=complex)
+    kyfan_pair[0, :, :3, :3] = np.swapaxes(c, -1, -2).conj() @ c
+    kyfan_pair[1, :, :3, :3] = c
+    pairs = [kyfan_pair]
+    if tau is not None:
+        tau, e_tau = _gram_factor(tau)
+        pairs.append([np.swapaxes(tau, -1, -2).conj() @ tau, tau])
+    pairs.append([_check_hermitian(partial_transpose(rhos)), np.zeros(rhos.shape, dtype=complex)])
+    a, carry = np.stack(pairs, axis=1)
+    w, xv = _jacobi(a, carry, size=np.array([3] + [4] * (len(pairs) - 1))[:, None])
     # The padding index's singular value is 0, last in descending order.
     kyfan = _gram_values(w[0], xv[0], e_c)[1][:, :3].sum(axis=-1)
-    concurrence = _concurrence_pair(*_gram_values(w[1], xv[1], e_tau))
-    return kyfan, concurrence, w[2, :, 0]
+    tau_values = None if tau is None else _gram_values(w[1], xv[1], e_tau)
+    return kyfan, tau_values, w[-1, :, 0]
 
 
-def _cascade(rhos: np.ndarray, tol: float, mom=None) -> tuple[np.ndarray, dict, tuple | None]:
-    """The criterion cascade over a stack ``(B, d, d)``: decider codes, witnesses, concurrences.
+class _Evaluation:
+    """A state stack ``(B, d, d)`` and the pieces its quantities share, each computed
+    on first use and kept: the moments, their Fano form, (L, Omega) and K, the
+    cascade and the two concurrences.
 
-    One moment evaluation (``mom``, if the caller has ``moments(rhos)``
-    already) and one Ky Fan solve feed three criteria, each a mask over the
-    stack; a state is decided by the first mask that holds for it (de
-    Vicente, QIC 7, 624 (2007)):
-
-    - necessary: ||C||_KF <= 2(n-1)/n for the raw-trace correlation block
-      C, which is (4/n^2) times the Fano C, whose bound is n(n-1)/2; a
-      violation is Entangled.  The isotropic state is flagged exactly for
-      p > 1/(n+1), where it is entangled;
-    - sufficient: sqrt(2(n-1)/n)(|n|+|m|) + (2(n-1)/n)||C||_KF <= 1 in the
-      expansion-convention Fano coefficients; a pass is Separable;
-    - Omega: (2(n-1)/n)||C||_KF <= 1 for the raw block, applicable when
-      Omega vanishes (both reduced states maximally mixed).
-
-    The two-qubit states still undecided then take the partial-transpose test.
-    For two qubits the Ky Fan norm, the partial transpose of every state and
-    both concurrences come from one Jacobi call (:func:`_two_qubit_solves`),
-    returned as ``(wootters, variant)`` arrays; otherwise the third value is None.
-    Each state's code indexes :data:`_DECIDERS`; each witness is a ``(B,)``
-    float array, with ``pt_min_eigenvalue`` NaN where that test did not decide.
+    ``names``, the ``sweep.QUANTITIES`` that will be read, decide the Jacobi
+    calls.  With ``verdict`` the cascade's call also solves tau^H tau when a
+    concurrence is read, and both concurrences come from it; without it they
+    come from one solve of tau^H tau, which carries tau only for
+    ``concurrence_wootters``.  Each matrix gets the arithmetic of its own
+    public function, whichever call it shares.
     """
-    _require_tolerance(tol)
-    mom = moments(rhos) if mom is None else mom
-    f = mom.fano()
-    n, count = f.n, len(rhos)
-    if n == 2:
-        fano_kyfan, concurrence, pt_low = _two_qubit_solves(rhos, f.C)
-    else:
-        fano_kyfan, concurrence = kyfan_norm(f.C), None
-    raw_kyfan = (4.0 / (n * n)) * fano_kyfan
-    # 2(n-1)/n: the necessary bound on the raw block and the sufficient criteria's factor.
-    quad = 2.0 * (n - 1) / n
-    # sqrt(v . v) is bitwise the 1-D np.linalg.norm(v); a norm over axis -1 is not.
-    norm_a = np.sqrt(np.vecdot(f.nvec, f.nvec))
-    norm_b = np.sqrt(np.vecdot(f.mvec, f.mvec))
-    value = np.sqrt(quad) * (norm_a + norm_b) + quad * fano_kyfan
-    omega_max = np.abs(split_sym_antisym(mom.second)[1]).max(axis=(-2, -1))
-    # argmax picks each state's first criterion that holds; the last row, always
-    # true, gives code 3 where none does.
-    holds = np.stack([
-        ~(raw_kyfan <= quad + tol),
-        value <= 1.0 + tol,
-        (omega_max < tol) & (quad * raw_kyfan <= 1.0 + tol),
-        np.ones(count, dtype=bool),
-    ])
-    code = holds.argmax(axis=0)
-    pt_min = np.full(count, np.nan)
-    if n == 2:
-        todo = code == 3
-        code[todo] = 4 + (pt_low[todo] >= -tol)
-        pt_min[todo] = pt_low[todo]
-    witnesses = {
-        "c_kyfan": raw_kyfan,
-        "necessary_bound": np.full(count, quad),
-        "sufficient_value": value,
-        "bloch_norm_a": norm_a,
-        "bloch_norm_b": norm_b,
-        "omega_max": omega_max,
-        "tolerance": np.full(count, float(tol)),
-        "pt_min_eigenvalue": pt_min,
-    }
-    return code, witnesses, concurrence
+
+    def __init__(self, rhos: np.ndarray, names=("verdict",), tol: float = DEFAULT_TOL):
+        self.rhos, self.names, self.tol = rhos, frozenset(names), tol
+
+    moments = cached_property(lambda self: moments(self.rhos))
+    fano = cached_property(lambda self: self.moments.fano())
+    sym_antisym = cached_property(lambda self: split_sym_antisym(self.moments.second))
+    covariance = cached_property(lambda self: self.moments.covariance())
+
+    @cached_property
+    def concurrences(self) -> tuple:
+        """(Wootters, variant) of each two-qubit state; Wootters is None where unread."""
+        values = self.cascade[2] if "verdict" in self.names else None
+        if values is None:
+            values = _gram(_flip_factor(self.rhos), carry="concurrence_wootters" in self.names)
+        w, sv = values
+        variant = _largest_minus_rest(np.clip(w, 0.0, None))
+        return (None if sv is None else _largest_minus_rest(sv)), variant
+
+    @cached_property
+    def cascade(self) -> tuple[np.ndarray, dict, tuple | None]:
+        """The criterion cascade: decider codes, witnesses, tau^H tau's Gram values.
+
+        One moment evaluation and one Ky Fan solve feed three criteria, each
+        a mask over the stack; a state is decided by the first mask that
+        holds for it (de Vicente, QIC 7, 624 (2007)):
+
+        - necessary: ||C||_KF <= 2(n-1)/n for the raw-trace correlation block
+          C, which is (4/n^2) times the Fano C, whose bound is n(n-1)/2; a
+          violation is Entangled.  The isotropic state is flagged exactly for
+          p > 1/(n+1), where it is entangled;
+        - sufficient: sqrt(2(n-1)/n)(|n|+|m|) + (2(n-1)/n)||C||_KF <= 1 in the
+          expansion-convention Fano coefficients; a pass is Separable;
+        - Omega: (2(n-1)/n)||C||_KF <= 1 for the raw block, applicable when
+          Omega vanishes (both reduced states maximally mixed).
+
+        The two-qubit states still undecided then take the partial-transpose
+        test.  For two qubits the Ky Fan norms and partial transposes come
+        from one Jacobi call (:func:`_two_qubit_solves`), which also solves
+        tau^H tau when a concurrence is read (the third value, else None).
+        Codes index :data:`_DECIDERS`; witnesses are ``(B,)`` float arrays,
+        ``pt_min_eigenvalue`` NaN where that test did not decide.
+        """
+        tol = self.tol
+        _require_tolerance(tol)
+        f = self.fano
+        n, count = f.n, len(self.rhos)
+        if n == 2:
+            read = self.names & {"concurrence_wootters", "concurrence_variant"}
+            tau = _flip_factor(self.rhos) if read else None
+            fano_kyfan, tau_values, pt_low = _two_qubit_solves(self.rhos, f.C, tau)
+        else:
+            fano_kyfan, tau_values = kyfan_norm(f.C), None
+        raw_kyfan = (4.0 / (n * n)) * fano_kyfan
+        # 2(n-1)/n: the necessary bound on the raw block and the sufficient criteria's factor.
+        quad = 2.0 * (n - 1) / n
+        # sqrt(v . v) is bitwise the 1-D np.linalg.norm(v); a norm over axis -1 is not.
+        norm_a = np.sqrt(np.vecdot(f.nvec, f.nvec))
+        norm_b = np.sqrt(np.vecdot(f.mvec, f.mvec))
+        value = np.sqrt(quad) * (norm_a + norm_b) + quad * fano_kyfan
+        omega_max = np.abs(self.sym_antisym[1]).max(axis=(-2, -1))
+        # argmax picks each state's first criterion that holds; the last row, always
+        # true, gives code 3 where none does.
+        holds = np.stack([
+            ~(raw_kyfan <= quad + tol),
+            value <= 1.0 + tol,
+            (omega_max < tol) & (quad * raw_kyfan <= 1.0 + tol),
+            np.ones(count, dtype=bool),
+        ])
+        code = holds.argmax(axis=0)
+        pt_min = np.full(count, np.nan)
+        if n == 2:
+            todo = code == 3
+            code[todo] = 4 + (pt_low[todo] >= -tol)
+            pt_min[todo] = pt_low[todo]
+        witnesses = {
+            "c_kyfan": raw_kyfan,
+            "necessary_bound": np.full(count, quad),
+            "sufficient_value": value,
+            "bloch_norm_a": norm_a,
+            "bloch_norm_b": norm_b,
+            "omega_max": omega_max,
+            "tolerance": np.full(count, float(tol)),
+            "pt_min_eigenvalue": pt_min,
+        }
+        return code, witnesses, tau_values
 
 
 def _verdict(code: np.ndarray, witnesses: dict) -> SeparabilityVerdict:
-    """The verdict of the first state of a :func:`_cascade` result."""
+    """The verdict of the first state of a cascade's codes and witnesses."""
     status, decided_by = _DECIDERS[code[0]]
     values = {name: float(v[0]) for name, v in witnesses.items()}
     if decided_by != "ppt":
@@ -356,9 +389,9 @@ def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
     Order: necessary criteria first (a violation settles Entangled), then
     sufficient ones (a pass settles Separable), then, for two qubits,
     the decisive partial-transpose test.  One matrix goes through
-    :func:`_cascade` as a stack of one; a stack raises ``ShapeError``.
+    :attr:`_Evaluation.cascade` as a stack of one; a stack raises ``ShapeError``.
     """
     rho = as_matrix(state)
     if rho.ndim != 2:
         raise ShapeError(f"classify takes one matrix, got shape {rho.shape}")
-    return _verdict(*_cascade(rho[None], tol)[:2])
+    return _verdict(*_Evaluation(rho[None], tol=tol).cascade[:2])

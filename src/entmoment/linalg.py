@@ -44,9 +44,10 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
 
 
 def _off_diagonal_norms(a: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix's off-diagonal part, shape ``(B,)``."""
+    """Frobenius norm of each matrix's off-diagonal part, shape ``(B,)``; each sums one
+    C-contiguous row, so a matrix gets the same sum (and stop test) in any stack."""
     count, m = a.shape[0], a.shape[-1]
-    b = np.abs(a).reshape(count, m * m)
+    b = np.abs(a, order="C").reshape(count, m * m)
     b[:, :: m + 1] = 0.0
     return np.sqrt((b * b).sum(axis=-1))
 
@@ -347,17 +348,6 @@ def _gram_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scaled.view(x.dtype), e
 
 
-def _gram_product(x: np.ndarray) -> np.ndarray:
-    """X^H X as a complex matrix product, also for real X.
-
-    BLAS sums a real and a complex product in different orders (the 15x15 and
-    35x35 Fano blocks among others), so a real product would move the last bits
-    of G; the real part of this one is the Gram that real X is solved from.
-    """
-    x = x.astype(complex, copy=False)
-    return np.swapaxes(x, -1, -2).conj() @ x
-
-
 def _gram_values(w: np.ndarray, xv, e: np.ndarray):
     """G's eigenvalues and X's singular values (None without ``xv``), both descending
     and rescaled, from the Jacobi output for the factor of :func:`_gram_factor`."""
@@ -379,7 +369,11 @@ def _gram(matrix: np.ndarray, carry: bool = True):
     would give it bit for bit.
     """
     x, e = _gram_factor(matrix)
-    g = _gram_product(x)
+    # G as a complex product, also for real X: BLAS sums a real and a complex product in
+    # different orders (the 15x15 and 35x35 Fano blocks among others), so a real product
+    # would move the last bits of G.  Real X is solved from the real part of this G.
+    z = x.astype(complex, copy=False)
+    g = np.swapaxes(z, -1, -2).conj() @ z
     w, xv = _jacobi(g if np.iscomplexobj(x) else g.real, x if carry else None)
     return _gram_values(w, xv if carry else None, e)
 

@@ -386,9 +386,14 @@ def random_density(dim: int, rank: int | None = None, rng=None) -> DensityOperat
         integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
         if not (integer and value >= 1):
             raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return DensityOperator(_random_matrix(dim, rank, rng))
+
+
+def _random_matrix(dim: int, rank: int, rng) -> np.ndarray:
+    """The matrix that :func:`random_density` draws from ``rng``, not validated."""
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
-    return DensityOperator(m / np.trace(m).real)
+    return m / np.trace(m).real
 
 
 def random_pure(dim: int, rng=None) -> DensityOperator:

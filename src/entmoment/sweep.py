@@ -1,7 +1,8 @@
 """Parameter sweeps over state families and finite-difference wedge fields.
 
-Grid points are built and evaluated in blocks of state stacks; every
-quantity computes each state of a stack exactly as it would alone, so
+Grid points are built in blocks of state stacks, and each block is
+evaluated once for all requested quantities; every quantity computes each
+state of a stack exactly as it would alone, so
 rows, assembled in lexicographic grid order, are bitwise reproducible
 and independent of the block size.
 """
@@ -14,43 +15,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import (
-    DEFAULT_TOL,
     ENTANGLED,
     SEPARABLE,
     _DECIDERS,
-    _cascade,
-    concurrence_variant,
-    concurrence_wootters,
-    d_measure,
+    _Evaluation,
+    d_from_covariance_invariant,
     kyfan_norm,
     tr_rho_rhotilde,
 )
 from .errors import ConfigurationError, DomainError, ResolutionError
 from .states import purity, schmidt_mix, standard_form_state, werner
-from .tensors import moments, quadratic_invariant
+from .tensors import inner_product
 
 VERDICT_CODE = {SEPARABLE: 1.0, ENTANGLED: -1.0}
 # The column value of each cascade decider code: VERDICT_CODE of its status, 0 where undecided.
 _VERDICT_BY_DECIDER = np.array([VERDICT_CODE.get(status, 0.0) for status, _ in _DECIDERS])
 
-
-def _verdict_codes(rhos) -> np.ndarray:
-    """:data:`VERDICT_CODE` of each state's cascade status; 0 where undecided."""
-    return _VERDICT_BY_DECIDER[_cascade(rhos, DEFAULT_TOL)[0]]
-
-
-# Each quantity maps a validated state stack (B, d, d) to its B values.
+# Each quantity reads its B values from the one evaluation (entanglement._Evaluation)
+# of a validated state stack (B, d, d) that all the quantities of a block share.
 QUANTITIES = {
-    "purity": purity,
-    "linear_entropy": lambda rhos: 1.0 - purity(rhos),
-    "tr_rho_rhotilde": tr_rho_rhotilde,
-    "f2_linear": lambda rhos: quadratic_invariant(rhos, "linear"),
-    "f2_covariance": lambda rhos: quadratic_invariant(rhos, "covariance"),
-    "d_measure": d_measure,
-    "concurrence_wootters": concurrence_wootters,
-    "concurrence_variant": concurrence_variant,
-    "kyfan_c": lambda rhos: kyfan_norm(moments(rhos).correlation_block()),
-    "verdict": _verdict_codes,
+    "purity": lambda ev: purity(ev.rhos),
+    "linear_entropy": lambda ev: 1.0 - purity(ev.rhos),
+    "tr_rho_rhotilde": lambda ev: tr_rho_rhotilde(ev.rhos),
+    "f2_linear": lambda ev: inner_product(ev.moments.second),
+    "f2_covariance": lambda ev: inner_product(ev.covariance),
+    "d_measure": lambda ev: d_from_covariance_invariant(inner_product(ev.covariance)),
+    "concurrence_wootters": lambda ev: ev.concurrences[0],
+    "concurrence_variant": lambda ev: ev.concurrences[1],
+    "kyfan_c": lambda ev: kyfan_norm(ev.moments.correlation_block()),
+    "verdict": lambda ev: _VERDICT_BY_DECIDER[ev.cascade[0]],
 }
 
 # Grid points per evaluated block: bounds the memory of the state stacks.
@@ -172,14 +165,15 @@ def grid_sweep(grid: SweepGrid) -> SweepTable:
     Rows are ordered lexicographically over the axes (first axis slowest).
     """
     points = _grid_points(grid)
-    funcs = [QUANTITIES[q] for q in grid.quantities]
-    rows = np.empty((len(points), len(grid.axes) + len(funcs)))
+    readers = [QUANTITIES[q] for q in grid.quantities]
+    rows = np.empty((len(points), len(grid.axes) + len(readers)))
     rows[:, : len(grid.axes)] = points
     for start in range(0, len(points), _BLOCK):
         block = slice(start, start + _BLOCK)
-        rhos = build_states(grid.family, points[block])
-        for col, f in enumerate(funcs, start=len(grid.axes)):
-            rows[block, col] = f(rhos)
+        # One evaluation per block: the requested names decide which solves it runs.
+        ev = _Evaluation(build_states(grid.family, points[block]), grid.quantities)
+        for col, read in enumerate(readers, start=len(grid.axes)):
+            rows[block, col] = read(ev)
     columns = tuple(axis.name for axis in grid.axes) + tuple(grid.quantities)
     return SweepTable(columns=columns, rows=rows)
 

@@ -559,6 +559,47 @@ def test_analyze_report_bytes_equal_reference(capsys, tmp_path, n, rank):
         assert csv_path.read_bytes() == _reference_matrix_csv(reference).encode()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_report_scalars_are_the_sweep_columns_of_one_evaluation(n):
+    # The report reads its scalar fields through the sweep's column readers, from the
+    # evaluation of the state as a stack of one: each equals that column and the public
+    # per-state function bit for bit, and the verdict is classify's.
+    from entmoment.cli import analysis_report
+    from entmoment.entanglement import (
+        DEFAULT_TOL,
+        _Evaluation,
+        classify,
+        concurrence_variant,
+        concurrence_wootters,
+        d_measure,
+        tr_rho_rhotilde,
+    )
+    from entmoment.states import purity
+    from entmoment.sweep import QUANTITIES
+    from entmoment.tensors import quadratic_invariant
+
+    public = {
+        "purity": purity,
+        "linear_entropy": lambda rho: 1.0 - purity(rho),
+        "f2_linear": lambda rho: quadratic_invariant(rho, "linear"),
+        "f2_covariance": lambda rho: quadratic_invariant(rho, "covariance"),
+        "tr_rho_rhotilde": tr_rho_rhotilde,
+        "d_measure": d_measure,
+        "concurrence_wootters": concurrence_wootters,
+        "concurrence_variant": concurrence_variant,
+    }
+    state = _random_state(n, n * n - 1, seed=7 * n)
+    report = analysis_report(state, DEFAULT_TOL)
+    scalars = [name for name in report if name in QUANTITIES and name != "verdict"]
+    assert scalars == list(public)[: 8 if n == 2 else 4]
+    ev = _Evaluation(state.matrix[None], scalars + ["verdict"])
+    for name in scalars:
+        assert type(report[name]) is float
+        bits = np.array(report[name]).tobytes()
+        assert bits == QUANTITIES[name](ev)[:1].tobytes() == np.array(public[name](state)).tobytes()
+    assert report["verdict"] == dict(vars(classify(state)))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -638,8 +679,8 @@ def test_json_writer_rejects_non_finite_values(bad):
 def test_sweep_svg_of_non_finite_column_fails(capsys, tmp_path, monkeypatch):
     from entmoment import sweep
 
-    def with_nan(rhos):
-        values = sweep.purity(rhos)
+    def with_nan(ev):
+        values = sweep.purity(ev.rhos)
         values[1] = np.nan
         return values
 

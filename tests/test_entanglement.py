@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entmoment.entanglement import (
-    DEFAULT_TOL,
     ENTANGLED,
     SEPARABLE,
     classify,
@@ -601,9 +600,7 @@ def test_necessary_criterion_flags_the_isotropic_state_exactly_when_entangled(n)
     # above p = n^2/(4(n+1)), which is 1/(n+1) at n = 2 alone.
     edge = 1.0 / (n + 1)
     ps = np.concatenate([np.linspace(0.0, 1.0, 41), edge + np.array([-1e-6, 0.0, 1e-6])])
-    code, witnesses, _ = entanglement._cascade(
-        np.stack([_isotropic(n, p) for p in ps]), DEFAULT_TOL
-    )
+    code, witnesses, _ = entanglement._Evaluation(np.stack([_isotropic(n, p) for p in ps])).cascade
     assert np.array_equal(code == 0, ps > edge)
     assert np.all(witnesses["necessary_bound"] == 2.0 * (n - 1) / n)
 
@@ -630,7 +627,7 @@ def test_every_decider_of_a_stack_equals_classify(states, deciders):
     # Isotropic qutrits: the raw Ky Fan norm is 16p/3, so the necessary bound 4/3 fails
     # above p = 1/4, the sufficient value 16p passes below 1/16 and, as Omega
     # vanishes, the Omega criterion 64p/9 <= 1 passes below 9/64.
-    code, witnesses, _ = entanglement._cascade(np.stack(states), DEFAULT_TOL)
+    code, witnesses, _ = entanglement._Evaluation(np.stack(states)).cascade
     assert [entanglement._DECIDERS[c][1] for c in code] == deciders
     for i, rho in enumerate(states):
         verdict = classify(rho)
@@ -694,9 +691,13 @@ def test_fused_two_qubit_solves_equal_public_functions():
     ]
     rhos = np.stack(states)
     fano_c = moments(rhos).fano().C
-    kyfan, (wootters, variant), pt_low = entanglement._two_qubit_solves(rhos, fano_c)
-    code, witnesses, concurrence = entanglement._cascade(rhos, DEFAULT_TOL)
-    assert _bits(concurrence[0]) == _bits(wootters) and _bits(concurrence[1]) == _bits(variant)
+    tau = entanglement._flip_factor(rhos)
+    kyfan, tau_values, pt_low = entanglement._two_qubit_solves(rhos, fano_c, tau)
+    names = ("verdict", "concurrence_wootters", "concurrence_variant")
+    ev = entanglement._Evaluation(rhos, names)
+    code, witnesses, cascade_tau_values = ev.cascade
+    assert [_bits(v) for v in cascade_tau_values] == [_bits(v) for v in tau_values]
+    wootters, variant = ev.concurrences
     seen = set()
     for i, rho in enumerate(states):
         assert _bits(kyfan[i]) == _bits(kyfan_norm(fano_c[i]))

@@ -12,9 +12,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from entmoment.entanglement import (
-    DEFAULT_TOL,
     SEPARABLE,
-    _cascade,
+    _Evaluation,
     classify,
     concurrence_variant,
     concurrence_wootters,
@@ -192,10 +191,12 @@ def test_verdict_and_quantities_are_local_unitary_invariant(state_seed):
     rho = _random_state(rng)
     u = np.kron(random_unitary(2, rng=rng), random_unitary(2, rng=rng))
     pair = np.stack([rho, _hermitian(u @ rho @ u.conj().T)])
-    for name in ("f2_linear", "f2_covariance", "linear_entropy", "kyfan_c", "verdict"):
-        values = QUANTITIES[name](pair)
+    names = ("f2_linear", "f2_covariance", "linear_entropy", "kyfan_c", "verdict")
+    ev = _Evaluation(pair, names)
+    for name in names:
+        values = QUANTITIES[name](ev)
         assert abs(values[0] - values[1]) < 1e-12
-    code, witnesses, _ = _cascade(pair, DEFAULT_TOL)
+    code, witnesses, _ = ev.cascade
     assert code[0] == code[1]
     # omega_max, the largest |Omega_jk|, is not invariant: local unitaries rotate Omega.
     for name in ("c_kyfan", "sufficient_value", "bloch_norm_a", "bloch_norm_b", "pt_min_eigenvalue"):

@@ -101,6 +101,20 @@ def test_results_do_not_depend_on_batching(dim):
         assert np.array_equal(singular_values(m), sv[k])
 
 
+@pytest.mark.parametrize("m", [4, 8, 16, 64])
+def test_off_diagonal_norm_of_a_matrix_does_not_depend_on_its_stack(m):
+    # The stop test of _jacobi: each norm in a stack of five, in the kernel's working
+    # layout (m, m, B), must equal the norm of that matrix alone, to the last bit.
+    rng = np.random.default_rng(m)
+    for _ in range(50):
+        stack = rng.standard_normal((5, m, m)) + 1j * rng.standard_normal((5, m, m))
+        work = np.ascontiguousarray(stack.transpose(1, 2, 0))
+        norms = linalg._off_diagonal_norms(work.transpose(2, 0, 1))
+        for k, a in enumerate(stack):
+            alone = np.ascontiguousarray(a[:, :, None]).transpose(2, 0, 1)
+            assert linalg._off_diagonal_norms(alone).tobytes() == norms[k : k + 1].tobytes()
+
+
 def test_degenerate_and_trivial_inputs():
     for m in (
         np.zeros((4, 4), dtype=complex),

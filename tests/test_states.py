@@ -596,7 +596,7 @@ def test_random_density_refuses_a_non_positive_size(dim, rank, name):
 def _empty_stack_cases():
     """(name, call, expected shapes) of every public function that takes a state stack."""
     import entmoment as em
-    from entmoment.entanglement import _cascade
+    from entmoment.entanglement import _Evaluation
     from entmoment.linalg import hermitian_eigenvalues, singular_values
     from entmoment.tensors import TensorCoefficients, moments, product_representation
 
@@ -630,8 +630,8 @@ def _empty_stack_cases():
         ("ppt_check", lambda: em.ppt_check(qubits), [(0,), (0,)]),
         ("kyfan_norm", lambda: em.kyfan_norm(np.zeros((0, 8, 8))), [(0,)]),
         ("octahedron_check", lambda: em.octahedron_check(np.zeros((0, 3))), [(0,), (0,)]),
-        ("cascade qubits", lambda: _cascade(qubits, 1e-9)[0], [(0,)]),
-        ("cascade qutrits", lambda: _cascade(qutrits, 1e-9)[0], [(0,)]),
+        ("cascade qubits", lambda: _Evaluation(qubits).cascade[0], [(0,)]),
+        ("cascade qutrits", lambda: _Evaluation(qutrits).cascade[0], [(0,)]),
         ("validate_densities", lambda: validate_densities(qutrits), [(0, 9, 9)]),
         ("standard_form_state", lambda: standard_form_state(np.zeros((0, 3))), [(0, 4, 4)]),
         ("werner", lambda: em.werner(np.zeros(0)), [(0, 4, 4)]),

@@ -13,7 +13,7 @@ from entmoment.entanglement import (
     tr_rho_rhotilde,
 )
 from entmoment.errors import ConfigurationError, DomainError, ResolutionError
-from entmoment.states import DensityOperator, purity, schmidt_mix, werner
+from entmoment.states import DensityOperator, purity, schmidt_mix, standard_form_state, werner
 from entmoment.sweep import (
     QUANTITIES,
     VERDICT_CODE,
@@ -228,11 +228,71 @@ def test_build_states_of_one_point_is_the_stack_row(family, point):
     assert np.array_equal(one.matrix, sweep.build_states(family, point[None])[0])
 
 
+def standard_form_grid(count, quantities):
+    # Triples in [-0.5, -0.2]^3 lie inside the state tetrahedron; their l1 norms run
+    # from 0.6 (separable) to 1.5 (entangled).
+    axes = tuple(AxisSpec(f"d{i}", -0.5, -0.2, count) for i in (1, 2, 3))
+    return SweepGrid(family="standard_form", axes=axes, quantities=quantities)
+
+
+# Requests that run different solves: each column alone, all ten (the verdict's call
+# also gives the concurrences), the verdict alone (no concurrence solve) and the
+# verdict with both concurrences.
+COLUMN_REQUESTS = [(q,) for q in QUANTITIES] + [
+    tuple(QUANTITIES),
+    ("verdict",),
+    ("verdict", "concurrence_wootters", "concurrence_variant"),
+]
+
+
 def test_rows_do_not_depend_on_block_size(monkeypatch):
-    grid = schmidt_grid(6, 5, tuple(QUANTITIES))
-    whole = grid_sweep(grid)
-    monkeypatch.setattr(sweep, "_BLOCK", 7)
-    assert np.array_equal(grid_sweep(grid).rows, whole.rows)
+    grids = [
+        (lambda qs: schmidt_grid(6, 5, qs), schmidt_mix),
+        (lambda qs: werner_grid(9, qs), werner),
+        (lambda qs: standard_form_grid(3, qs), lambda *d: standard_form_state(np.array(d))),
+    ]
+    for grid_of, build in grids:
+        n_axes = len(grid_of(("purity",)).axes)
+        points = grid_sweep(grid_of(("purity",))).rows[:, :n_axes]
+        states = [build(*point) for point in points]
+        expected = {q: np.array([PER_STATE[q](rho) for rho in states]) for q in QUANTITIES}
+        for block in (1024, 7):
+            monkeypatch.setattr(sweep, "_BLOCK", block)
+            for quantities in COLUMN_REQUESTS:
+                rows = grid_sweep(grid_of(quantities)).rows
+                assert np.array_equal(rows[:, :n_axes], points)
+                for col, q in enumerate(quantities, start=n_axes):
+                    assert rows[:, col].tobytes() == expected[q].tobytes(), (block, quantities, q)
+
+
+@pytest.mark.parametrize(
+    "quantities, stacks",
+    [
+        (("verdict",), [(2, 25)]),
+        (("verdict", "concurrence_wootters"), [(3, 25)]),
+        (tuple(QUANTITIES), [(3, 25), (25,)]),
+        (("concurrence_wootters", "concurrence_variant"), [(25,)]),
+        (("concurrence_variant", "d_measure"), [(25,)]),
+    ],
+)
+def test_requested_columns_decide_the_jacobi_stacks(monkeypatch, quantities, stacks):
+    # One evaluation per block: the verdict alone stacks the Ky Fan Gram and the partial
+    # transpose of each state; a concurrence adds tau^H tau to that call; without the
+    # verdict the concurrences share one solve of tau^H tau.  All ten also solve the
+    # real kyfan_c Grams.  Each call's stack shape is recorded.
+    from entmoment import entanglement, linalg
+
+    jacobi, seen = linalg._jacobi, []
+
+    def counting(a, carry=None, size=None):
+        seen.append(a.shape[:-2])
+        return jacobi(a, carry, size)
+
+    grid = schmidt_grid(5, 5, quantities)
+    monkeypatch.setattr(entanglement, "_jacobi", counting)
+    monkeypatch.setattr(linalg, "_jacobi", counting)
+    grid_sweep(grid)
+    assert seen == stacks
 
 
 def test_grid_size_is_capped_before_building():
