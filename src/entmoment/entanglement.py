@@ -10,7 +10,7 @@ Each scalar quantity takes one matrix and returns a float, or a stack
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -110,9 +110,12 @@ def _require_tolerance(tol: float) -> None:
         raise DomainError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
-@_per_state
+@partial(_per_state, convert=np.asarray)
 def kyfan_norm(c):
-    """Ky Fan (trace) norm: the sum of the singular values of a matrix."""
+    """Ky Fan (trace) norm: the sum of the singular values of a matrix.
+
+    The array is taken as given, so a real block is solved in real arithmetic.
+    """
     return singular_values(c).sum(axis=-1)
 
 

@@ -84,15 +84,19 @@ def _round_views(work: np.ndarray) -> tuple:
     """Views of a working array ``(rows, m, B)`` that a round reads and writes.
 
     The flat array ``(rows * m, B)``, the diagonal, the real part of its p and q
-    halves, the (p, q) and (q, p) entries of every pair, the column halves
-    ``(rows, 2, m/2, B)`` and their p and q columns, and the row halves of A
-    ``(2, m/2, m, B)`` and their p and q rows.  copy=False (numpy >= 2.1)
-    raises rather than let a round's writes land in a copy.
+    halves, the (p, q) entries of every pair, those and the (q, p) entries as one
+    ``(2, m/2, B)`` view, the column halves ``(rows, 2, m/2, B)`` and their p and q
+    columns, and the row halves of A ``(2, m/2, m, B)`` and their p and q rows.
+    copy=False (numpy >= 2.1) raises rather than let a round's writes land in a copy.
     """
     rows, m, count = work.shape
     k = m // 2
     flat = work.reshape(rows * m, count, copy=False)
     diag = flat[: m * m : m + 1]
+    # (p, q) = (j, j + k) is flat row k + j (m + 1); (q, p) is k (m - 1) rows further.
+    row, item = flat.strides
+    strides = (k * (m - 1) * row, (m + 1) * row, item)
+    pairs = np.ndarray((2, k, count), flat.dtype, flat, k * row, strides)
     cols = work.reshape(rows, 2, k, count, copy=False)
     halves = work[:m].reshape(2, k, m, count, copy=False)
     return (
@@ -100,8 +104,8 @@ def _round_views(work: np.ndarray) -> tuple:
         diag,
         diag.real[:k],
         diag.real[k:],
-        flat[k : k * (m + 2) : m + 1],
-        flat[k * m : k * (2 * m + 1) : m + 1],
+        pairs[0],
+        pairs,
         cols,
         cols[:, 0],
         cols[:, 1],
@@ -124,6 +128,24 @@ def _rotation_rounds(work: np.ndarray, skip: np.ndarray, step: np.ndarray):
     indices) then moves the array into the next round's layout, in a second
     buffer.  Views of both buffers and every temporary are made once, here.
 
+    Per pair, with x and y the old p and q columns (rows) and every product
+    taken in this operand order::
+
+        mag = |a_pq|, keep = 1 if mag < skip else 0, safe = mag + keep
+        tau = (a_qq - a_pp) / (safe + safe)
+        t = copysign((1 - keep) / (|tau| + hypot(1, tau)), tau)
+        c = 1 / hypot(1, t), s = ((t * c) / safe) * a_pq
+        columns: x <- x * c - y * conj(s), y <- x * s + y * c
+        rows:    x <- c * x - s * y,       y <- conj(s) * x + c * y
+        a_pp <- a_pp - t * mag, a_qq <- a_qq + t * mag
+        a_pq <- a_pq * keep, a_qp <- a_qp * keep
+
+    On complex work c and keep enter as complex numbers with zero imaginary part.
+    Each update is one product of the halves with the coefficient array
+    ``[c; s]`` (real) or ``[c, c; s, conj s]`` (complex), then one subtract and
+    one add.  Every constant operand is a preallocated array: numpy converts a
+    Python float operand anew on every call.
+
     Real ``work`` is rotated in real arithmetic.  Complex input with zero
     imaginary parts gets the same eigenvalues and carried magnitudes bit for
     bit: each real part is the same product or sum up to the sign of a zero,
@@ -133,64 +155,66 @@ def _rotation_rounds(work: np.ndarray, skip: np.ndarray, step: np.ndarray):
     k = m // 2
     real = not np.iscomplexobj(work)
     buffers = [_round_views(work), _round_views(np.empty_like(work))]
-    mag, keep, safe, tau, t, c, tmp, shift = np.empty((8, k, count))
+    one = np.ones((k, count))
+    mag, keep, safe, tau, t, tmp, shift = np.empty((7, k, count))
     new_diag = np.empty((m, count))
     new_p, new_q = new_diag[:k], new_diag[k:]
-    # s, and on complex work its conjugate: the columns take (s, conj s), the rows
-    # (conj s, s).  Complex work multiplies by complex copies of c and keep, the
-    # same products as numpy's implicit cast, without its cost.
-    coef = np.empty((1 if real else 2, k, count), dtype=work.dtype)
-    s, sbar = coef[0], coef[-1]
-    cz, keepz = (c, keep) if real else np.empty((2, k, count), dtype=complex)
-    row_c, row_s = cz[:, None], coef[::-1, :, None]
-    col_p, col_q = np.empty((2, rows, 2, k, count), dtype=work.dtype)
-    row_p, row_q = np.empty((2, 2, k, m, count), dtype=work.dtype)
-    (col_p0, col_p1), (col_q0, col_q1) = col_p.swapaxes(0, 1), col_q.swapaxes(0, 1)
-    (row_p0, row_p1), (row_q0, row_q1) = row_p, row_q
+    # The columns take (c, c) and (s, conj s), the rows the same with the second axis
+    # reversed: (c, c) and (conj s, s).  Complex work multiplies by complex copies of
+    # c and keep, the same products as numpy's implicit cast, without its cost.
+    coef = np.empty((2, 1 if real else 2, k, count), dtype=work.dtype)
+    cc, s, sbar = coef[0], coef[1, 0], coef[1, -1]
+    c = cc[0] if real else np.empty((k, count))
+    keepz = keep if real else np.empty((k, count), dtype=complex)
+    col_coef, row_coef = coef[:, None], coef[:, ::-1, :, None]
+    col = np.empty((2, rows, 2, k, count), dtype=work.dtype)
+    row = np.empty((2, 2, k, m, count), dtype=work.dtype)
+    # The products of x and y with c, and with s (columns: y with conj s; rows: x).
+    (col_cx, col_cy), (col_sx, col_sy) = col.swapaxes(1, 2)
+    (row_cx, row_cy), (row_sx, row_sy) = row
 
     def rotate(views):
-        _, diag, app, aqq, pq, qp, cols, x_col, y_col, halves, x_row, y_row = views
-        np.abs(pq, out=mag)
+        _, diag, app, aqq, pq, pairs, cols, x_col, y_col, halves, x_row, y_row = views
+        # Each ufunc writes into its last argument: a positional output costs less
+        # per call than out=.
+        np.abs(pq, mag)
         # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
-        np.less(mag, skip, out=keep)
+        np.less(mag, skip, keep)
         # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.  A
         # skipped pair divides by |a_pq| + 1 (never by 0) and its t is zeroed: c = 1, s = 0.
-        np.add(mag, keep, out=safe)
-        np.subtract(aqq, app, out=tau)
-        np.add(safe, safe, out=tmp)
-        np.divide(tau, tmp, out=tau)
-        np.hypot(1.0, tau, out=tmp)
-        np.abs(tau, out=t)
-        np.add(t, tmp, out=t)
-        np.subtract(1.0, keep, out=tmp)
-        np.divide(tmp, t, out=t)
-        np.copysign(t, tau, out=t)
-        np.hypot(1.0, t, out=c)
-        np.divide(1.0, c, out=c)
-        np.multiply(t, c, out=tmp)
-        np.divide(tmp, safe, out=tmp)
-        np.multiply(tmp, pq, out=s)
-        np.multiply(t, mag, out=shift)
-        np.subtract(app, shift, out=new_p)
-        np.add(aqq, shift, out=new_q)
+        np.add(mag, keep, safe)
+        np.subtract(aqq, app, tau)
+        np.add(safe, safe, tmp)
+        np.divide(tau, tmp, tau)
+        np.hypot(one, tau, tmp)
+        np.abs(tau, t)
+        np.add(t, tmp, t)
+        np.subtract(one, keep, tmp)
+        np.divide(tmp, t, t)
+        np.copysign(t, tau, t)
+        np.hypot(one, t, c)
+        np.divide(one, c, c)
+        np.multiply(t, c, tmp)
+        np.divide(tmp, safe, tmp)
+        np.multiply(tmp, pq, s)
+        np.multiply(t, mag, shift)
+        np.subtract(app, shift, new_p)
+        np.add(aqq, shift, new_q)
         if not real:
-            np.copyto(cz, c)
+            np.copyto(cc, c)
             np.copyto(keepz, keep)
-            np.conjugate(s, out=sbar)
+            np.conjugate(s, sbar)
         # Columns of A and of the carried rows: A <- A J, X <- X J, from products of
         # the old x and y.
-        np.multiply(cols, cz, out=col_p)
-        np.multiply(cols, coef, out=col_q)
-        np.subtract(col_p0, col_q1, out=x_col)
-        np.add(col_q0, col_p1, out=y_col)
+        np.multiply(cols, col_coef, col)
+        np.subtract(col_cx, col_sy, x_col)
+        np.add(col_sx, col_cy, y_col)
         # Rows of A: A <- J^H A.
-        np.multiply(row_c, halves, out=row_p)
-        np.multiply(row_s, halves, out=row_q)
-        np.subtract(row_p0, row_q1, out=x_row)
-        np.add(row_q0, row_p1, out=y_row)
+        np.multiply(row_coef, halves, row)
+        np.subtract(row_cx, row_sy, x_row)
+        np.add(row_sx, row_cy, y_row)
         np.copyto(diag, new_diag)
-        np.multiply(pq, keepz, out=pq)
-        np.multiply(qp, keepz, out=qp)
+        np.multiply(pairs, keepz, pairs)
 
     current = 0
 
@@ -199,8 +223,8 @@ def _rotation_rounds(work: np.ndarray, skip: np.ndarray, step: np.ndarray):
         for _ in range(rounds):
             views, spare = buffers[current], buffers[1 - current]
             rotate(views)
-            # mode="clip" lets np.take write straight into ``out``; every index is valid.
-            np.take(views[0], step, axis=0, out=spare[0], mode="clip")
+            # mode "clip" lets take write straight into its output; every index is valid.
+            views[0].take(step, 0, spare[0], "clip")
             current = 1 - current
         return buffers[current][0].reshape(rows, m, count)
 

@@ -40,17 +40,18 @@ def as_matrix(state) -> np.ndarray:
     return np.asarray(getattr(state, "matrix", state), dtype=complex)
 
 
-def _per_state(quantity):
+def _per_state(quantity, convert=as_matrix):
     """Let ``quantity``, written for a stack ``(B, d, d)``, also take one matrix ``(d, d)``.
 
     One matrix goes through as a stack of one, so it gets exactly the
     arithmetic it would get in any stack; its value (or each value of a
-    tuple) comes back as a float.
+    tuple) comes back as a float.  ``convert`` turns the argument into an
+    array: by default the complex matrix of :func:`as_matrix`.
     """
 
     @wraps(quantity)
     def one_or_stack(state, *args, **kwargs):
-        rho = as_matrix(state)
+        rho = convert(state)
         if rho.ndim not in (2, 3):
             raise ShapeError(f"expected a matrix or a stack of matrices, got shape {rho.shape}")
         if rho.ndim == 3:

@@ -323,3 +323,96 @@ def test_real_input_is_solved_in_real_arithmetic_bit_for_bit(monkeypatch):
         assert xv.dtype == np.float64 and _bitwise(w, wz)
         assert np.array_equal(xv, xz.real) and not xz.imag.any()
         assert _bitwise(np.abs(xv), np.abs(xz))
+
+
+def test_ky_fan_solves_of_real_blocks_run_in_float64(monkeypatch):
+    # kyfan_norm takes its array as given, so every real correlation block reaches the
+    # kernel as float64 through each caller of the Ky Fan norm; a complex block stays
+    # complex.  The states are built (and validated, in complex arithmetic) beforehand.
+    from entmoment.entanglement import _Evaluation, classify, kyfan_norm, octahedron_check
+    from entmoment.states import random_density, werner
+    from entmoment.sweep import QUANTITIES
+
+    rng = np.random.default_rng(43)
+    qudits = [random_density(n * n, rng=rng).matrix for n in (3, 4)]
+    werners = werner(np.linspace(0.0, 1.0, 5))
+    block = rng.standard_normal((3, 8, 8))
+    dtypes = []
+    solve = linalg._jacobi
+
+    def recording(a, carry=None, size=None):
+        dtypes.append(a.dtype if carry is None else np.result_type(a, carry))
+        return solve(a, carry, size)
+
+    monkeypatch.setattr(linalg, "_jacobi", recording)
+    calls = {
+        "kyfan_norm": (lambda: kyfan_norm(block), np.float64),
+        "kyfan_norm of one matrix": (lambda: kyfan_norm(block[0]), np.float64),
+        "kyfan_norm complex": (lambda: kyfan_norm(block.astype(complex)), np.complex128),
+        "classify n=3": (lambda: classify(qudits[0]), np.float64),
+        "classify n=4": (lambda: classify(qudits[1]), np.float64),
+        "kyfan_c": (lambda: QUANTITIES["kyfan_c"](_Evaluation(werners, ("kyfan_c",))), np.float64),
+        "octahedron_check": (lambda: octahedron_check([[0.2, -0.3, 0.1], [0.5, 0.5, -0.5]]),
+                             np.float64),
+    }
+    for name, (call, dtype) in calls.items():
+        dtypes.clear()
+        call()
+        assert dtypes == [dtype], name
+
+
+def _reference_round(work, skip, step):
+    """One round written pair by pair from the formulas of ``linalg._rotation_rounds``,
+    each product and sum with the operands in the documented order."""
+    rows, m, count = work.shape
+    k = m // 2
+    a = work.copy()
+    coefficients = []
+    for p in range(k):
+        q = p + k
+        apq = work[p, q]
+        mag = np.abs(apq)
+        keep = (mag < skip).astype(float)
+        safe = mag + keep
+        tau = (work[q, q].real - work[p, p].real) / (safe + safe)
+        t = np.copysign((1.0 - keep) / (np.abs(tau) + np.hypot(1.0, tau)), tau)
+        c = 1.0 / np.hypot(1.0, t)
+        s = ((t * c) / safe) * apq
+        coefficients.append((p, q, c, s, np.conj(s), keep, work[p, p].real - t * mag,
+                             work[q, q].real + t * mag))
+    for p, q, c, s, sbar, *_ in coefficients:
+        x, y = a[:, p].copy(), a[:, q].copy()
+        a[:, p], a[:, q] = x * c - y * sbar, x * s + y * c
+    for p, q, c, s, sbar, *_ in coefficients:
+        x, y = a[p].copy(), a[q].copy()
+        a[p], a[q] = c * x - s * y, sbar * x + c * y
+    for p, q, *_, keep, app, aqq in coefficients:
+        a[p, p], a[q, q] = app, aqq
+        a[p, q], a[q, p] = a[p, q] * keep, a[q, p] * keep
+    return a.reshape(rows * m, count)[step].reshape(rows, m, count)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m", [4, 8, 16, 64])
+@pytest.mark.parametrize("count", [1, 5])
+def test_one_rotation_round_equals_the_pair_by_pair_formulas_bit_for_bit(dtype, m, count):
+    # Pins the arithmetic of a round (the fused products and the strided views it
+    # writes through) to the per-pair formulas, on Hermitian A with three carried rows.
+    rng = np.random.default_rng(1000 * m + count)
+    rows, k = m + 3, m // 2
+    g = rng.standard_normal((count, rows, m))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((count, rows, m))
+    a = g[:, :m]
+    g[:, :m] = a + np.swapaxes(a, -1, -2).conj()
+    skip = np.full(count, 1e-14)
+    # Pairs below skip: exact zeros and tiny entries, on a seeded share of the pairs.
+    small = rng.random((count, k)) < 0.3
+    for b, p in zip(*np.nonzero(small)):
+        g[b, p, p + k] = g[b, p + k, p] = 0.0 if p % 2 else 1e-20
+    work = np.ascontiguousarray(g.transpose(1, 2, 0)).astype(dtype)
+    _, _, (row_index, col_index) = linalg._round_robin(m, rows)
+    step = (row_index * m + col_index).ravel()
+    expected = _reference_round(work, skip, step)
+    result = linalg._rotation_rounds(work.copy(), skip, step)(1)
+    assert result.dtype == expected.dtype and result.tobytes() == expected.tobytes()
