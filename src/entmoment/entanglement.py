@@ -9,6 +9,7 @@ Each scalar quantity takes one matrix and returns a float, or a stack
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -17,10 +18,11 @@ import numpy as np
 
 from .errors import CrossCheckError, DimensionError, DomainError, ShapeError
 from .linalg import (
+    _carried_norms,
     _check_hermitian,
     _gram,
+    _gram_eigenvalues,
     _gram_factor,
-    _gram_values,
     _jacobi,
     _pivoted_cholesky,
     hermitian_eigenvalues,
@@ -34,9 +36,11 @@ from .states import (
     bell_state,
     maximally_mixed,
     partial_transpose,
+    purity,
     spin_flip_matrix,
 )
 from .tensors import (
+    inner_product,
     moments,
     product_representation,
     quadratic_invariant,
@@ -131,11 +135,14 @@ def _largest_minus_rest(v: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, v[..., 0] - v[..., 1] - v[..., 2] - v[..., 3])
 
 
+_YY_COLUMN = _YY_SIGNS[:, None]
+
+
 def _flip_factor(rhos) -> np.ndarray:
     """tau = W^T (sigma_y x sigma_y) W for rho = W W^H: tau^H tau has the spectrum
     of rho rho~ (Uhlmann, PRA 62, 032307 (2000)); sigma_y x sigma_y is a signed row reversal."""
     w = _pivoted_cholesky(_require_two_qubits(rhos))
-    return np.swapaxes(w, -1, -2) @ (_YY_SIGNS[:, None] * w[..., ::-1, :])
+    return np.swapaxes(w, -1, -2) @ (_YY_COLUMN * w[..., ::-1, :])
 
 
 @_per_state
@@ -247,6 +254,10 @@ def werner_ltilde_signature(x: float) -> LtildeSignature:
     )
 
 
+# The kernel size of each solve of :func:`_two_qubit_solves`: the padded Gram of C is 3x3.
+_SOLVE_SIZES = np.array([[3], [4], [4]])
+
+
 def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray, tau=None) -> tuple:
     """Ky Fan norm of the Fano C, the lowest eigenvalue of the partial transpose and,
     given the flip factor ``tau``, tau^H tau's eigenvalues and tau's singular values
@@ -259,28 +270,35 @@ def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray, tau=None) -> tuple:
     transpose with a zero carry (:func:`ppt_check`).  Each value equals that
     function's bit for bit.
     """
-    c, e_c = _gram_factor(fano_c)
-    # One (matrix, carry) pair per solve, in the order of the stack.
-    kyfan_pair = np.zeros((2,) + rhos.shape, dtype=complex)
-    kyfan_pair[0, :, :3, :3] = np.swapaxes(c, -1, -2).conj() @ c
-    kyfan_pair[1, :, :3, :3] = c
-    pairs = [kyfan_pair]
+    solves = 2 if tau is None else 3
+    # The matrices (stack[0]) and their carries (stack[1]), written in place, and the
+    # power-of-two scale of C and tau.
+    stack = np.zeros((2, solves) + rhos.shape, dtype=complex)
+    scales = np.empty((2, len(rhos)), dtype=int)
+    c, scales[0] = _gram_factor(fano_c)
+    stack[0, 0, :, :3, :3] = np.swapaxes(c, -1, -2).conj() @ c
+    stack[1, 0, :, :3, :3] = c
     if tau is not None:
-        tau, e_tau = _gram_factor(tau)
-        pairs.append([np.swapaxes(tau, -1, -2).conj() @ tau, tau])
-    pairs.append([_check_hermitian(partial_transpose(rhos)), np.zeros(rhos.shape, dtype=complex)])
-    a, carry = np.stack(pairs, axis=1)
-    w, xv = _jacobi(a, carry, size=np.array([3] + [4] * (len(pairs) - 1))[:, None])
-    # The padding index's singular value is 0, last in descending order.
-    kyfan = _gram_values(w[0], xv[0], e_c)[1][:, :3].sum(axis=-1)
-    tau_values = None if tau is None else _gram_values(w[1], xv[1], e_tau)
+        tau, scales[1] = _gram_factor(tau)
+        stack[0, 1] = np.swapaxes(tau, -1, -2).conj() @ tau
+        stack[1, 1] = tau
+    stack[0, -1] = pt = partial_transpose(rhos)
+    if tau is None:
+        # Otherwise _flip_factor has checked rho, which deviates from Hermiticity by
+        # exactly as much as its partial transpose.
+        _check_hermitian(pt)
+    w, xv = _jacobi(stack[0], stack[1], size=_SOLVE_SIZES[:solves])
+    # Singular values of C and tau; C's padding index gives a 0, last in descending order.
+    sv = _carried_norms(xv[: solves - 1], scales[: solves - 1])
+    kyfan = sv[0, :, :3].sum(axis=-1)
+    tau_values = None if tau is None else (_gram_eigenvalues(w[1], scales[1]), sv[1])
     return kyfan, tau_values, w[-1, :, 0]
 
 
 class _Evaluation:
     """A state stack ``(B, d, d)`` and the pieces its quantities share, each computed
-    on first use and kept: the moments, their Fano form, (L, Omega) and K, the
-    cascade and the two concurrences.
+    on first use and kept: the purity, the moments, their Fano form, (L, Omega), K
+    and its quadratic invariant, the cascade and the two concurrences.
 
     ``names``, the ``sweep.QUANTITIES`` that will be read, decide the Jacobi
     calls.  With ``verdict`` the cascade's call also solves tau^H tau when a
@@ -293,10 +311,12 @@ class _Evaluation:
     def __init__(self, rhos: np.ndarray, names=("verdict",), tol: float = DEFAULT_TOL):
         self.rhos, self.names, self.tol = rhos, frozenset(names), tol
 
+    purity = cached_property(lambda self: purity(self.rhos))
     moments = cached_property(lambda self: moments(self.rhos))
     fano = cached_property(lambda self: self.moments.fano())
     sym_antisym = cached_property(lambda self: split_sym_antisym(self.moments.second))
     covariance = cached_property(lambda self: self.moments.covariance())
+    f2_covariance = cached_property(lambda self: inner_product(self.covariance))
 
     @cached_property
     def concurrences(self) -> tuple:
@@ -348,22 +368,24 @@ class _Evaluation:
         # sqrt(v . v) is bitwise the 1-D np.linalg.norm(v); a norm over axis -1 is not.
         norm_a = np.sqrt(np.vecdot(f.nvec, f.nvec))
         norm_b = np.sqrt(np.vecdot(f.mvec, f.mvec))
-        value = np.sqrt(quad) * (norm_a + norm_b) + quad * fano_kyfan
+        value = math.sqrt(quad) * (norm_a + norm_b) + quad * fano_kyfan
         omega_max = np.abs(self.sym_antisym[1]).max(axis=(-2, -1))
-        # argmax picks each state's first criterion that holds; the last row, always
-        # true, gives code 3 where none does.
-        holds = np.stack([
+        # Each state's first criterion that holds, 3 where none does.
+        code = np.where(
             ~(raw_kyfan <= quad + tol),
-            value <= 1.0 + tol,
-            (omega_max < tol) & (quad * raw_kyfan <= 1.0 + tol),
-            np.ones(count, dtype=bool),
-        ])
-        code = holds.argmax(axis=0)
-        pt_min = np.full(count, np.nan)
+            0,
+            np.where(
+                value <= 1.0 + tol,
+                1,
+                np.where((omega_max < tol) & (quad * raw_kyfan <= 1.0 + tol), 2, 3),
+            ),
+        )
         if n == 2:
             todo = code == 3
-            code[todo] = 4 + (pt_low[todo] >= -tol)
-            pt_min[todo] = pt_low[todo]
+            code = np.where(todo, 4 + (pt_low >= -tol), code)
+            pt_min = np.where(todo, pt_low, np.nan)
+        else:
+            pt_min = np.full(count, np.nan)
         witnesses = {
             "c_kyfan": raw_kyfan,
             "necessary_bound": np.full(count, quad),

@@ -23,6 +23,10 @@ OFF_DIAGONAL_TOL = 1e-12
 PIVOT_TOL = 1e-14
 # Budget of full Jacobi sweeps (every index pair rotated once) before giving up.
 MAX_SWEEPS = 100
+# A compaction of the Jacobi stack (the round state re-viewed and one take) costs
+# about as much as a round's arithmetic on this many working entries of finished
+# matrices, which is what leaving them in the stack costs per round.
+_COMPACTION_ENTRIES = 2048
 
 
 def _real_or_complex(matrix) -> np.ndarray:
@@ -43,13 +47,26 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-def _off_diagonal_norms(a: np.ndarray) -> np.ndarray:
+def _square_views(squares: np.ndarray, count: int, m: int) -> tuple:
+    """Views of ``count * m * m`` floats for :func:`_off_diagonal_norms`: ``(count, m, m)``,
+    one row per matrix, and the diagonal entries of those rows."""
+    by_row = squares.reshape(count, m * m)
+    return squares.reshape(count, m, m), by_row, by_row[:, :: m + 1]
+
+
+def _off_diagonal_norms(a: np.ndarray, squares=None) -> np.ndarray:
     """Frobenius norm of each matrix's off-diagonal part, shape ``(B,)``; each sums one
-    C-contiguous row, so a matrix gets the same sum (and stop test) in any stack."""
+    C-contiguous row, so a matrix gets the same sum (and stop test) in any stack.
+    ``squares`` (:func:`_square_views`) holds the squares."""
     count, m = a.shape[0], a.shape[-1]
-    b = np.abs(a, order="C").reshape(count, m * m)
-    b[:, :: m + 1] = 0.0
-    return np.sqrt((b * b).sum(axis=-1))
+    if squares is None:
+        squares = _square_views(np.empty(count * m * m), count, m)
+    matrices, by_row, diagonal = squares
+    np.abs(a, matrices)
+    diagonal.fill(0.0)
+    np.multiply(by_row, by_row, by_row)
+    norms = np.add.reduce(by_row, 1)
+    return np.sqrt(norms, norms)
 
 
 @lru_cache(maxsize=None)
@@ -58,75 +75,68 @@ def _round_robin(m: int, rows: int) -> tuple:
 
     The working matrix is kept permuted so that each round rotates the
     position pairs (j, j + m/2).  Returns the position of each original
-    index in the first round's layout, the index pair that permutes a
-    ``(rows, m)`` working array into that layout, and the index pair that
-    moves any round's layout to the next round's.  Rows past m (carried
-    rows) keep their order.  Every round turns the ring by the same step,
-    so a sweep of m - 1 rounds rotates every index pair exactly once and
-    ends on the first layout (circle method; Brent & Luk, SIAM J. Sci.
-    Stat. Comput. 6, 69 (1985)).
+    index in the first round's layout and the flat row indices that move a
+    ``(rows * m, B)`` working array from any round's layout to the next
+    round's.  Rows past m (carried rows) keep their order.  Every round
+    turns the ring by the same step, so a sweep of m - 1 rounds rotates
+    every index pair exactly once and ends on the first layout (circle
+    method; Brent & Luk, SIAM J. Sci. Stat. Comput. 6, 69 (1985)).
     """
-    tail = np.arange(m, rows)
-
-    def index(perm):
-        return np.concatenate([perm, tail])[:, None], perm
 
     def layout(r):
         ring = [0] + [1 + (j + r) % (m - 1) for j in range(m - 1)]
         return np.array(ring[: m // 2] + ring[: m // 2 - 1 : -1], dtype=int)
 
-    first = layout(0)
-    position = np.argsort(first)
-    return position, index(first), index(position[layout(1)])
+    position = np.argsort(layout(0))
+    columns = position[layout(1)]
+    step = np.concatenate([columns, np.arange(m, rows)])[:, None] * m + columns
+    return position, step.ravel()
 
 
 def _round_views(work: np.ndarray) -> tuple:
-    """Views of a working array ``(rows, m, B)`` that a round reads and writes.
+    """Views of a C-contiguous working array ``(rows, m, B)`` that a round reads and writes.
 
     The flat array ``(rows * m, B)``, the diagonal, the real part of its p and q
     halves, the (p, q) entries of every pair, those and the (q, p) entries as one
     ``(2, m/2, B)`` view, the column halves ``(rows, 2, m/2, B)`` and their p and q
     columns, and the row halves of A ``(2, m/2, m, B)`` and their p and q rows.
-    copy=False (numpy >= 2.1) raises rather than let a round's writes land in a copy.
     """
     rows, m, count = work.shape
     k = m // 2
-    flat = work.reshape(rows * m, count, copy=False)
+    flat = work.reshape(rows * m, count)
     diag = flat[: m * m : m + 1]
+    real = diag.real
     # (p, q) = (j, j + k) is flat row k + j (m + 1); (q, p) is k (m - 1) rows further.
     row, item = flat.strides
     strides = (k * (m - 1) * row, (m + 1) * row, item)
     pairs = np.ndarray((2, k, count), flat.dtype, flat, k * row, strides)
-    cols = work.reshape(rows, 2, k, count, copy=False)
-    halves = work[:m].reshape(2, k, m, count, copy=False)
+    cols = work.reshape(rows, 2, k, count)
+    halves = work[:m].reshape(2, k, m, count)
     return (
-        flat,
-        diag,
-        diag.real[:k],
-        diag.real[k:],
-        pairs[0],
-        pairs,
-        cols,
-        cols[:, 0],
-        cols[:, 1],
-        halves,
-        halves[0],
-        halves[1],
+        flat, diag, real[:k], real[k:], pairs[0], pairs,
+        cols, cols[:, 0], cols[:, 1], halves, halves[0], halves[1],
     )
 
 
-def _rotation_rounds(work: np.ndarray, skip: np.ndarray, step: np.ndarray):
-    """``run(rounds)``: apply that many round-robin rounds to ``work``; returns the result.
+class _RotationRounds:
+    """Round-robin Jacobi rounds on a stack; the round state is allocated once.
 
     ``work`` is ``(rows, m, B)``, the stack axis last so that every ufunc loops
     over the whole stack: A in the first m rows and the carried rows X below
-    it.  A round rotates every pair j, (p, q) = (j, j + m/2): with J the direct
+    it.  Its memory is the first of two round buffers.  ``self(rounds)``
+    applies that many rounds to the live matrices (at first all B) and
+    returns their state ``(rows, m, live)``; :meth:`keep` narrows the stack to
+    the matrices that go on.  The live matrices fill a C-contiguous prefix of
+    each round buffer and of each temporary, so narrowing re-views those
+    arrays: buffers and temporaries are allocated here, once per solve.
+
+    A round rotates every pair j, (p, q) = (j, j + m/2): with J the direct
     sum of the m/2 2x2 rotations it applies ``A <- J^H A J`` and ``X <- X J``,
     then sets the rotated (p, q) entries to zero and the rotated diagonal
     entries to their closed forms.  A pair whose ``|a_pq|`` is below ``skip``
     (one per matrix) gets an exact identity rotation.  ``step`` (flat row
-    indices) then moves the array into the next round's layout, in a second
-    buffer.  Views of both buffers and every temporary are made once, here.
+    indices) then moves the array into the next round's layout, in the other
+    buffer.
 
     Per pair, with x and y the old p and q columns (rows) and every product
     taken in this operand order::
@@ -151,84 +161,147 @@ def _rotation_rounds(work: np.ndarray, skip: np.ndarray, step: np.ndarray):
     bit: each real part is the same product or sum up to the sign of a zero,
     and the diagonal (so every tau and copysign) is set from closed forms.
     """
-    rows, m, count = work.shape
-    k = m // 2
-    real = not np.iscomplexobj(work)
-    buffers = [_round_views(work), _round_views(np.empty_like(work))]
-    one = np.ones((k, count))
-    mag, keep, safe, tau, t, tmp, shift = np.empty((7, k, count))
-    new_diag = np.empty((m, count))
-    new_p, new_q = new_diag[:k], new_diag[k:]
-    # The columns take (c, c) and (s, conj s), the rows the same with the second axis
-    # reversed: (c, c) and (conj s, s).  Complex work multiplies by complex copies of
-    # c and keep, the same products as numpy's implicit cast, without its cost.
-    coef = np.empty((2, 1 if real else 2, k, count), dtype=work.dtype)
-    cc, s, sbar = coef[0], coef[1, 0], coef[1, -1]
-    c = cc[0] if real else np.empty((k, count))
-    keepz = keep if real else np.empty((k, count), dtype=complex)
-    col_coef, row_coef = coef[:, None], coef[:, ::-1, :, None]
-    col = np.empty((2, rows, 2, k, count), dtype=work.dtype)
-    row = np.empty((2, 2, k, m, count), dtype=work.dtype)
-    # The products of x and y with c, and with s (columns: y with conj s; rows: x).
-    (col_cx, col_cy), (col_sx, col_sy) = col.swapaxes(1, 2)
-    (row_cx, row_cy), (row_sx, row_sy) = row
 
-    def rotate(views):
-        _, diag, app, aqq, pq, pairs, cols, x_col, y_col, halves, x_row, y_row = views
-        # Each ufunc writes into its last argument: a positional output costs less
-        # per call than out=.
-        np.abs(pq, mag)
-        # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
-        np.less(mag, skip, keep)
-        # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.  A
-        # skipped pair divides by |a_pq| + 1 (never by 0) and its t is zeroed: c = 1, s = 0.
-        np.add(mag, keep, safe)
-        np.subtract(aqq, app, tau)
-        np.add(safe, safe, tmp)
-        np.divide(tau, tmp, tau)
-        np.hypot(one, tau, tmp)
-        np.abs(tau, t)
-        np.add(t, tmp, t)
-        np.subtract(one, keep, tmp)
-        np.divide(tmp, t, t)
-        np.copysign(t, tau, t)
-        np.hypot(one, t, c)
-        np.divide(one, c, c)
-        np.multiply(t, c, tmp)
-        np.divide(tmp, safe, tmp)
-        np.multiply(tmp, pq, s)
-        np.multiply(t, mag, shift)
-        np.subtract(app, shift, new_p)
-        np.add(aqq, shift, new_q)
-        if not real:
-            np.copyto(cc, c)
-            np.copyto(keepz, keep)
-            np.conjugate(s, sbar)
-        # Columns of A and of the carried rows: A <- A J, X <- X J, from products of
-        # the old x and y.
-        np.multiply(cols, col_coef, col)
-        np.subtract(col_cx, col_sy, x_col)
-        np.add(col_sx, col_cy, y_col)
-        # Rows of A: A <- J^H A.
-        np.multiply(row_coef, halves, row)
-        np.subtract(row_cx, row_sy, x_row)
-        np.add(row_sx, row_cy, y_row)
-        np.copyto(diag, new_diag)
-        np.multiply(pairs, keepz, pairs)
+    def __init__(self, work: np.ndarray, skip: np.ndarray, step: np.ndarray):
+        rows, m, count = work.shape
+        k = m // 2
+        # skip (float64, one per matrix) becomes the rounds' own: keep() compacts it.
+        self.shape, self.step, self.skip = (rows, m), step, skip
+        self.real = not np.iscomplexobj(work)
+        # copy=False (numpy >= 2.1) raises rather than let the rounds work on a copy.
+        self.buffers = (work.reshape(-1, copy=False), np.empty(work.size, work.dtype))
+        self.current = 0
+        # Flat storage of the temporaries, B matrices long, one array per kind: the
+        # constant ones (k, B), ten float temporaries (k, B), the stop test's squares
+        # (B, m, m), the coefficients (2, 1 or 2, k, B) with, on complex work, the
+        # complex keep (k, B), and the column (2, rows, 2, k, B) and row (2, 2, k, m, B)
+        # products.
+        self.storage = (
+            np.ones(k * count),
+            np.empty(10 * k * count),
+            np.empty(m * m * count),
+            np.empty((2 if self.real else 5) * k * count, work.dtype),
+            np.empty(4 * rows * k * count, work.dtype),
+            np.empty(4 * m * k * count, work.dtype),
+        )
+        self._narrow(count)
 
-    current = 0
+    def _narrow(self, live: int) -> None:
+        """View the round state of the first ``live`` matrices of each buffer."""
+        rows, m = self.shape
+        k = m // 2
+        kl = k * live
+        ones, floats, squares, coefficients, columns, row_products = self.storage
+        self.skip_live = self.skip[:live]
+        self.works = [b[: rows * m * live].reshape(rows, m, live) for b in self.buffers]
+        self.views = [_round_views(w) for w in self.works]
+        # Each buffer's A as (live, m, m), the stack axis first, for the stop test.
+        self.matrices = [w[:m].transpose(2, 0, 1) for w in self.works]
+        self.squares = _square_views(squares[: m * m * live], live, m)
+        mag, keep, safe, tau, t, tmp, shift, hyp, new_p, new_q = floats[: 10 * kl].reshape(
+            10, k, live
+        )
+        # The columns take (c, c) and (s, conj s), the rows the same with the second axis
+        # reversed: (c, c) and (conj s, s).  Complex work writes c and keep as complex
+        # numbers, the same values as numpy's implicit cast, and reads their real parts.
+        if self.real:
+            coef, keepz = coefficients[: 2 * kl].reshape(2, 1, k, live), keep
+        else:
+            coef = coefficients[: 4 * kl].reshape(2, 2, k, live)
+            keepz = coefficients[4 * kl : 5 * kl].reshape(k, live)
+            keep = keepz.real
+        cc = coef[0]
+        col = columns[: 4 * rows * kl].reshape(2, rows, 2, k, live)
+        row = row_products[: 4 * m * kl].reshape(2, 2, k, m, live)
+        # The products of x and y with c, and with s (columns: y with conj s; rows: x).
+        (col_cx, col_cy), (col_sx, col_sy) = col.swapaxes(1, 2)
+        (row_cx, row_cy), (row_sx, row_sy) = row
+        self.temps = (
+            ones[:kl].reshape(k, live), mag, keep, safe, tau, t, tmp, shift, hyp, cc[0].real,
+            floats[8 * kl : 10 * kl].reshape(m, live), new_p, new_q, cc, coef[1, 0],
+            coef[1, -1], keepz, coef[:, None], coef[:, ::-1, :, None], col, row,
+            col_cx, col_cy, col_sx, col_sy, row_cx, row_cy, row_sx, row_sy,
+        )
 
-    def run(rounds: int) -> np.ndarray:
-        nonlocal current
+    def stopped(self, tol: np.ndarray) -> np.ndarray:
+        """Where each live matrix's off-diagonal norm is below its ``tol``."""
+        return _off_diagonal_norms(self.matrices[self.current], self.squares) < tol
+
+    def values(self, which: np.ndarray) -> np.ndarray:
+        """The working arrays ``(rows * m, n)`` of the live matrices where ``which`` holds."""
+        return self.views[self.current][0][:, which]
+
+    def keep(self, going: np.ndarray) -> None:
+        """Keep the stack's matrices where ``going`` holds, in order, as the first ones."""
+        index = np.flatnonzero(going)
+        old = self.views[self.current][0]
+        self.skip[: index.size] = self.skip_live[index]
+        self._narrow(index.size)
+        self.current = 1 - self.current
+        # mode "clip" lets take write straight into its output; every index is valid.
+        old.take(index, 1, self.views[self.current][0], "clip")
+
+    def __call__(self, rounds: int) -> np.ndarray:
+        (
+            one, mag, keep, safe, tau, t, tmp, shift, hyp, c, new_diag, new_p, new_q, cc, s,
+            sbar, keepz, col_coef, row_coef, col, row,
+            col_cx, col_cy, col_sx, col_sy, row_cx, row_cy, row_sx, row_sy,
+        ) = self.temps
+        skip, complex_work, step, views, current = (
+            self.skip_live, not self.real, self.step, self.views, self.current
+        )
+        # The ufuncs as locals: a round is ~30 calls on small arrays.
+        absolute, less, add, subtract, divide, hypot, copysign, multiply, conjugate = (
+            np.abs, np.less, np.add, np.subtract, np.divide, np.hypot, np.copysign,
+            np.multiply, np.conjugate,
+        )
         for _ in range(rounds):
-            views, spare = buffers[current], buffers[1 - current]
-            rotate(views)
+            flat, diag, app, aqq, pq, pairs, cols, x_col, y_col, halves, x_row, y_row = (
+                views[current]
+            )
+            # Each ufunc writes into its last argument: a positional output costs less
+            # per call than out=.
+            absolute(pq, mag)
+            # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
+            less(mag, skip, keepz)
+            # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.  A
+            # skipped pair divides by |a_pq| + 1 (never by 0); its t is zeroed: c = 1, s = 0.
+            add(mag, keep, safe)
+            subtract(aqq, app, tau)
+            add(safe, safe, tmp)
+            divide(tau, tmp, tau)
+            hypot(one, tau, tmp)
+            absolute(tau, t)
+            add(t, tmp, t)
+            subtract(one, keep, tmp)
+            divide(tmp, t, t)
+            copysign(t, tau, t)
+            hypot(one, t, hyp)
+            divide(one, hyp, cc)
+            multiply(t, c, tmp)
+            divide(tmp, safe, tmp)
+            multiply(tmp, pq, s)
+            multiply(t, mag, shift)
+            subtract(app, shift, new_p)
+            add(aqq, shift, new_q)
+            if complex_work:
+                conjugate(s, sbar)
+            # Columns of A and of the carried rows: A <- A J, X <- X J, from products of
+            # the old x and y.
+            multiply(cols, col_coef, col)
+            subtract(col_cx, col_sy, x_col)
+            add(col_sx, col_cy, y_col)
+            # Rows of A: A <- J^H A.
+            multiply(row_coef, halves, row)
+            subtract(row_cx, row_sy, x_row)
+            add(row_sx, row_cy, y_row)
+            diag[...] = new_diag
+            multiply(pairs, keepz, pairs)
             # mode "clip" lets take write straight into its output; every index is valid.
-            views[0].take(step, 0, spare[0], "clip")
+            flat.take(step, 0, views[1 - current][0], "clip")
             current = 1 - current
-        return buffers[current][0].reshape(rows, m, count)
-
-    return run
+        self.current = current
+        return self.works[current]
 
 
 def _jacobi(a: np.ndarray, carry=None, size=None):
@@ -251,48 +324,62 @@ def _jacobi(a: np.ndarray, carry=None, size=None):
     if not count * n:
         return np.zeros(batch + (n,)), np.zeros(batch + (k, n), dtype=dtype)
     a = a.reshape(count, n, n)
-    scale = np.maximum(1.0, np.abs(a.reshape(count, n * n)).max(axis=-1, initial=0.0))
-    tol = OFF_DIAGONAL_TOL * scale
+    # max(1, largest |entry|) of each matrix.
+    tol = OFF_DIAGONAL_TOL * np.abs(a.reshape(count, n * n)).max(axis=-1, initial=1.0)
     # Rotations below this threshold cannot push the off-norm above tol.
-    sizes = np.broadcast_to(n if size is None else size, batch).reshape(count)
-    skip = tol * (0.25 / np.maximum(sizes, 1))
+    if size is None:
+        skip = tol * (0.25 / max(n, 1))
+    else:
+        skip = (tol.reshape(batch) * (0.25 / np.maximum(size, 1))).reshape(count)
     # Odd sizes get a zero padding index; its rotations are all identities.
     m = n + n % 2
-    position, start, (row_index, col_index) = _round_robin(m, m + k)
-    step = (row_index * m + col_index).ravel()
-    work = np.zeros((count, m + k, m), dtype=dtype)
-    work[:, :n, :n] = a
+    position, step = _round_robin(m, m + k)
+    position = position[:n]
+    # The rounds work on (rows, m, B), the stack axis last, built in the first layout.
+    work = np.zeros((m + k, m, count), dtype=dtype)
+    work[position[:, None], position] = a.transpose(1, 2, 0)
     if k:
-        work[:, m:, :n] = carry.reshape(math.prod(carry.shape[:-2]), k, n)
-    # The rounds work on (rows, m, B), the stack axis last.
-    work = np.ascontiguousarray(work[:, start[0], start[1]].transpose(1, 2, 0))
-    w = np.empty((count, m))
-    carried = np.empty((count, k, m), dtype=dtype)
-    live = np.arange(count)
-    run = None
+        work[m:, position] = carry.reshape(-1, k, n).transpose(1, 2, 0)
+    rounds = _RotationRounds(work, skip, step)
+    # Each matrix's working array as it finished, in the same layout; allocated
+    # only when some matrices stop before the others.
+    final = None
+    # The matrix in each place of the stack, and how many of them still iterate.
+    everyone = np.arange(count)
+    held, left = everyone, count
     for sweep in range(MAX_SWEEPS + 1):
         # A matrix leaves at the sweep where it would stop if solved alone.
-        done = _off_diagonal_norms(work[:m].transpose(2, 0, 1)) < tol
-        if done.any():
-            finished, rows, going = work[..., done], live[done], ~done
-            w[rows] = np.diagonal(finished, axis1=0, axis2=1).real
-            carried[rows] = finished[m:].transpose(2, 0, 1)
-            live, work, tol, skip = live[going], work[..., going], tol[going], skip[going]
-            run = None
-        if not live.size:
-            break
+        done = rounds.stopped(tol)
+        finished = held[done]
+        if finished.size:
+            if finished.size == count:
+                # The whole stack stops at this sweep: read it where it is.
+                final = rounds.works[rounds.current]
+                break
+            if final is None:
+                final = np.empty_like(work)
+            final.reshape((m + k) * m, count)[:, finished] = rounds.values(done)
+            left -= finished.size
+            if not left:
+                break
+            # A finished matrix left in the stack never stops again, and what the
+            # rounds do to it is never read.  The stack drops the finished ones once
+            # they hold enough entries to pay for the compaction.
+            tol[done] = -1.0
+            if (held.size - left) * (m + k) * m >= _COMPACTION_ENTRIES:
+                going = tol >= 0.0
+                rounds.keep(going)
+                held, tol = held[going], tol[going]
         if sweep == MAX_SWEEPS:
             raise ConvergenceError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
-        if run is None:
-            run = _rotation_rounds(work, skip, step)
-        work = run(m - 1)
+        rounds(m - 1)
     # Back to the original index order with the padding dropped; a stable
     # sort keeps tied eigenvalues in that order.
-    position = position[:n]
-    pick = np.arange(count)[:, None]
-    order = position[np.argsort(w[:, position], axis=-1, kind="stable")]
+    w = np.diagonal(final[:m], axis1=0, axis2=1).real
+    pick = everyone[:, None]
+    order = position[w[:, position].argsort(axis=-1, kind="stable")]
     w = w[pick, order].reshape(*batch, n)
-    carried = carried[pick[:, None], np.arange(k)[:, None], order[:, None, :]]
+    carried = final[m:].transpose(2, 0, 1)[pick[:, None], np.arange(k)[:, None], order[:, None, :]]
     return w, carried.reshape(*batch, k, n)
 
 
@@ -344,13 +431,19 @@ def _pivoted_cholesky(matrix: np.ndarray) -> np.ndarray:
     rows = np.arange(len(a))
     diagonal = np.diagonal(a, axis1=-2, axis2=-1).real
     floor = PIVOT_TOL * np.abs(diagonal).max(axis=-1, initial=0.0)
-    w = np.empty_like(a)
-    for k in range(a.shape[-1]):
+    w, outer = np.empty_like(a), np.empty_like(a)
+    # Each column of W as (B, n) and as (B, n, 1), and the conjugate of one as (B, 1, n).
+    columns = w.transpose(2, 0, 1)
+    conj = np.empty_like(a[:, :1])
+    last = a.shape[-1] - 1
+    for k, (column, as_column) in enumerate(zip(columns, columns[..., None])):
         pivot = diagonal.argmax(axis=-1)
         top = diagonal[rows, pivot]
-        root = np.sqrt(np.where(top > floor, top, np.inf))
-        w[:, :, k] = column = a[rows, :, pivot] / root[:, None]
-        a -= column[:, :, None] * column[:, None, :].conj()
+        np.divide(a[rows, :, pivot], np.sqrt(np.where(top > floor, top, np.inf))[:, None], column)
+        if k < last:  # no step reads the last update
+            np.conjugate(column, conj[:, 0])
+            np.multiply(as_column, conj, outer)
+            np.subtract(a, outer, a)
     return w
 
 
@@ -372,14 +465,18 @@ def _gram_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return scaled.view(x.dtype), e
 
 
-def _gram_values(w: np.ndarray, xv, e: np.ndarray):
-    """G's eigenvalues and X's singular values (None without ``xv``), both descending
-    and rescaled, from the Jacobi output for the factor of :func:`_gram_factor`."""
-    w = np.ldexp(w[..., ::-1], 2 * e[..., None])
-    if xv is None:
-        return w, None
-    sv = -np.sort(-np.sqrt((xv.real**2 + xv.imag**2).sum(axis=-2)), axis=-1)
-    return w, np.ldexp(sv, e[..., None])
+def _gram_eigenvalues(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """G's eigenvalues, descending and rescaled, from the Jacobi output for the factor
+    of :func:`_gram_factor`."""
+    return np.ldexp(w[..., ::-1], 2 * e[..., None])
+
+
+def _carried_norms(xv: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """X's singular values, descending and rescaled: the column norms of X V."""
+    sv = np.sqrt(np.add.reduce(xv.real**2 + xv.imag**2, -2))
+    # Norms are never -0.0, so the reversed ascending sort is the descending one.
+    sv.sort(axis=-1)
+    return np.ldexp(sv[..., ::-1], e[..., None])
 
 
 def _gram(matrix: np.ndarray, carry: bool = True):
@@ -399,7 +496,7 @@ def _gram(matrix: np.ndarray, carry: bool = True):
     z = x.astype(complex, copy=False)
     g = np.swapaxes(z, -1, -2).conj() @ z
     w, xv = _jacobi(g if np.iscomplexobj(x) else g.real, x if carry else None)
-    return _gram_values(w, xv if carry else None, e)
+    return _gram_eigenvalues(w, e), (_carried_norms(xv, e) if carry else None)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .entanglement import (
     tr_rho_rhotilde,
 )
 from .errors import ConfigurationError, DomainError, ResolutionError
-from .states import purity, schmidt_mix, standard_form_state, werner
+from .states import schmidt_mix, standard_form_state, werner
 from .tensors import inner_product
 
 VERDICT_CODE = {SEPARABLE: 1.0, ENTANGLED: -1.0}
@@ -34,12 +34,12 @@ _VERDICT_BY_DECIDER = np.array([VERDICT_CODE.get(status, 0.0) for status, _ in _
 # Each quantity reads its B values from the one evaluation (entanglement._Evaluation)
 # of a validated state stack (B, d, d) that all the quantities of a block share.
 QUANTITIES = {
-    "purity": lambda ev: purity(ev.rhos),
-    "linear_entropy": lambda ev: 1.0 - purity(ev.rhos),
+    "purity": lambda ev: ev.purity,
+    "linear_entropy": lambda ev: 1.0 - ev.purity,
     "tr_rho_rhotilde": lambda ev: tr_rho_rhotilde(ev.rhos),
     "f2_linear": lambda ev: inner_product(ev.moments.second),
-    "f2_covariance": lambda ev: inner_product(ev.covariance),
-    "d_measure": lambda ev: d_from_covariance_invariant(inner_product(ev.covariance)),
+    "f2_covariance": lambda ev: ev.f2_covariance,
+    "d_measure": lambda ev: d_from_covariance_invariant(ev.f2_covariance),
     "concurrence_wootters": lambda ev: ev.concurrences[0],
     "concurrence_variant": lambda ev: ev.concurrences[1],
     "kyfan_c": lambda ev: kyfan_norm(ev.moments.correlation_block()),

@@ -678,9 +678,10 @@ def test_json_writer_rejects_non_finite_values(bad):
 
 def test_sweep_svg_of_non_finite_column_fails(capsys, tmp_path, monkeypatch):
     from entmoment import sweep
+    from entmoment.states import purity
 
     def with_nan(ev):
-        values = sweep.purity(ev.rhos)
+        values = purity(ev.rhos)
         values[1] = np.nan
         return values
 

@@ -162,10 +162,14 @@ def test_oversized_rejected():
 def test_round_robin_sweep_rotates_each_pair_once(m):
     # The kernel applies the one cached step m - 1 times per sweep: that must pair
     # every two indices exactly once and end on the first layout.
-    position, (rows, first), (step_rows, step) = linalg._round_robin(m, m + 3)
-    assert np.array_equal(first[position], np.arange(m))
-    assert np.array_equal(rows[:, 0], np.concatenate([first, np.arange(m, m + 3)]))
+    position, flat_step = linalg._round_robin(m, m + 3)
+    first = np.argsort(position)
+    # The flat step permutes the rows and the columns of A alike; carried rows stay put.
+    step_rows, step = np.divmod(flat_step.reshape(m + 3, m), m)
+    assert np.array_equal(step_rows[:m], np.broadcast_to(step[0][:, None], (m, m)))
     assert np.array_equal(step_rows[m:, 0], np.arange(m, m + 3))
+    assert (step == step[0]).all()
+    step = step[0]
     layout, seen = first, set()
     for _ in range(m - 1):
         seen.update(frozenset(pair) for pair in zip(layout[: m // 2], layout[m // 2 :]))
@@ -266,7 +270,7 @@ def test_rotation_round_refuses_a_layout_that_needs_a_copy():
     # instead of losing the writes.
     work = np.zeros((4, 4, 3), dtype=complex).transpose(1, 0, 2)
     with pytest.raises(ValueError):
-        linalg._rotation_rounds(work, np.zeros(3), np.arange(4))
+        linalg._RotationRounds(work, np.zeros(3), np.arange(4))
 
 
 def _bitwise(a, b):
@@ -284,13 +288,13 @@ def test_real_input_is_solved_in_real_arithmetic_bit_for_bit(monkeypatch):
     from entmoment.tensors import moments
 
     dtypes = []
-    rounds = linalg._rotation_rounds
+    rounds = linalg._RotationRounds
 
     def recording(work, *args):
         dtypes.append(work.dtype)
         return rounds(work, *args)
 
-    monkeypatch.setattr(linalg, "_rotation_rounds", recording)
+    monkeypatch.setattr(linalg, "_RotationRounds", recording)
     rng = np.random.default_rng(41)
     fano = [moments(random_density(n * n, rng=rng).matrix).fano().C for n in (3, 4, 6, 8)]
     symmetric = []
@@ -362,7 +366,7 @@ def test_ky_fan_solves_of_real_blocks_run_in_float64(monkeypatch):
 
 
 def _reference_round(work, skip, step):
-    """One round written pair by pair from the formulas of ``linalg._rotation_rounds``,
+    """One round written pair by pair from the formulas of ``linalg._RotationRounds``,
     each product and sum with the operands in the documented order."""
     rows, m, count = work.shape
     k = m // 2
@@ -411,8 +415,109 @@ def test_one_rotation_round_equals_the_pair_by_pair_formulas_bit_for_bit(dtype, 
     for b, p in zip(*np.nonzero(small)):
         g[b, p, p + k] = g[b, p + k, p] = 0.0 if p % 2 else 1e-20
     work = np.ascontiguousarray(g.transpose(1, 2, 0)).astype(dtype)
-    _, _, (row_index, col_index) = linalg._round_robin(m, rows)
-    step = (row_index * m + col_index).ravel()
+    _, step = linalg._round_robin(m, rows)
     expected = _reference_round(work, skip, step)
-    result = linalg._rotation_rounds(work.copy(), skip, step)(1)
+    result = linalg._RotationRounds(work.copy(), skip, step)(1)
     assert result.dtype == expected.dtype and result.tobytes() == expected.tobytes()
+
+
+class _CountingRounds(linalg._RotationRounds):
+    """The kernel's round state, counting how often it is built, compacted and run."""
+
+    built = kept = 0
+    rounds = []
+
+    def __init__(self, *args):
+        type(self).built += 1
+        super().__init__(*args)
+
+    def keep(self, going):
+        type(self).kept += 1
+        super().keep(going)
+
+    def __call__(self, rounds):
+        type(self).rounds.append(rounds)
+        return super().__call__(rounds)
+
+
+@pytest.fixture
+def counting_rounds(monkeypatch):
+    _CountingRounds.built = _CountingRounds.kept = 0
+    _CountingRounds.rounds = []
+    monkeypatch.setattr(linalg, "_RotationRounds", _CountingRounds)
+    return _CountingRounds
+
+
+def _mixed_convergence_stack(rng, count, dim):
+    """Hermitian matrices that stop after different numbers of sweeps: diagonal ones
+    (sweep 0), nearly diagonal ones (about one sweep) and random ones of several scales."""
+    a = np.stack([random_hermitian(dim, rng) for _ in range(count)])
+    kind = np.arange(count) % 4
+    off = ~np.eye(dim, dtype=bool)
+    a[kind == 0] *= np.eye(dim)
+    a[kind == 1] = np.where(off, 1e-7 * a[kind == 1], a[kind == 1])
+    a[kind == 3] *= 2.0 ** rng.integers(-20, 20, size=(np.sum(kind == 3), 1, 1))
+    return a
+
+
+def _solve_one_by_one(a, carry, size=None):
+    sizes = np.broadcast_to(a.shape[-1] if size is None else size, a.shape[:-2])
+    solves = [linalg._jacobi(a[i : i + 1], carry[i : i + 1], sizes[i]) for i in range(len(a))]
+    return np.concatenate([w for w, _ in solves]), np.concatenate([x for _, x in solves])
+
+
+def test_one_jacobi_call_builds_its_round_state_once(counting_rounds):
+    # Half of the stack stops at sweep 0, enough entries to be dropped from it, and
+    # the rest stop at later sweeps; the round state is still built only once.
+    rng = np.random.default_rng(90)
+    a = _mixed_convergence_stack(rng, 64, 6)
+    a[: len(a) // 2] = np.diag(rng.standard_normal(6))
+    linalg._jacobi(a, np.eye(6, dtype=complex))
+    assert counting_rounds.built == 1 and counting_rounds.kept >= 1
+
+
+def test_fused_two_qubit_members_equal_their_single_solves(counting_rounds, monkeypatch):
+    # The cascade's one kernel call on a pure state: the Gram of C, tau^H tau and the
+    # partial transpose, which needs the most sweeps.  Every member's eigenvalues and
+    # carried rows equal its solve alone, bit for bit.
+    from entmoment import entanglement
+    from entmoment.states import random_density
+
+    rng = np.random.default_rng(91)
+    calls = []
+    solve = entanglement._jacobi
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "_jacobi", recording)
+    for _ in range(5):
+        rho = random_density(4, rank=1, rng=rng).matrix[None]
+        calls.clear()
+        entanglement._Evaluation(rho, ("concurrence_wootters", "verdict")).cascade
+        ((a, carry), kwargs), = calls
+        a, carry, size = a[:, 0], carry[:, 0], kwargs["size"][:, 0]
+        w, xv = solve(a, carry, size=size)
+        w_one, xv_one = _solve_one_by_one(a, carry, size)
+        assert w.tobytes() == w_one.tobytes() and xv.tobytes() == xv_one.tobytes()
+        # Rounds of each member alone: the partial transpose stops last, the members
+        # at different sweeps.
+        rounds = []
+        for i in range(3):
+            counting_rounds.rounds = []
+            linalg._jacobi(a[i : i + 1], carry[i : i + 1], size[i])
+            rounds.append(sum(counting_rounds.rounds))
+        assert rounds[2] == max(rounds) > min(rounds)
+
+
+def test_large_stack_with_mixed_convergence_equals_single_solves(counting_rounds):
+    # 1,024 4x4 matrices stopping at different sweeps: the stack is compacted in place
+    # at large B, and every member's eigenvalues and carried rows equal its solve alone.
+    rng = np.random.default_rng(92)
+    a = _mixed_convergence_stack(rng, 1024, 4)
+    carry = rng.standard_normal((1024, 3, 4)) + 1j * rng.standard_normal((1024, 3, 4))
+    w, xv = linalg._jacobi(a, carry)
+    assert counting_rounds.built == 1 and counting_rounds.kept >= 1
+    w_one, xv_one = _solve_one_by_one(a, carry)
+    assert w.tobytes() == w_one.tobytes() and xv.tobytes() == xv_one.tobytes()
