@@ -258,10 +258,11 @@ def werner_ltilde_signature(x: float) -> LtildeSignature:
 _SOLVE_SIZES = np.array([[3], [4], [4]])
 
 
-def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray, tau=None) -> tuple:
+def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray, concurrences: bool) -> tuple:
     """Ky Fan norm of the Fano C, the lowest eigenvalue of the partial transpose and,
-    given the flip factor ``tau``, tau^H tau's eigenvalues and tau's singular values
-    (else None), per state of a two-qubit stack ``(B, 4, 4)``, from one Jacobi call.
+    with ``concurrences``, tau^H tau's eigenvalues and the singular values of the flip
+    factor tau (:func:`_flip_factor`; else None), per state of a two-qubit stack
+    ``(B, 4, 4)``, from one Jacobi call.
 
     Its stack holds two or three 4x4 matrices per state, each scaled and checked
     as in its own solve: the Gram of C (3x3, padded with a zero row and column,
@@ -270,7 +271,10 @@ def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray, tau=None) -> tuple:
     transpose with a zero carry (:func:`ppt_check`).  Each value equals that
     function's bit for bit.
     """
-    solves = 2 if tau is None else 3
+    # _flip_factor checks rho, which deviates from Hermiticity by exactly as much as
+    # its partial transpose; without it the partial transpose is checked.
+    tau = _flip_factor(rhos) if concurrences else None
+    solves = 3 if concurrences else 2
     # The matrices (stack[0]) and their carries (stack[1]), written in place, and the
     # power-of-two scale of C and tau.
     stack = np.zeros((2, solves) + rhos.shape, dtype=complex)
@@ -278,20 +282,18 @@ def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray, tau=None) -> tuple:
     c, scales[0] = _gram_factor(fano_c)
     stack[0, 0, :, :3, :3] = np.swapaxes(c, -1, -2).conj() @ c
     stack[1, 0, :, :3, :3] = c
-    if tau is not None:
+    if concurrences:
         tau, scales[1] = _gram_factor(tau)
         stack[0, 1] = np.swapaxes(tau, -1, -2).conj() @ tau
         stack[1, 1] = tau
     stack[0, -1] = pt = partial_transpose(rhos)
-    if tau is None:
-        # Otherwise _flip_factor has checked rho, which deviates from Hermiticity by
-        # exactly as much as its partial transpose.
+    if not concurrences:
         _check_hermitian(pt)
     w, xv = _jacobi(stack[0], stack[1], size=_SOLVE_SIZES[:solves])
     # Singular values of C and tau; C's padding index gives a 0, last in descending order.
     sv = _carried_norms(xv[: solves - 1], scales[: solves - 1])
     kyfan = sv[0, :, :3].sum(axis=-1)
-    tau_values = None if tau is None else (_gram_eigenvalues(w[1], scales[1]), sv[1])
+    tau_values = (_gram_eigenvalues(w[1], scales[1]), sv[1]) if concurrences else None
     return kyfan, tau_values, w[-1, :, 0]
 
 
@@ -357,9 +359,8 @@ class _Evaluation:
         f = self.fano
         n, count = f.n, len(self.rhos)
         if n == 2:
-            read = self.names & {"concurrence_wootters", "concurrence_variant"}
-            tau = _flip_factor(self.rhos) if read else None
-            fano_kyfan, tau_values, pt_low = _two_qubit_solves(self.rhos, f.C, tau)
+            read = bool(self.names & {"concurrence_wootters", "concurrence_variant"})
+            fano_kyfan, tau_values, pt_low = _two_qubit_solves(self.rhos, f.C, read)
         else:
             fano_kyfan, tau_values = kyfan_norm(f.C), None
         raw_kyfan = (4.0 / (n * n)) * fano_kyfan

@@ -11,6 +11,7 @@ would get alone, so results do not depend on how matrices are batched.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -23,9 +24,11 @@ OFF_DIAGONAL_TOL = 1e-12
 PIVOT_TOL = 1e-14
 # Budget of full Jacobi sweeps (every index pair rotated once) before giving up.
 MAX_SWEEPS = 100
-# A compaction of the Jacobi stack (the round state re-viewed and one take) costs
-# about as much as a round's arithmetic on this many working entries of finished
-# matrices, which is what leaving them in the stack costs per round.
+# The Jacobi stack drops its finished matrices once they hold this many working
+# entries.  A compaction (the round state re-viewed and one take) costs about one
+# round's arithmetic on 2,000-5,000 such entries at m = 4 and B = 16-256, and they
+# would cost that in each of at least m - 1 rounds, so the stack compacts late rather
+# than early: a two-qubit call (at most 96 finished entries) never does.
 _COMPACTION_ENTRIES = 2048
 
 
@@ -54,13 +57,10 @@ def _square_views(squares: np.ndarray, count: int, m: int) -> tuple:
     return squares.reshape(count, m, m), by_row, by_row[:, :: m + 1]
 
 
-def _off_diagonal_norms(a: np.ndarray, squares=None) -> np.ndarray:
+def _off_diagonal_norms(a: np.ndarray, squares: tuple) -> np.ndarray:
     """Frobenius norm of each matrix's off-diagonal part, shape ``(B,)``; each sums one
     C-contiguous row, so a matrix gets the same sum (and stop test) in any stack.
     ``squares`` (:func:`_square_views`) holds the squares."""
-    count, m = a.shape[0], a.shape[-1]
-    if squares is None:
-        squares = _square_views(np.empty(count * m * m), count, m)
     matrices, by_row, diagonal = squares
     np.abs(a, matrices)
     diagonal.fill(0.0)
@@ -116,6 +116,18 @@ def _round_views(work: np.ndarray) -> tuple:
         flat, diag, real[:k], real[k:], pairs[0], pairs,
         cols, cols[:, 0], cols[:, 1], halves, halves[0], halves[1],
     )
+
+
+# The temporaries of a round, views of the live prefix of :class:`_RotationRounds`'
+# storage: the constant 1; the float temporaries of the pair formulas, c and the new
+# diagonal (new_p and new_q); the coefficients, s and conj s, the complex keep and
+# the coefficients as the column and row products read them; both products and
+# their x and y parts.
+_RoundTemps = namedtuple(
+    "_RoundTemps",
+    "one mag keep safe tau t tmp shift hyp c new_diag new_p new_q cc s sbar keepz "
+    "col_coef row_coef col row col_cx col_cy col_sx col_sy row_cx row_cy row_sx row_sy",
+)
 
 
 class _RotationRounds:
@@ -216,11 +228,14 @@ class _RotationRounds:
         # The products of x and y with c, and with s (columns: y with conj s; rows: x).
         (col_cx, col_cy), (col_sx, col_sy) = col.swapaxes(1, 2)
         (row_cx, row_cy), (row_sx, row_sy) = row
-        self.temps = (
-            ones[:kl].reshape(k, live), mag, keep, safe, tau, t, tmp, shift, hyp, cc[0].real,
-            floats[8 * kl : 10 * kl].reshape(m, live), new_p, new_q, cc, coef[1, 0],
-            coef[1, -1], keepz, coef[:, None], coef[:, ::-1, :, None], col, row,
-            col_cx, col_cy, col_sx, col_sy, row_cx, row_cy, row_sx, row_sy,
+        self.temps = _RoundTemps(
+            one=ones[:kl].reshape(k, live), mag=mag, keep=keep, safe=safe, tau=tau, t=t,
+            tmp=tmp, shift=shift, hyp=hyp, c=cc[0].real,
+            new_diag=floats[8 * kl : 10 * kl].reshape(m, live), new_p=new_p, new_q=new_q,
+            cc=cc, s=coef[1, 0], sbar=coef[1, -1], keepz=keepz, col_coef=coef[:, None],
+            row_coef=coef[:, ::-1, :, None], col=col, row=row, col_cx=col_cx,
+            col_cy=col_cy, col_sx=col_sx, col_sy=col_sy, row_cx=row_cx, row_cy=row_cy,
+            row_sx=row_sx, row_sy=row_sy,
         )
 
     def stopped(self, tol: np.ndarray) -> np.ndarray:
@@ -242,11 +257,18 @@ class _RotationRounds:
         old.take(index, 1, self.views[self.current][0], "clip")
 
     def __call__(self, rounds: int) -> np.ndarray:
-        (
-            one, mag, keep, safe, tau, t, tmp, shift, hyp, c, new_diag, new_p, new_q, cc, s,
-            sbar, keepz, col_coef, row_coef, col, row,
-            col_cx, col_cy, col_sx, col_sy, row_cx, row_cy, row_sx, row_sy,
-        ) = self.temps
+        # The temporaries as locals, each read by name.
+        v = self.temps
+        one, mag, keep, safe, tau, t, tmp, shift, hyp, c = (
+            v.one, v.mag, v.keep, v.safe, v.tau, v.t, v.tmp, v.shift, v.hyp, v.c
+        )
+        new_diag, new_p, new_q, cc, s, sbar, keepz, col_coef, row_coef = (
+            v.new_diag, v.new_p, v.new_q, v.cc, v.s, v.sbar, v.keepz, v.col_coef, v.row_coef
+        )
+        col, row, col_cx, col_cy, col_sx, col_sy, row_cx, row_cy, row_sx, row_sy = (
+            v.col, v.row, v.col_cx, v.col_cy, v.col_sx, v.col_sy,
+            v.row_cx, v.row_cy, v.row_sx, v.row_sy,
+        )
         skip, complex_work, step, views, current = (
             self.skip_live, not self.real, self.step, self.views, self.current
         )

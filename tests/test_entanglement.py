@@ -691,8 +691,7 @@ def test_fused_two_qubit_solves_equal_public_functions():
     ]
     rhos = np.stack(states)
     fano_c = moments(rhos).fano().C
-    tau = entanglement._flip_factor(rhos)
-    kyfan, tau_values, pt_low = entanglement._two_qubit_solves(rhos, fano_c, tau)
+    kyfan, tau_values, pt_low = entanglement._two_qubit_solves(rhos, fano_c, True)
     names = ("verdict", "concurrence_wootters", "concurrence_variant")
     ev = entanglement._Evaluation(rhos, names)
     code, witnesses, cascade_tau_values = ev.cascade
