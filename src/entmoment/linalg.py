@@ -257,7 +257,7 @@ class _RotationRounds:
         old.take(index, 1, self.views[self.current][0], "clip")
 
     def __call__(self, rounds: int) -> np.ndarray:
-        # The temporaries as locals, each read by name.
+        # The temporaries as locals, read by name once per call rather than per round.
         v = self.temps
         one, mag, keep, safe, tau, t, tmp, shift, hyp, c = (
             v.one, v.mag, v.keep, v.safe, v.tau, v.t, v.tmp, v.shift, v.hyp, v.c
