@@ -12,13 +12,16 @@ must print the same lines.  The digests cover
       benchmark plan (``perfbench/analyze.make_plan``), one line per seed
       of ``SEEDS``;
   selftest  stdout, stderr and exit code of ``cli.run(["selftest"])``;
+  sweep     stdout, stderr and exit code of a 101x101 Schmidt-plane
+      ``sweep`` of ``SWEEP_QUANTITIES``, whose stacks mix matrices that stop
+      at different sweeps (the traffic that compacts the Jacobi stack);
   figures   each CSV and SVG file of ``scripts/reproduce_figures.py --svg``;
   kernel    eigenvalues and carried rows of ``linalg._jacobi`` on seeded
       real and complex stacks of sizes 1 to 64, whose members finish at
       different sweeps, and of each stack's first member alone.
 
 ``--quick`` runs a smoke-sized version: the first round of each plan at
-the first seed, a 5x5 figure grid and a few kernel sizes.
+the first seed, an 11x11 sweep, a 5x5 figure grid and a few kernel sizes.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ KERNEL_SIZES = range(1, 65)
 QUICK_KERNEL_SIZES = (1, 2, 3, 4, 5, 8, 15)
 STACK = 16  # matrices per kernel stack
 CARRIED_ROWS = 3
+SWEEP_QUANTITIES = "verdict,kyfan_c,concurrence_wootters"
 
 
 def _cli_bytes(argv, workdir: str = "") -> bytes:
@@ -73,6 +77,14 @@ def analyze_digests(quick: bool):
                 for path in files:
                     digest.update(_cli_bytes(["analyze", "--state", path], workdir))
             yield f"{workload}/seed{seed}/{len(files)}files", digest.hexdigest()
+
+
+def sweep_digests(quick: bool):
+    points = 11 if quick else 101
+    argv = ["sweep", "--family", "schmidt", "--x", f"0:1:{points}",
+            "--alpha", f"0:1.5708:{points}", "--quantities", SWEEP_QUANTITIES]
+    digest = hashlib.sha256(_cli_bytes(argv)).hexdigest()
+    yield f"sweep/schmidt{points}x{points}/{SWEEP_QUANTITIES}", digest
 
 
 def figure_digests(quick: bool):
@@ -127,6 +139,7 @@ def main() -> None:
     sections = [
         analyze_digests(args.quick),
         [("selftest", hashlib.sha256(_cli_bytes(["selftest"])).hexdigest())],
+        sweep_digests(args.quick),
         figure_digests(args.quick),
         kernel_digests(args.quick),
     ]

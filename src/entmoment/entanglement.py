@@ -58,12 +58,11 @@ CROSS_CHECK_TOL = 1e-12
 # werner_ltilde_signature calls a smallest eigenvalue within this of 0 semidefinite.
 LTILDE_BOUNDARY_TOL = 1e-12
 
-# (status, decided_by) by decider code: 0-2 the criterion that decided, 3 none,
-# 4 + separable the partial-transpose test.
+# (status, decided_by) by decider code: 0-1 the criterion that decided, 2 none,
+# 3 + separable the partial-transpose test.
 _DECIDERS = (
     (ENTANGLED, "devicente_necessary"),
     (SEPARABLE, "devicente_sufficient"),
-    (SEPARABLE, "omega_sufficient"),
     (UNDECIDED, None),
     (ENTANGLED, "ppt"),
     (SEPARABLE, "ppt"),
@@ -334,18 +333,21 @@ class _Evaluation:
     def cascade(self) -> tuple[np.ndarray, dict, tuple | None]:
         """The criterion cascade: decider codes, witnesses, tau^H tau's Gram values.
 
-        One moment evaluation and one Ky Fan solve feed three criteria, each
-        a mask over the stack; a state is decided by the first mask that
-        holds for it (de Vicente, QIC 7, 624 (2007)):
+        One moment evaluation and one Ky Fan solve feed two criteria, each a
+        mask over the stack; a state is decided by the first mask that holds
+        for it:
 
         - necessary: ||C||_KF <= 2(n-1)/n for the raw-trace correlation block
           C, which is (4/n^2) times the Fano C, whose bound is n(n-1)/2; a
-          violation is Entangled.  The isotropic state is flagged exactly for
-          p > 1/(n+1), where it is entangled;
+          violation is Entangled (de Vicente, QIC 7, 624 (2007)).  The
+          isotropic state is flagged exactly for p > 1/(n+1), where it is
+          entangled;
         - sufficient: sqrt(2(n-1)/n)(|n|+|m|) + (2(n-1)/n)||C||_KF <= 1 in the
-          expansion-convention Fano coefficients; a pass is Separable;
-        - Omega: (2(n-1)/n)||C||_KF <= 1 for the raw block, applicable when
-          Omega vanishes (both reduced states maximally mixed).
+          expansion-convention Fano coefficients; a pass is Separable (the
+          bound of de Vicente, QIC 7, 624 (2007), for these coefficients).
+
+        ``omega_max``, the largest |Omega| entry, is reported as a witness and
+        decides nothing.
 
         The two-qubit states still undecided then take the partial-transpose
         test.  For two qubits the Ky Fan norms and partial transposes come
@@ -371,19 +373,11 @@ class _Evaluation:
         norm_b = np.sqrt(np.vecdot(f.mvec, f.mvec))
         value = math.sqrt(quad) * (norm_a + norm_b) + quad * fano_kyfan
         omega_max = np.abs(self.sym_antisym[1]).max(axis=(-2, -1))
-        # Each state's first criterion that holds, 3 where none does.
-        code = np.where(
-            ~(raw_kyfan <= quad + tol),
-            0,
-            np.where(
-                value <= 1.0 + tol,
-                1,
-                np.where((omega_max < tol) & (quad * raw_kyfan <= 1.0 + tol), 2, 3),
-            ),
-        )
+        # Each state's first criterion that holds, 2 where none does.
+        code = np.where(~(raw_kyfan <= quad + tol), 0, np.where(value <= 1.0 + tol, 1, 2))
         if n == 2:
-            todo = code == 3
-            code = np.where(todo, 4 + (pt_low >= -tol), code)
+            todo = code == 2
+            code = np.where(todo, 3 + (pt_low >= -tol), code)
             pt_min = np.where(todo, pt_low, np.nan)
         else:
             pt_min = np.full(count, np.nan)

@@ -11,7 +11,6 @@ would get alone, so results do not depend on how matrices are batched.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -24,11 +23,11 @@ OFF_DIAGONAL_TOL = 1e-12
 PIVOT_TOL = 1e-14
 # Budget of full Jacobi sweeps (every index pair rotated once) before giving up.
 MAX_SWEEPS = 100
-# The Jacobi stack drops its finished matrices once they hold this many working
-# entries.  A compaction (the round state re-viewed and one take) costs about one
-# round's arithmetic on 2,000-5,000 such entries at m = 4 and B = 16-256, and they
-# would cost that in each of at least m - 1 rounds, so the stack compacts late rather
-# than early: a two-qubit call (at most 96 finished entries) never does.
+# The Jacobi stack drops its finished matrices, and builds a round state for the rest,
+# once they hold this many working entries.  A two-qubit call (at most 96 of them)
+# never does: dropping them at every stop costs its kernel calls about a sixth more.
+# A sweep block of a thousand states does: keeping them costs the 101x101 Schmidt
+# verdict sweep about a quarter more.
 _COMPACTION_ENTRIES = 2048
 
 
@@ -50,23 +49,13 @@ def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
     return a
 
 
-def _square_views(squares: np.ndarray, count: int, m: int) -> tuple:
-    """Views of ``count * m * m`` floats for :func:`_off_diagonal_norms`: ``(count, m, m)``,
-    one row per matrix, and the diagonal entries of those rows."""
-    by_row = squares.reshape(count, m * m)
-    return squares.reshape(count, m, m), by_row, by_row[:, :: m + 1]
-
-
-def _off_diagonal_norms(a: np.ndarray, squares: tuple) -> np.ndarray:
+def _off_diagonal_norms(a: np.ndarray) -> np.ndarray:
     """Frobenius norm of each matrix's off-diagonal part, shape ``(B,)``; each sums one
-    C-contiguous row, so a matrix gets the same sum (and stop test) in any stack.
-    ``squares`` (:func:`_square_views`) holds the squares."""
-    matrices, by_row, diagonal = squares
-    np.abs(a, matrices)
-    diagonal.fill(0.0)
-    np.multiply(by_row, by_row, by_row)
-    norms = np.add.reduce(by_row, 1)
-    return np.sqrt(norms, norms)
+    C-contiguous row, so a matrix gets the same sum (and stop test) in any stack."""
+    count, m = a.shape[0], a.shape[-1]
+    b = np.abs(a, order="C").reshape(count, m * m)
+    b[:, :: m + 1] = 0.0
+    return np.sqrt((b * b).sum(axis=-1))
 
 
 @lru_cache(maxsize=None)
@@ -94,16 +83,17 @@ def _round_robin(m: int, rows: int) -> tuple:
 
 
 def _round_views(work: np.ndarray) -> tuple:
-    """Views of a C-contiguous working array ``(rows, m, B)`` that a round reads and writes.
+    """Views of a working array ``(rows, m, B)`` that a round reads and writes.
 
     The flat array ``(rows * m, B)``, the diagonal, the real part of its p and q
     halves, the (p, q) entries of every pair, those and the (q, p) entries as one
     ``(2, m/2, B)`` view, the column halves ``(rows, 2, m/2, B)`` and their p and q
     columns, and the row halves of A ``(2, m/2, m, B)`` and their p and q rows.
+    copy=False (numpy >= 2.1) raises rather than let a round's writes land in a copy.
     """
     rows, m, count = work.shape
     k = m // 2
-    flat = work.reshape(rows * m, count)
+    flat = work.reshape(rows * m, count, copy=False)
     diag = flat[: m * m : m + 1]
     real = diag.real
     # (p, q) = (j, j + k) is flat row k + j (m + 1); (q, p) is k (m - 1) rows further.
@@ -118,29 +108,13 @@ def _round_views(work: np.ndarray) -> tuple:
     )
 
 
-# The temporaries of a round, views of the live prefix of :class:`_RotationRounds`'
-# storage: the constant 1; the float temporaries of the pair formulas, c and the new
-# diagonal (new_p and new_q); the coefficients, s and conj s, the complex keep and
-# the coefficients as the column and row products read them; both products and
-# their x and y parts.
-_RoundTemps = namedtuple(
-    "_RoundTemps",
-    "one mag keep safe tau t tmp shift hyp c new_diag new_p new_q cc s sbar keepz "
-    "col_coef row_coef col row col_cx col_cy col_sx col_sy row_cx row_cy row_sx row_sy",
-)
-
-
 class _RotationRounds:
     """Round-robin Jacobi rounds on a stack; the round state is allocated once.
 
     ``work`` is ``(rows, m, B)``, the stack axis last so that every ufunc loops
     over the whole stack: A in the first m rows and the carried rows X below
-    it.  Its memory is the first of two round buffers.  ``self(rounds)``
-    applies that many rounds to the live matrices (at first all B) and
-    returns their state ``(rows, m, live)``; :meth:`keep` narrows the stack to
-    the matrices that go on.  The live matrices fill a C-contiguous prefix of
-    each round buffer and of each temporary, so narrowing re-views those
-    arrays: buffers and temporaries are allocated here, once per solve.
+    it.  It is the first of two round buffers.  ``self(rounds)`` applies that
+    many rounds and returns the working array, in whichever buffer it ends.
 
     A round rotates every pair j, (p, q) = (j, j + m/2): with J the direct
     sum of the m/2 2x2 rotations it applies ``A <- J^H A J`` and ``X <- X J``,
@@ -177,153 +151,90 @@ class _RotationRounds:
     def __init__(self, work: np.ndarray, skip: np.ndarray, step: np.ndarray):
         rows, m, count = work.shape
         k = m // 2
-        # skip (float64, one per matrix) becomes the rounds' own: keep() compacts it.
-        self.shape, self.step, self.skip = (rows, m), step, skip
-        self.real = not np.iscomplexobj(work)
-        # copy=False (numpy >= 2.1) raises rather than let the rounds work on a copy.
-        self.buffers = (work.reshape(-1, copy=False), np.empty(work.size, work.dtype))
-        self.current = 0
-        # Flat storage of the temporaries, B matrices long, one array per kind: the
-        # constant ones (k, B), ten float temporaries (k, B), the stop test's squares
-        # (B, m, m), the coefficients (2, 1 or 2, k, B) with, on complex work, the
-        # complex keep (k, B), and the column (2, rows, 2, k, B) and row (2, 2, k, m, B)
-        # products.
-        self.storage = (
-            np.ones(k * count),
-            np.empty(10 * k * count),
-            np.empty(m * m * count),
-            np.empty((2 if self.real else 5) * k * count, work.dtype),
-            np.empty(4 * rows * k * count, work.dtype),
-            np.empty(4 * m * k * count, work.dtype),
-        )
-        self._narrow(count)
-
-    def _narrow(self, live: int) -> None:
-        """View the round state of the first ``live`` matrices of each buffer."""
-        rows, m = self.shape
-        k = m // 2
-        kl = k * live
-        ones, floats, squares, coefficients, columns, row_products = self.storage
-        self.skip_live = self.skip[:live]
-        self.works = [b[: rows * m * live].reshape(rows, m, live) for b in self.buffers]
-        self.views = [_round_views(w) for w in self.works]
-        # Each buffer's A as (live, m, m), the stack axis first, for the stop test.
-        self.matrices = [w[:m].transpose(2, 0, 1) for w in self.works]
-        self.squares = _square_views(squares[: m * m * live], live, m)
-        mag, keep, safe, tau, t, tmp, shift, hyp, new_p, new_q = floats[: 10 * kl].reshape(
-            10, k, live
-        )
+        real = not np.iscomplexobj(work)
+        works = (work, np.empty_like(work))
+        views = [_round_views(w) for w in works]
+        current = 0
+        one = np.ones((k, count))
+        floats = np.empty((10, k, count))
+        mag, keep, safe, tau, t, tmp, shift, hyp = floats[:8]
+        new_diag, new_p, new_q = floats[8:].reshape(m, count), floats[8], floats[9]
         # The columns take (c, c) and (s, conj s), the rows the same with the second axis
         # reversed: (c, c) and (conj s, s).  Complex work writes c and keep as complex
         # numbers, the same values as numpy's implicit cast, and reads their real parts.
-        if self.real:
-            coef, keepz = coefficients[: 2 * kl].reshape(2, 1, k, live), keep
-        else:
-            coef = coefficients[: 4 * kl].reshape(2, 2, k, live)
-            keepz = coefficients[4 * kl : 5 * kl].reshape(k, live)
-            keep = keepz.real
-        cc = coef[0]
-        col = columns[: 4 * rows * kl].reshape(2, rows, 2, k, live)
-        row = row_products[: 4 * m * kl].reshape(2, 2, k, m, live)
+        coef = np.empty((2, 1 if real else 2, k, count), work.dtype)
+        cc, s, sbar, c = coef[0], coef[1, 0], coef[1, -1], coef[0, 0].real
+        keepz = keep if real else np.empty((k, count), work.dtype)
+        keep = keepz.real
+        col_coef, row_coef = coef[:, None], coef[:, ::-1, :, None]
+        col = np.empty((2, rows, 2, k, count), work.dtype)
+        row = np.empty((2, 2, k, m, count), work.dtype)
         # The products of x and y with c, and with s (columns: y with conj s; rows: x).
         (col_cx, col_cy), (col_sx, col_sy) = col.swapaxes(1, 2)
         (row_cx, row_cy), (row_sx, row_sy) = row
-        self.temps = _RoundTemps(
-            one=ones[:kl].reshape(k, live), mag=mag, keep=keep, safe=safe, tau=tau, t=t,
-            tmp=tmp, shift=shift, hyp=hyp, c=cc[0].real,
-            new_diag=floats[8 * kl : 10 * kl].reshape(m, live), new_p=new_p, new_q=new_q,
-            cc=cc, s=coef[1, 0], sbar=coef[1, -1], keepz=keepz, col_coef=coef[:, None],
-            row_coef=coef[:, ::-1, :, None], col=col, row=row, col_cx=col_cx,
-            col_cy=col_cy, col_sx=col_sx, col_sy=col_sy, row_cx=row_cx, row_cy=row_cy,
-            row_sx=row_sx, row_sy=row_sy,
-        )
-
-    def stopped(self, tol: np.ndarray) -> np.ndarray:
-        """Where each live matrix's off-diagonal norm is below its ``tol``."""
-        return _off_diagonal_norms(self.matrices[self.current], self.squares) < tol
-
-    def values(self, which: np.ndarray) -> np.ndarray:
-        """The working arrays ``(rows * m, n)`` of the live matrices where ``which`` holds."""
-        return self.views[self.current][0][:, which]
-
-    def keep(self, going: np.ndarray) -> None:
-        """Keep the stack's matrices where ``going`` holds, in order, as the first ones."""
-        index = np.flatnonzero(going)
-        old = self.views[self.current][0]
-        self.skip[: index.size] = self.skip_live[index]
-        self._narrow(index.size)
-        self.current = 1 - self.current
-        # mode "clip" lets take write straight into its output; every index is valid.
-        old.take(index, 1, self.views[self.current][0], "clip")
-
-    def __call__(self, rounds: int) -> np.ndarray:
-        # The temporaries as locals, read by name once per call rather than per round.
-        v = self.temps
-        one, mag, keep, safe, tau, t, tmp, shift, hyp, c = (
-            v.one, v.mag, v.keep, v.safe, v.tau, v.t, v.tmp, v.shift, v.hyp, v.c
-        )
-        new_diag, new_p, new_q, cc, s, sbar, keepz, col_coef, row_coef = (
-            v.new_diag, v.new_p, v.new_q, v.cc, v.s, v.sbar, v.keepz, v.col_coef, v.row_coef
-        )
-        col, row, col_cx, col_cy, col_sx, col_sy, row_cx, row_cy, row_sx, row_sy = (
-            v.col, v.row, v.col_cx, v.col_cy, v.col_sx, v.col_sy,
-            v.row_cx, v.row_cy, v.row_sx, v.row_sy,
-        )
-        skip, complex_work, step, views, current = (
-            self.skip_live, not self.real, self.step, self.views, self.current
-        )
         # The ufuncs as locals: a round is ~30 calls on small arrays.
         absolute, less, add, subtract, divide, hypot, copysign, multiply, conjugate = (
             np.abs, np.less, np.add, np.subtract, np.divide, np.hypot, np.copysign,
             np.multiply, np.conjugate,
         )
-        for _ in range(rounds):
-            flat, diag, app, aqq, pq, pairs, cols, x_col, y_col, halves, x_row, y_row = (
-                views[current]
-            )
-            # Each ufunc writes into its last argument: a positional output costs less
-            # per call than out=.
-            absolute(pq, mag)
-            # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
-            less(mag, skip, keepz)
-            # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.  A
-            # skipped pair divides by |a_pq| + 1 (never by 0); its t is zeroed: c = 1, s = 0.
-            add(mag, keep, safe)
-            subtract(aqq, app, tau)
-            add(safe, safe, tmp)
-            divide(tau, tmp, tau)
-            hypot(one, tau, tmp)
-            absolute(tau, t)
-            add(t, tmp, t)
-            subtract(one, keep, tmp)
-            divide(tmp, t, t)
-            copysign(t, tau, t)
-            hypot(one, t, hyp)
-            divide(one, hyp, cc)
-            multiply(t, c, tmp)
-            divide(tmp, safe, tmp)
-            multiply(tmp, pq, s)
-            multiply(t, mag, shift)
-            subtract(app, shift, new_p)
-            add(aqq, shift, new_q)
-            if complex_work:
-                conjugate(s, sbar)
-            # Columns of A and of the carried rows: A <- A J, X <- X J, from products of
-            # the old x and y.
-            multiply(cols, col_coef, col)
-            subtract(col_cx, col_sy, x_col)
-            add(col_sx, col_cy, y_col)
-            # Rows of A: A <- J^H A.
-            multiply(row_coef, halves, row)
-            subtract(row_cx, row_sy, x_row)
-            add(row_sx, row_cy, y_row)
-            diag[...] = new_diag
-            multiply(pairs, keepz, pairs)
-            # mode "clip" lets take write straight into its output; every index is valid.
-            flat.take(step, 0, views[1 - current][0], "clip")
-            current = 1 - current
-        self.current = current
-        return self.works[current]
+
+        # The rounds close over the buffers and temporaries, so a round reads no
+        # attribute, and not over self, so no reference cycle keeps the buffers alive.
+        def run(rounds: int) -> np.ndarray:
+            nonlocal current
+            for _ in range(rounds):
+                flat, diag, app, aqq, pq, pairs, cols, x_col, y_col, halves, x_row, y_row = (
+                    views[current]
+                )
+                # Each ufunc writes into its last argument: a positional output costs
+                # less per call than out=.
+                absolute(pq, mag)
+                # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
+                less(mag, skip, keepz)
+                # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.
+                # A skipped pair divides by |a_pq| + 1 (never by 0); its t is zeroed: c = 1,
+                # s = 0.
+                add(mag, keep, safe)
+                subtract(aqq, app, tau)
+                add(safe, safe, tmp)
+                divide(tau, tmp, tau)
+                hypot(one, tau, tmp)
+                absolute(tau, t)
+                add(t, tmp, t)
+                subtract(one, keep, tmp)
+                divide(tmp, t, t)
+                copysign(t, tau, t)
+                hypot(one, t, hyp)
+                divide(one, hyp, cc)
+                multiply(t, c, tmp)
+                divide(tmp, safe, tmp)
+                multiply(tmp, pq, s)
+                multiply(t, mag, shift)
+                subtract(app, shift, new_p)
+                add(aqq, shift, new_q)
+                if not real:
+                    conjugate(s, sbar)
+                # Columns of A and of the carried rows: A <- A J, X <- X J, from products
+                # of the old x and y.
+                multiply(cols, col_coef, col)
+                subtract(col_cx, col_sy, x_col)
+                add(col_sx, col_cy, y_col)
+                # Rows of A: A <- J^H A.
+                multiply(row_coef, halves, row)
+                subtract(row_cx, row_sy, x_row)
+                add(row_sx, row_cy, y_row)
+                diag[...] = new_diag
+                multiply(pairs, keepz, pairs)
+                # mode "clip" lets take write straight into its output; every index is
+                # valid.
+                flat.take(step, 0, views[1 - current][0], "clip")
+                current = 1 - current
+            return works[current]
+
+        self.run = run
+
+    def __call__(self, rounds: int) -> np.ndarray:
+        return self.run(rounds)
 
 
 def _jacobi(a: np.ndarray, carry=None, size=None):
@@ -363,42 +274,40 @@ def _jacobi(a: np.ndarray, carry=None, size=None):
     if k:
         work[m:, position] = carry.reshape(-1, k, n).transpose(1, 2, 0)
     rounds = _RotationRounds(work, skip, step)
-    # Each matrix's working array as it finished, in the same layout; allocated
-    # only when some matrices stop before the others.
+    # Each matrix's working array as it stopped, in the same layout; allocated only
+    # when some matrices stop before the others.
     final = None
     # The matrix in each place of the stack, and how many of them still iterate.
-    everyone = np.arange(count)
-    held, left = everyone, count
+    held, left = np.arange(count), count
     for sweep in range(MAX_SWEEPS + 1):
         # A matrix leaves at the sweep where it would stop if solved alone.
-        done = rounds.stopped(tol)
-        finished = held[done]
-        if finished.size:
-            if finished.size == count:
-                # The whole stack stops at this sweep: read it where it is.
-                final = rounds.works[rounds.current]
-                break
+        done = _off_diagonal_norms(work[:m].transpose(2, 0, 1)) < tol
+        if done.any():
             if final is None:
+                if done.all():
+                    # The whole stack stops at this sweep: read it where it is.
+                    final = work
+                    break
                 final = np.empty_like(work)
-            final.reshape((m + k) * m, count)[:, finished] = rounds.values(done)
-            left -= finished.size
+            final[..., held[done]] = work[..., done]
+            left -= np.count_nonzero(done)
             if not left:
                 break
             # A finished matrix left in the stack never stops again, and what the
-            # rounds do to it is never read.  The stack drops the finished ones once
-            # they hold enough entries to pay for the compaction.
+            # rounds do to it is never read.
             tol[done] = -1.0
             if (held.size - left) * (m + k) * m >= _COMPACTION_ENTRIES:
-                going = tol >= 0.0
-                rounds.keep(going)
-                held, tol = held[going], tol[going]
+                going = np.flatnonzero(tol >= 0.0)
+                work = work.take(going, 2)
+                held, tol, skip = held[going], tol[going], skip[going]
+                rounds = _RotationRounds(work, skip, step)
         if sweep == MAX_SWEEPS:
             raise ConvergenceError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
-        rounds(m - 1)
+        work = rounds(m - 1)
     # Back to the original index order with the padding dropped; a stable
     # sort keeps tied eigenvalues in that order.
     w = np.diagonal(final[:m], axis1=0, axis2=1).real
-    pick = everyone[:, None]
+    pick = np.arange(count)[:, None]
     order = position[w[:, position].argsort(axis=-1, kind="stable")]
     w = w[pick, order].reshape(*batch, n)
     carried = final[m:].transpose(2, 0, 1)[pick[:, None], np.arange(k)[:, None], order[:, None, :]]

@@ -33,6 +33,7 @@ from entmoment.states import (
     DensityOperator,
     bell_state,
     maximally_mixed,
+    partial_transpose,
     purity,
     random_density,
     random_pure,
@@ -409,6 +410,40 @@ def test_omega_sufficient_cases():
     assert _omega_criterion(classify(maximally_mixed(4))) == (True, True)
 
 
+def test_npt_qutrit_state_with_vanishing_omega_is_not_certified_separable():
+    # Omega vanishes and the raw Ky Fan norm is 3/5, so the two-qubit Bell-diagonal
+    # bound (Horodecki & Horodecki, PRA 54, 1838 (1996)) applied at n = 3 would pass
+    # it, yet its partial transpose has a negative eigenvalue.  l4, l5 and l8 are
+    # Gell-Mann matrices.
+    l4 = np.zeros((3, 3), dtype=complex)
+    l4[0, 2] = l4[2, 0] = 1.0
+    l5 = np.zeros((3, 3), dtype=complex)
+    l5[0, 2], l5[2, 0] = -1j, 1j
+    l8 = np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)
+    rho = np.eye(9) / 9 + (np.kron(l4, l4) + np.kron(l5, l5) - np.kron(l8, l8)) / 20
+    assert np.linalg.eigvalsh(partial_transpose(rho))[0] < -0.03
+    verdict = classify(rho)
+    assert verdict.status != SEPARABLE
+    assert verdict.witnesses["omega_max"] < verdict.witnesses["tolerance"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_states_at_the_sufficient_margin_certified_separable_are_ppt(n):
+    # Random states mixed towards 1/n^2 until the sufficient value is 0.98: every one
+    # the cascade calls separable has a positive semidefinite partial transpose.
+    rng = np.random.default_rng(50 + n)
+    d = n * n
+    rhos = np.stack([random_density(d, rank=1 + k % d, rng=rng).matrix for k in range(60)])
+    value = entanglement._Evaluation(rhos).cascade[1]["sufficient_value"]
+    p = (0.98 / value)[:, None, None]
+    mixed = p * rhos + (1.0 - p) * np.eye(d) / d
+    code, witnesses, _ = entanglement._Evaluation(mixed).cascade
+    separable = np.array([entanglement._DECIDERS[c][0] == SEPARABLE for c in code])
+    assert np.allclose(witnesses["sufficient_value"], 0.98)
+    assert separable.all()
+    assert np.all(np.linalg.eigvalsh(partial_transpose(mixed))[:, 0] >= -1e-12)
+
+
 def test_ppt_werner_threshold():
     assert ppt_check(werner(1 / 3)).separable
     assert ppt_check(werner(0.3)).separable
@@ -617,16 +652,15 @@ def test_necessary_criterion_flags_the_isotropic_state_exactly_when_entangled(n)
         ),
         (
             [_isotropic(3, p) for p in (1.0, 0.0, 0.1, 0.3)],
-            ["devicente_necessary", "devicente_sufficient", "omega_sufficient",
-             "devicente_necessary"],
+            ["devicente_necessary", "devicente_sufficient", None, "devicente_necessary"],
         ),
     ],
     ids=["qubits", "qutrits"],
 )
 def test_every_decider_of_a_stack_equals_classify(states, deciders):
     # Isotropic qutrits: the raw Ky Fan norm is 16p/3, so the necessary bound 4/3 fails
-    # above p = 1/4, the sufficient value 16p passes below 1/16 and, as Omega
-    # vanishes, the Omega criterion 64p/9 <= 1 passes below 9/64.
+    # above p = 1/4 and the sufficient value 16p passes below 1/16; p = 0.1, separable
+    # but between the two, is undecided.
     code, witnesses, _ = entanglement._Evaluation(np.stack(states)).cascade
     assert [entanglement._DECIDERS[c][1] for c in code] == deciders
     for i, rho in enumerate(states):

@@ -105,12 +105,7 @@ def test_results_do_not_depend_on_batching(dim):
 def test_off_diagonal_norm_of_a_matrix_does_not_depend_on_its_stack(m):
     # The stop test of _jacobi: each norm in a stack of five, in the kernel's working
     # layout (m, m, B), must equal the norm of that matrix alone, to the last bit.
-    def norms(a):
-        count = a.shape[0]
-        return linalg._off_diagonal_norms(
-            a, linalg._square_views(np.empty(count * m * m), count, m)
-        )
-
+    norms = linalg._off_diagonal_norms
     rng = np.random.default_rng(m)
     for _ in range(50):
         stack = rng.standard_normal((5, m, m)) + 1j * rng.standard_normal((5, m, m))
@@ -428,18 +423,14 @@ def test_one_rotation_round_equals_the_pair_by_pair_formulas_bit_for_bit(dtype, 
 
 
 class _CountingRounds(linalg._RotationRounds):
-    """The kernel's round state, counting how often it is built, compacted and run."""
+    """The kernel's round state, counting how often it is built and run."""
 
-    built = kept = 0
+    built = 0
     rounds = []
 
     def __init__(self, *args):
         type(self).built += 1
         super().__init__(*args)
-
-    def keep(self, going):
-        type(self).kept += 1
-        super().keep(going)
 
     def __call__(self, rounds):
         type(self).rounds.append(rounds)
@@ -448,7 +439,7 @@ class _CountingRounds(linalg._RotationRounds):
 
 @pytest.fixture
 def counting_rounds(monkeypatch):
-    _CountingRounds.built = _CountingRounds.kept = 0
+    _CountingRounds.built = 0
     _CountingRounds.rounds = []
     monkeypatch.setattr(linalg, "_RotationRounds", _CountingRounds)
     return _CountingRounds
@@ -472,14 +463,19 @@ def _solve_one_by_one(a, carry, size=None):
     return np.concatenate([w for w, _ in solves]), np.concatenate([x for _, x in solves])
 
 
-def test_one_jacobi_call_builds_its_round_state_once(counting_rounds):
-    # Half of the stack stops at sweep 0, enough entries to be dropped from it, and
-    # the rest stop at later sweeps; the round state is still built only once.
+def test_round_state_is_rebuilt_only_when_the_stack_compacts(counting_rounds):
+    # Half of the stack stops at sweep 0, enough entries to be dropped from it: the
+    # rest go on in a round state built for them.  A stack of three, whose members
+    # stop at different sweeps, is too small for that and keeps its first one.
     rng = np.random.default_rng(90)
     a = _mixed_convergence_stack(rng, 64, 6)
     a[: len(a) // 2] = np.diag(rng.standard_normal(6))
     linalg._jacobi(a, np.eye(6, dtype=complex))
-    assert counting_rounds.built == 1 and counting_rounds.kept >= 1
+    assert counting_rounds.built >= 2
+    counting_rounds.built = 0
+    counting_rounds.rounds = []
+    linalg._jacobi(_mixed_convergence_stack(rng, 3, 4), np.eye(4, dtype=complex))
+    assert counting_rounds.built == 1 and len(counting_rounds.rounds) >= 2
 
 
 def test_fused_two_qubit_members_equal_their_single_solves(counting_rounds, monkeypatch):
@@ -518,12 +514,12 @@ def test_fused_two_qubit_members_equal_their_single_solves(counting_rounds, monk
 
 
 def test_large_stack_with_mixed_convergence_equals_single_solves(counting_rounds):
-    # 1,024 4x4 matrices stopping at different sweeps: the stack is compacted in place
-    # at large B, and every member's eigenvalues and carried rows equal its solve alone.
+    # 1,024 4x4 matrices stopping at different sweeps: the stack is compacted at
+    # large B, and every member's eigenvalues and carried rows equal its solve alone.
     rng = np.random.default_rng(92)
     a = _mixed_convergence_stack(rng, 1024, 4)
     carry = rng.standard_normal((1024, 3, 4)) + 1j * rng.standard_normal((1024, 3, 4))
     w, xv = linalg._jacobi(a, carry)
-    assert counting_rounds.built == 1 and counting_rounds.kept >= 1
+    assert counting_rounds.built > 1
     w_one, xv_one = _solve_one_by_one(a, carry)
     assert w.tobytes() == w_one.tobytes() and xv.tobytes() == xv_one.tobytes()
