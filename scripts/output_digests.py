@@ -16,6 +16,8 @@ must print the same lines.  The digests cover
       ``sweep`` of ``SWEEP_QUANTITIES``, whose stacks mix matrices that stop
       at different sweeps (the traffic that compacts the Jacobi stack);
   figures   each CSV and SVG file of ``scripts/reproduce_figures.py --svg``;
+  cli       stdout, stderr and exit code of each command of ``CLI_COMMANDS``, and
+      of ``analyze --family werner --x 0.5 --out m.csv`` with the bytes of m.csv;
   kernel    eigenvalues and carried rows of ``linalg._jacobi`` on seeded
       real and complex stacks of sizes 1 to 64, whose members finish at
       different sweeps, and of each stack's first member alone.
@@ -51,6 +53,11 @@ QUICK_KERNEL_SIZES = (1, 2, 3, 4, 5, 8, 15)
 STACK = 16  # matrices per kernel stack
 CARRIED_ROWS = 3
 SWEEP_QUANTITIES = "verdict,kyfan_c,concurrence_wootters"
+CLI_COMMANDS = (
+    ["standard-form", "--d", "0.3,-0.4,0.2"],
+    ["basis", "--n", "3"],
+    ["wedge", "--family", "schmidt", "--x", "0:1:11", "--alpha", "0:1.5708:11"],
+)
 
 
 def _cli_bytes(argv, workdir: str = "") -> bytes:
@@ -97,6 +104,21 @@ def figure_digests(quick: bool):
             yield f"figures/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _cli_name(argv) -> str:
+    return "cli/" + "_".join(argv).replace("--", "")
+
+
+def cli_digests():
+    for argv in CLI_COMMANDS:
+        yield _cli_name(argv), hashlib.sha256(_cli_bytes(argv)).hexdigest()
+    with tempfile.TemporaryDirectory() as workdir:
+        path = pathlib.Path(workdir) / "m.csv"
+        argv = ["analyze", "--family", "werner", "--x", "0.5", "--out", str(path)]
+        digest = hashlib.sha256(_cli_bytes(argv, workdir))
+        digest.update(path.read_bytes())
+    yield _cli_name(argv[:-1] + ["m.csv"]), digest.hexdigest()
+
+
 def _kernel_stack(rng, n: int, dtype) -> np.ndarray:
     """STACK Hermitian n x n matrices that converge after different numbers of sweeps:
     random, nearly diagonal, diagonal with ties, low rank, tiny and large."""
@@ -141,6 +163,7 @@ def main() -> None:
         [("selftest", hashlib.sha256(_cli_bytes(["selftest"])).hexdigest())],
         sweep_digests(args.quick),
         figure_digests(args.quick),
+        cli_digests(),
         kernel_digests(args.quick),
     ]
     for section in sections:

@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import generate_basis
+from .basis import basis_matrices, generate_basis
 from .entanglement import (
+    ENTANGLED,
     SEPARABLE,
+    _DECIDERS,
+    _Evaluation,
     concurrence_variant,
     concurrence_wootters,
     octahedron_check,
@@ -21,11 +24,13 @@ from .entanglement import (
     tr_rho_rhotilde,
     werner_ltilde_signature,
 )
+from .linalg import hermitian_eigenvalues
 from .states import (
     _random_matrix,
     bloch_decode,
     maximally_mixed,
     partial_trace,
+    partial_transpose,
     purity,
     random_unitary,
     schmidt_mix,
@@ -313,6 +318,62 @@ def check_wedge_regions() -> tuple[bool, str]:
     )
 
 
+def _statuses(rhos) -> np.ndarray:
+    """The cascade's status of each state of a stack, validated first."""
+    code = _Evaluation(validate_densities(rhos)).cascade[0]
+    return np.array([_DECIDERS[c][0] for c in code])
+
+
+def _weyl_bell_projectors(n: int) -> np.ndarray:
+    """The n^2 projectors on (X^k Z^l x 1)|phi+>, |phi+> = sum_j |jj> / sqrt(n), with the
+    shift X|j> = |j+1 mod n> and the clock Z|j> = w^j |j>, w = exp(2 pi i / n)."""
+    j = np.arange(n)
+    kets = np.zeros((n, n, n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            kets[k, l, (j + k) % n, j] = np.exp(2j * np.pi * l * j / n) / np.sqrt(n)
+    kets = kets.reshape(n * n, n * n)
+    return kets[:, :, None] * kets.conj()[:, None, :]
+
+
+def check_qudit_cascade() -> tuple[bool, str]:
+    """n >= 3: the necessary test flags the isotropic state exactly where it is
+    entangled, and nothing NPT is certified separable."""
+    rng = np.random.default_rng(SEED + 13)
+    ok = True
+    details = []
+    for n in (3, 4):
+        d = n * n
+        bell = _weyl_bell_projectors(n)
+        # 101 points of [0, 1] and two either side of the threshold.
+        p = np.append(np.linspace(0.0, 1.0, 101), 1.0 / (n + 1) + np.array([-1e-6, 1e-6]))
+        p = p[:, None, None]
+        entangled = _statuses(p * bell[0] + (1.0 - p) * np.eye(d) / d) == ENTANGLED
+        ok &= np.array_equal(entangled, p.ravel() > 1.0 / (n + 1) + 1e-9)
+        # Weyl-diagonal states, mixed towards I/d by a uniform amount.
+        weights = rng.dirichlet(np.ones(d), size=500)
+        x = rng.uniform(size=(500, 1))
+        rhos = np.einsum("bk,kij->bij", x * weights + (1.0 - x) / d, bell)
+        certified = _statuses(rhos) == SEPARABLE
+        npt = hermitian_eigenvalues(partial_transpose(rhos))[:, 0] < -1e-9
+        both = np.count_nonzero(certified & npt)
+        ok &= both == 0 and certified.any() and npt.any()
+        details.append(
+            f"n={n}: isotropic entangled exactly for p > 1/{n + 1} on 103 points; "
+            f"500 Weyl mixtures, {np.count_nonzero(certified)} certified separable, "
+            f"{np.count_nonzero(npt)} NPT, {both} both"
+        )
+    # The literal qutrit state with vanishing Omega and an NPT partial transpose
+    # (l4, l5, l8 are sigma[2], sigma[5], sigma[8] of this package's basis).
+    s = basis_matrices(3)
+    qutrit = np.eye(9) / 9 + (np.kron(s[2], s[2]) + np.kron(s[5], s[5]) - np.kron(s[8], s[8])) / 20
+    low = hermitian_eigenvalues(partial_transpose(qutrit))[0]
+    status = _statuses(qutrit[None])[0]
+    ok &= low < -1e-9 and status != SEPARABLE
+    details.append(f"qutrit state with partial-transpose eigenvalue {low:.3f}: {status}")
+    return bool(ok), "; ".join(details)
+
+
 CRITERIA = (
     (1, "werner-separability-threshold", check_werner_threshold),
     (2, "werner-symmetric-coefficients", check_werner_l_matrix),
@@ -326,6 +387,7 @@ CRITERIA = (
     (10, "local-unitary-invariance", check_local_unitary_invariance),
     (11, "bloch-norm-and-antisymmetric-part", check_bloch_norm_and_omega),
     (12, "wedge-field-regions", check_wedge_regions),
+    (13, "qudit-cascade-soundness", check_qudit_cascade),
 )
 
 

@@ -126,15 +126,16 @@ def generate_basis(n: int) -> HermitianBasis:
     return HermitianBasis(n=int(n), sigma=sigma, c=_freeze(c), d=_freeze(d))
 
 
+def complex_pairs(matrix) -> list:
+    """JSON encoding of a complex matrix: rows of ``[re, im]`` pairs."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+
+
 def basis_to_dict(basis: HermitianBasis) -> dict:
     """JSON-ready view: complex entries become [re, im] pairs."""
-    sigma = [
-        [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-        for mat in basis.sigma
-    ]
     return {
         "n": basis.n,
-        "sigma": sigma,
+        "sigma": [complex_pairs(mat) for mat in basis.sigma],
         "c": basis.c.tolist(),
         "d": basis.d.tolist(),
     }

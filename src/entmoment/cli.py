@@ -342,9 +342,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_grid(args, quantities) -> SweepGrid:
+def _sweep_grid(args, wedge: bool = False) -> SweepGrid:
+    quantities = tuple(q.strip() for q in args.quantities.split(",") if q.strip())
+    if wedge and len(quantities) != 2:
+        raise _Exit(USAGE_EXIT, "usage", "wedge needs exactly two quantities, e.g. C,D")
+    if not quantities:
+        raise _Exit(USAGE_EXIT, "usage", "--quantities must name at least one quantity")
     family, axes = _family_values(args.family, args, _parse_range)
-    return SweepGrid(family=family, axes=tuple(axes), quantities=tuple(quantities))
+    return SweepGrid(family=family, axes=tuple(axes), quantities=quantities)
 
 
 def _emit_table(table: SweepTable, args) -> None:
@@ -359,20 +364,13 @@ def _emit_table(table: SweepTable, args) -> None:
 
 
 def cmd_sweep(args) -> int:
-    quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
-    if not quantities:
-        raise _Exit(USAGE_EXIT, "usage", "--quantities must name at least one quantity")
-    grid = _sweep_grid(args, quantities)
-    _emit_table(grid_sweep(grid), args)
+    _emit_table(grid_sweep(_sweep_grid(args)), args)
     return 0
 
 
 def cmd_wedge(args) -> int:
-    quantities = [q.strip() for q in args.quantities.split(",") if q.strip()]
-    if len(quantities) != 2:
-        raise _Exit(USAGE_EXIT, "usage", "wedge needs exactly two quantities, e.g. C,D")
-    grid = _sweep_grid(args, quantities)
-    _emit_table(wedge_field(grid, quantities[0], quantities[1]), args)
+    grid = _sweep_grid(args, wedge=True)
+    _emit_table(wedge_field(grid, *grid.quantities), args)
     return 0
 
 
@@ -389,10 +387,11 @@ def cmd_standard_form(args) -> int:
         "octahedron": octa._asdict(),
         "ppt": ppt._asdict(),
     }
-    print(_json(report))
+    doc = _json(report)
+    print(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(report, allow_nan=False) + "\n")
+            fh.write(doc + "\n")
     return 0
 
 

@@ -4,7 +4,8 @@ Necessary criteria flag entanglement when violated, sufficient criteria
 certify separability when satisfied; for two qubits the partial-transpose
 test decides every state (Peres, PRL 77, 1413 (1996); Horodecki x3, 1996).
 Each scalar quantity takes one matrix and returns a float, or a stack
-``(B, d, d)`` and returns its ``(B,)`` values.
+``(B, d, d)`` and returns its ``(B,)`` values.  :func:`classify`, the two
+concurrences and :func:`ppt_check` check their states with ``validate_densities``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import CrossCheckError, DimensionError, DomainError, ShapeError
 from .linalg import (
     _carried_norms,
-    _check_hermitian,
     _gram,
     _gram_eigenvalues,
     _gram_factor,
@@ -38,6 +38,7 @@ from .states import (
     partial_transpose,
     purity,
     spin_flip_matrix,
+    validate_densities,
 )
 from .tensors import (
     inner_product,
@@ -137,10 +138,10 @@ def _largest_minus_rest(v: np.ndarray) -> np.ndarray:
 _YY_COLUMN = _YY_SIGNS[:, None]
 
 
-def _flip_factor(rhos) -> np.ndarray:
-    """tau = W^T (sigma_y x sigma_y) W for rho = W W^H: tau^H tau has the spectrum
+def _flip_factor(rhos: np.ndarray) -> np.ndarray:
+    """tau = W^T (sigma_y x sigma_y) W for each validated rho = W W^H: tau^H tau has the spectrum
     of rho rho~ (Uhlmann, PRA 62, 032307 (2000)); sigma_y x sigma_y is a signed row reversal."""
-    w = _pivoted_cholesky(_require_two_qubits(rhos))
+    w = _pivoted_cholesky(rhos)
     return np.swapaxes(w, -1, -2) @ (_YY_COLUMN * w[..., ::-1, :])
 
 
@@ -151,6 +152,7 @@ def concurrence_wootters(rhos):
     max(0, l1 - l2 - l3 - l4) over the descending singular values of
     tau (:func:`_flip_factor`), the square roots of the eigenvalues of rho rho~.
     """
+    rhos = validate_densities(_require_two_qubits(rhos))
     return _Evaluation(rhos, ("concurrence_wootters",)).concurrences[0]
 
 
@@ -165,6 +167,7 @@ def concurrence_variant(rhos):
     states can exceed the mixture of their values (by 0.119 for the pair
     pinned in ``tests/test_invariants.py``).
     """
+    rhos = validate_densities(_require_two_qubits(rhos))
     return _Evaluation(rhos, ("concurrence_variant",)).concurrences[1]
 
 
@@ -193,9 +196,10 @@ def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
     """
     _require_tolerance(tol)
     rho = _require_two_qubits(state)
-    low = hermitian_eigenvalues(partial_transpose(rho))[..., 0]
+    rhos = validate_densities(rho[None] if rho.ndim == 2 else rho)
+    low = hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
     if rho.ndim == 2:
-        return PptResult(separable=bool(low >= -tol), min_eigenvalue=float(low))
+        return PptResult(separable=bool(low[0] >= -tol), min_eigenvalue=float(low[0]))
     return PptResult(separable=low >= -tol, min_eigenvalue=low)
 
 
@@ -260,18 +264,15 @@ _SOLVE_SIZES = np.array([[3], [4], [4]])
 def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray, concurrences: bool) -> tuple:
     """Ky Fan norm of the Fano C, the lowest eigenvalue of the partial transpose and,
     with ``concurrences``, tau^H tau's eigenvalues and the singular values of the flip
-    factor tau (:func:`_flip_factor`; else None), per state of a two-qubit stack
-    ``(B, 4, 4)``, from one Jacobi call.
+    factor tau (:func:`_flip_factor`; else None), per state of a validated two-qubit
+    stack ``(B, 4, 4)``, from one Jacobi call.
 
-    Its stack holds two or three 4x4 matrices per state, each scaled and checked
-    as in its own solve: the Gram of C (3x3, padded with a zero row and column,
-    with size 3, carrying C; :func:`kyfan_norm`), tau^H tau carrying tau
-    (:func:`concurrence_wootters`, :func:`concurrence_variant`) and the partial
-    transpose with a zero carry (:func:`ppt_check`).  Each value equals that
-    function's bit for bit.
+    Its stack holds two or three 4x4 matrices per state, each scaled as in its own
+    solve: the Gram of C (3x3, padded with a zero row and column, with size 3,
+    carrying C; :func:`kyfan_norm`), tau^H tau carrying tau (:func:`concurrence_wootters`,
+    :func:`concurrence_variant`) and the partial transpose with a zero carry
+    (:func:`ppt_check`).  Each value equals that function's bit for bit.
     """
-    # _flip_factor checks rho, which deviates from Hermiticity by exactly as much as
-    # its partial transpose; without it the partial transpose is checked.
     tau = _flip_factor(rhos) if concurrences else None
     solves = 3 if concurrences else 2
     # The matrices (stack[0]) and their carries (stack[1]), written in place, and the
@@ -285,9 +286,7 @@ def _two_qubit_solves(rhos: np.ndarray, fano_c: np.ndarray, concurrences: bool) 
         tau, scales[1] = _gram_factor(tau)
         stack[0, 1] = np.swapaxes(tau, -1, -2).conj() @ tau
         stack[1, 1] = tau
-    stack[0, -1] = pt = partial_transpose(rhos)
-    if not concurrences:
-        _check_hermitian(pt)
+    stack[0, -1] = partial_transpose(rhos)
     w, xv = _jacobi(stack[0], stack[1], size=_SOLVE_SIZES[:solves])
     # Singular values of C and tau; C's padding index gives a 0, last in descending order.
     sv = _carried_norms(xv[: solves - 1], scales[: solves - 1])
@@ -300,6 +299,9 @@ class _Evaluation:
     """A state stack ``(B, d, d)`` and the pieces its quantities share, each computed
     on first use and kept: the purity, the moments, their Fano form, (L, Omega), K
     and its quadratic invariant, the cascade and the two concurrences.
+
+    The stack must have passed :func:`validate_densities`: nothing here checks it
+    again, and a matrix that is not a state can give a plausible wrong value.
 
     ``names``, the ``sweep.QUANTITIES`` that will be read, decide the Jacobi
     calls.  With ``verdict`` the cascade's call also solves tau^H tau when a
@@ -409,9 +411,9 @@ def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
     Order: necessary criteria first (a violation settles Entangled), then
     sufficient ones (a pass settles Separable), then, for two qubits,
     the decisive partial-transpose test.  One matrix goes through
-    :attr:`_Evaluation.cascade` as a stack of one; a stack raises ``ShapeError``.
+    :attr:`_Evaluation.cascade` as a validated stack of one; a stack raises ``ShapeError``.
     """
     rho = as_matrix(state)
     if rho.ndim != 2:
         raise ShapeError(f"classify takes one matrix, got shape {rho.shape}")
-    return _verdict(*_Evaluation(rho[None], tol=tol).cascade[:2])
+    return _verdict(*_Evaluation(validate_densities(rho[None]), tol=tol).cascade[:2])

@@ -357,8 +357,9 @@ def _pivoted_cholesky(matrix: np.ndarray) -> np.ndarray:
     Step k pivots on each matrix's largest remaining diagonal entry.  As |a_ij| <=
     sqrt(a_ii a_jj) for PSD input, once that entry is at most ``PIVOT_TOL`` times A's
     largest diagonal entry it is replaced by inf, so this and every later column is 0.
+    Unchecked: a negative pivot is dropped too, so callers pass validated states.
     """
-    a = _check_hermitian(matrix).copy()
+    a = np.array(matrix, dtype=complex)
     rows = np.arange(len(a))
     diagonal = np.diagonal(a, axis1=-2, axis2=-1).real
     floor = PIVOT_TOL * np.abs(diagonal).max(axis=-1, initial=0.0)

@@ -16,7 +16,7 @@ from functools import wraps
 
 import numpy as np
 
-from .basis import basis_matrices
+from .basis import basis_matrices, complex_pairs
 from .errors import (
     DimensionError,
     DomainError,
@@ -412,11 +412,6 @@ def random_unitary(dim: int, rng=None) -> np.ndarray:
 
 
 # -- state files --------------------------------------------------------------
-
-def complex_pairs(matrix) -> list:
-    """JSON encoding of a complex matrix: rows of ``[re, im]`` pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
-
 
 def state_to_dict(state) -> dict:
     rho = as_matrix(state)

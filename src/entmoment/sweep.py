@@ -181,21 +181,21 @@ def grid_sweep(grid: SweepGrid) -> SweepTable:
 def wedge_field(grid: SweepGrid, f: str, g: str, table: SweepTable | None = None) -> SweepTable:
     """Central-difference wedge df/dx * dg/dy - df/dy * dg/dx on a 2-axis grid.
 
-    Boundary points are omitted.  The ``seam`` column flags rows whose
-    five-point stencil straddles an exact-zero clamp boundary of f or g
-    (relevant for max(0, .) quantities); wedge values there are reported
-    as computed.  An already-evaluated ``table`` holding both quantities
-    may be passed to skip re-evaluation; its axis columns must hold exactly
-    the grid's points, as :func:`grid_sweep` writes them, or
-    :class:`ConfigurationError` is raised.
+    Boundary points are omitted; each axis needs 3 distinct points.  The
+    ``seam`` column flags rows whose five-point stencil straddles an
+    exact-zero clamp boundary of f or g (relevant for max(0, .) quantities);
+    wedge values there are reported as computed.  An already-evaluated
+    ``table`` holding both quantities may be passed to skip re-evaluation;
+    its axis columns must hold exactly the grid's points, as
+    :func:`grid_sweep` writes them, or :class:`ConfigurationError` is raised.
     """
     if len(grid.axes) != 2:
         raise ConfigurationError(f"wedge field needs exactly 2 axes, got {len(grid.axes)}")
     for axis in grid.axes:
-        if axis.count < 3:
+        if axis.count < 3 or axis.start == axis.stop:
             raise ResolutionError(
-                f"axis {axis.name!r} needs at least 3 points for central "
-                f"differences, got {axis.count}"
+                f"axis {axis.name!r} needs at least 3 distinct points for central "
+                f"differences, got {axis.count} from {axis.start} to {axis.stop}"
             )
     fname, gname = resolve_quantities((f, g))
     names = tuple(axis.name for axis in grid.axes)

@@ -160,6 +160,18 @@ def test_wedge_subcommand(capsys):
     assert len(lines) == 10  # 3x3 interior points
 
 
+@pytest.mark.parametrize("svg", [False, True])
+def test_wedge_of_a_zero_width_axis_exits_1(capsys, tmp_path, svg):
+    argv = ["wedge", "--family", "schmidt", "--x", "0:0:3", "--alpha", "0:1:3"]
+    out_path, svg_path = tmp_path / "w.csv", tmp_path / "w.svg"
+    argv += ["--out", str(out_path)] + (["--svg", str(svg_path)] if svg else [])
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: resolution: axis 'x' needs at least 3 distinct points")
+    assert err.count("\n") == 1
+    assert not out_path.exists() and not svg_path.exists()
+
+
 def test_standard_form_subcommand(capsys):
     code, out, _ = invoke(capsys, "standard-form", "--d", "0,0,0")
     assert code == 0
@@ -191,7 +203,7 @@ def test_selftest_rejects_unknown_criteria(capsys, only):
     code, out, err = invoke(capsys, "selftest", "--only", only)
     assert code == 64 and out == ""
     assert err.startswith("error: usage:") and err.count("\n") == 1
-    assert "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]" in err
+    assert "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]" in err
 
 
 def test_exit_codes(capsys, tmp_path):
@@ -623,9 +635,11 @@ def test_standard_form_report_bytes_equal_reference(capsys, tmp_path):
     path = tmp_path / "sf.json"
     code, out, _ = invoke(capsys, "standard-form", "--d", "0.3,-0.4,0.2", "--out", str(path))
     assert code == 0
-    compact = json.loads(path.read_text())
-    assert out.encode() == (json.dumps(compact, indent=2, allow_nan=False) + "\n").encode()
-    assert compact["d"] == [0.3, -0.4, 0.2]
+    # --out writes the document that stdout prints, as analyze --out does.
+    assert path.read_bytes() == out.encode()
+    report = json.loads(out)
+    assert out.encode() == (json.dumps(report, indent=2, allow_nan=False) + "\n").encode()
+    assert report["d"] == [0.3, -0.4, 0.2]
 
 
 @pytest.mark.parametrize(

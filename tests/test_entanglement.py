@@ -25,6 +25,8 @@ from entmoment.errors import (
     CrossCheckError,
     DimensionError,
     DomainError,
+    NonFiniteError,
+    NormalizationError,
     PositivityError,
     ShapeError,
     SymmetryError,
@@ -772,9 +774,57 @@ def test_classify_takes_one_matrix():
             classify(stack)
 
 
+def _not_a_state(case: str) -> np.ndarray:
+    """A 4x4 array that breaks one density-matrix invariant."""
+    if case == "trace":
+        return np.eye(4)
+    if case == "double":
+        return 2.0 * bell_state().matrix
+    if case == "negative":
+        return np.diag([0.7, -0.1, 0.2, 0.2])
+    rho = werner(0.5).matrix.copy()
+    if case == "hermiticity":
+        rho[0, 3] += 1e-11  # above HERMITICITY_TOL (1e-12), below the solvers' 1e-10
+    else:
+        rho[1, 2] = float(case)
+    return rho
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("trace", NormalizationError),
+        ("double", NormalizationError),
+        ("negative", PositivityError),
+        ("nan", NonFiniteError),
+        ("inf", NonFiniteError),
+        ("hermiticity", SymmetryError),
+    ],
+    ids=["trace", "double", "negative", "nan", "inf", "hermiticity"],
+)
+@pytest.mark.parametrize(
+    "check",
+    [classify, concurrence_wootters, concurrence_variant, ppt_check],
+    ids=["classify", "concurrence_wootters", "concurrence_variant", "ppt_check"],
+)
+def test_public_two_qubit_functions_reject_non_states(check, case, error):
+    # Each validates its input where it enters (states.validate_densities, one matrix as
+    # a stack of one): the pivoted Cholesky and the kernel behind it check nothing, and
+    # would give classify(I) = separable, a concurrence of 2 for 2|phi+><phi+| and 0 for
+    # the indefinite diag(0.7, -0.1, 0.2, 0.2).
+    bad = _not_a_state(case)
+    with np.errstate(invalid="raise"), pytest.raises(error):
+        check(bad)
+    # classify takes one matrix; the others take a stack, here with the bad matrix second.
+    if check is not classify:
+        with np.errstate(invalid="raise"), pytest.raises(error):
+            check(np.stack([werner(0.2).matrix, bad]))
+    assert not hasattr(entanglement, "_check_hermitian")
+
+
 def test_classify_rejects_a_non_hermitian_two_qubit_matrix():
-    # The one kernel call factors the state and solves its partial transpose for every
-    # two-qubit matrix, so their Hermiticity checks run even where a criterion decides.
+    # classify validates its matrix before the cascade, so the check runs even where a
+    # criterion would decide.
     rho = werner(0.9).matrix.copy()
     rho[0, 1] += 1e-6
     with pytest.raises(SymmetryError):

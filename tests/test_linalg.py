@@ -220,16 +220,6 @@ def test_pivoted_cholesky_of_projectors_and_zero():
     assert not np.any(linalg._pivoted_cholesky(np.zeros((2, 4, 4))))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_pivoted_cholesky_rejects_bad_input(bad):
-    m = np.stack([np.eye(4, dtype=complex)] * 2)
-    m[1, 2, 2] = bad
-    with pytest.raises(NonFiniteError):
-        linalg._pivoted_cholesky(m)
-    with pytest.raises(SymmetryError):
-        linalg._pivoted_cholesky(np.triu(np.ones((4, 4)))[None])
-
-
 def test_singular_values_against_svd_oracle():
     rng = np.random.default_rng(8)
 

@@ -125,6 +125,22 @@ def test_wedge_requires_resolution():
         wedge_field(grid, "d_measure", "bogus")
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_wedge_refuses_a_zero_width_axis_before_evaluating(monkeypatch, axis):
+    # A zero spacing would divide every central difference by 0: NaN rows, not an error.
+    spans = [(0.0, 1.0), (0.0, 1.0)]
+    spans[axis] = (0.5, 0.5)
+    grid = SweepGrid(
+        family="schmidt",
+        axes=(AxisSpec("x", *spans[0], 3), AxisSpec("alpha", *spans[1], 3)),
+        quantities=("concurrence_variant", "d_measure"),
+    )
+    monkeypatch.setattr(sweep, "grid_sweep", lambda grid: pytest.fail("evaluated"))
+    match = f"'{('x', 'alpha')[axis]}' needs at least 3 distinct points"
+    with np.errstate(all="raise"), pytest.raises(ResolutionError, match=match):
+        wedge_field(grid, "C", "D")
+
+
 def _analytic_wedge(x, a):
     c4, c8 = np.cos(4 * a), np.cos(8 * a)
     s4, s8 = np.sin(4 * a), np.sin(8 * a)
