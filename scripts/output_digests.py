@@ -18,12 +18,16 @@ must print the same lines.  The digests cover
   figures   each CSV and SVG file of ``scripts/reproduce_figures.py --svg``;
   cli       stdout, stderr and exit code of each command of ``CLI_COMMANDS``, and
       of ``analyze --family werner --x 0.5 --out m.csv`` with the bytes of m.csv;
+  quantities  the values of each public state quantity of ``QUANTITY_CALLS`` on a
+      seeded stack of valid states (n = 2, and n = 3 where the function takes
+      it) and on the stack's first matrix alone;
   kernel    eigenvalues and carried rows of ``linalg._jacobi`` on seeded
       real and complex stacks of sizes 1 to 64, whose members finish at
       different sweeps, and of each stack's first member alone.
 
 ``--quick`` runs a smoke-sized version: the first round of each plan at
-the first seed, an 11x11 sweep, a 5x5 figure grid and a few kernel sizes.
+the first seed, an 11x11 sweep, a 5x5 figure grid and a few kernel sizes;
+the cli and quantities sections are the same in both.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +50,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from analyze import make_plan  # noqa: E402
 
+import entmoment  # noqa: E402
 from entmoment import cli, linalg  # noqa: E402
 
 SEEDS = (1, 7)  # perfbench plan seeds
@@ -57,6 +63,20 @@ CLI_COMMANDS = (
     ["standard-form", "--d", "0.3,-0.4,0.2"],
     ["basis", "--n", "3"],
     ["wedge", "--family", "schmidt", "--x", "0:1:11", "--alpha", "0:1.5708:11"],
+)
+
+# Each public state quantity: its name and the local dimensions n it takes.
+QUANTITY_CALLS = (
+    ("purity", entmoment.purity, (2, 3)),
+    ("tr_rho_rhotilde", entmoment.tr_rho_rhotilde, (2,)),
+    ("d_measure", entmoment.d_measure, (2,)),
+    ("concurrence_wootters", entmoment.concurrence_wootters, (2,)),
+    ("concurrence_variant", entmoment.concurrence_variant, (2,)),
+    ("quadratic_invariant_linear", partial(entmoment.quadratic_invariant, mode="linear"), (2, 3)),
+    ("quadratic_invariant_covariance",
+     partial(entmoment.quadratic_invariant, mode="covariance"), (2, 3)),
+    ("monotone_candidate", partial(entmoment.monotone_candidate, mode="linear", order=3,
+                                   coefficients=(0.5, -1.0, 0.25)), (2, 3)),
 )
 
 
@@ -119,6 +139,22 @@ def cli_digests():
     yield _cli_name(argv[:-1] + ["m.csv"]), digest.hexdigest()
 
 
+def quantity_digests():
+    rng = np.random.default_rng(2025)
+    # STACK states per n, of every rank from 1 (pure) to n^2.
+    stacks = {
+        n: np.stack([entmoment.random_density(n * n, 1 + i % (n * n), rng).matrix
+                     for i in range(STACK)])
+        for n in (2, 3)
+    }
+    for name, call, local_dims in QUANTITY_CALLS:
+        for n in local_dims:
+            digest = hashlib.sha256()
+            for states in (stacks[n], stacks[n][0]):
+                digest.update(np.asarray(call(states), dtype=float).tobytes())
+            yield f"quantities/{name}/n{n}", digest.hexdigest()
+
+
 def _kernel_stack(rng, n: int, dtype) -> np.ndarray:
     """STACK Hermitian n x n matrices that converge after different numbers of sweeps:
     random, nearly diagonal, diagonal with ties, low rank, tiny and large."""
@@ -164,6 +200,7 @@ def main() -> None:
         sweep_digests(args.quick),
         figure_digests(args.quick),
         cli_digests(),
+        quantity_digests(),
         kernel_digests(args.quick),
     ]
     for section in sections:

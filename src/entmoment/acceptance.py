@@ -15,12 +15,14 @@ from .basis import basis_matrices, generate_basis
 from .entanglement import (
     ENTANGLED,
     SEPARABLE,
+    VERDICT_CODE,
     _DECIDERS,
     _Evaluation,
     concurrence_variant,
     concurrence_wootters,
     octahedron_check,
     ppt_check,
+    purity,
     tr_rho_rhotilde,
     werner_ltilde_signature,
 )
@@ -31,14 +33,13 @@ from .states import (
     maximally_mixed,
     partial_trace,
     partial_transpose,
-    purity,
     random_unitary,
     schmidt_mix,
     standard_form_state,
     validate_densities,
     werner,
 )
-from .sweep import FAMILIES, VERDICT_CODE, AxisSpec, SweepGrid, grid_sweep, wedge_field
+from .sweep import FAMILIES, AxisSpec, SweepGrid, grid_sweep, wedge_field
 from .tensors import (
     defining_representation,
     fano_compose,
@@ -337,19 +338,30 @@ def _weyl_bell_projectors(n: int) -> np.ndarray:
 
 
 def check_qudit_cascade() -> tuple[bool, str]:
-    """n >= 3: the necessary test flags the isotropic state exactly where it is
-    entangled, and nothing NPT is certified separable."""
+    """n >= 3: on the isotropic line the necessary test flags exactly the entangled
+    states and the sufficient test certifies exactly those below its bound, and nothing
+    NPT is certified separable.
+
+    The isotropic state p |phi+><phi+| + (1-p) I/n^2 has no local vectors, and its
+    Fano block is p (n/2) times a diagonal sign matrix of size n^2 - 1, whose Ky Fan
+    norm is p(n+1)n(n-1)/2.  The necessary value (4/n^2) of that exceeds 2(n-1)/n
+    exactly for p > 1/(n+1); the sufficient value (2(n-1)/n) times it is
+    p(n+1)(n-1)^2, at most 1 exactly for p <= 1/((n+1)(n-1)^2): 1/16 at n = 3,
+    1/45 at n = 4.
+    """
     rng = np.random.default_rng(SEED + 13)
     ok = True
     details = []
     for n in (3, 4):
         d = n * n
         bell = _weyl_bell_projectors(n)
-        # 101 points of [0, 1] and two either side of the threshold.
-        p = np.append(np.linspace(0.0, 1.0, 101), 1.0 / (n + 1) + np.array([-1e-6, 1e-6]))
-        p = p[:, None, None]
-        entangled = _statuses(p * bell[0] + (1.0 - p) * np.eye(d) / d) == ENTANGLED
-        ok &= np.array_equal(entangled, p.ravel() > 1.0 / (n + 1) + 1e-9)
+        necessary, sufficient = 1.0 / (n + 1), 1.0 / ((n + 1) * (n - 1) ** 2)
+        # 101 points of [0, 1] and two either side of each threshold.
+        edges = np.add.outer([necessary, sufficient], [-1e-6, 1e-6])
+        p = np.append(np.linspace(0.0, 1.0, 101), edges)
+        status = _statuses(p[:, None, None] * bell[0] + (1.0 - p[:, None, None]) * np.eye(d) / d)
+        ok &= np.array_equal(status == ENTANGLED, p > necessary + 1e-9)
+        ok &= np.array_equal(status == SEPARABLE, p <= sufficient)
         # Weyl-diagonal states, mixed towards I/d by a uniform amount.
         weights = rng.dirichlet(np.ones(d), size=500)
         x = rng.uniform(size=(500, 1))
@@ -359,7 +371,8 @@ def check_qudit_cascade() -> tuple[bool, str]:
         both = np.count_nonzero(certified & npt)
         ok &= both == 0 and certified.any() and npt.any()
         details.append(
-            f"n={n}: isotropic entangled exactly for p > 1/{n + 1} on 103 points; "
+            f"n={n}: isotropic entangled exactly for p > 1/{n + 1} and certified up to "
+            f"p = {p[status == SEPARABLE].max():.4g} on 105 points; "
             f"500 Weyl mixtures, {np.count_nonzero(certified)} certified separable, "
             f"{np.count_nonzero(npt)} NPT, {both} both"
         )

@@ -18,7 +18,7 @@ from itertools import islice
 
 import numpy as np
 
-from . import acceptance
+from . import acceptance, entanglement
 from .basis import basis_to_dict, generate_basis
 from .entanglement import DEFAULT_TOL, _Evaluation, _verdict, octahedron_check, ppt_check
 from .errors import (
@@ -37,7 +37,6 @@ from .linalg import MAX_DIM, hermitian_eigenvalues
 from .states import DensityOperator, load_state, local_dimension, save_state, state_to_dict
 from .sweep import (
     FAMILIES,
-    QUANTITIES,
     AxisSpec,
     SweepGrid,
     SweepTable,
@@ -277,7 +276,7 @@ def analysis_report(state: DensityOperator, tol: float) -> dict:
     # matrices and the cascade, which also gives the two-qubit concurrences.
     ev = _Evaluation(state.matrix[None], columns + ("verdict",), tol)
     report = {"dim": state.dim, "n_local": n}
-    report.update((name, float(QUANTITIES[name](ev)[0])) for name in columns)
+    report.update((name, float(entanglement.QUANTITIES[name](ev)[0])) for name in columns)
     (l_sym,), (omega,) = ev.sym_antisym
     f, k = ev.fano, ev.covariance.values[0]
     report.update(bloch_a=f.nvec[0], bloch_b=f.mvec[0], correlation=f.C[0], L=l_sym, Omega=omega)

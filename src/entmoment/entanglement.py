@@ -4,8 +4,9 @@ Necessary criteria flag entanglement when violated, sufficient criteria
 certify separability when satisfied; for two qubits the partial-transpose
 test decides every state (Peres, PRL 77, 1413 (1996); Horodecki x3, 1996).
 Each scalar quantity takes one matrix and returns a float, or a stack
-``(B, d, d)`` and returns its ``(B,)`` values.  :func:`classify`, the two
-concurrences and :func:`ppt_check` check their states with ``validate_densities``.
+``(B, d, d)`` and returns its ``(B,)`` values: its :data:`QUANTITIES` entry, which
+the sweep and ``analyze`` read too, of states checked with ``validate_densities``.
+:func:`classify` and :func:`ppt_check` check their states the same way.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .states import (
     bell_state,
     maximally_mixed,
     partial_transpose,
-    purity,
     spin_flip_matrix,
     validate_densities,
 )
@@ -44,7 +44,6 @@ from .tensors import (
     inner_product,
     moments,
     product_representation,
-    quadratic_invariant,
     split_sym_antisym,
     tensor_coefficients,
 )
@@ -123,11 +122,21 @@ def kyfan_norm(c):
     return singular_values(c).sum(axis=-1)
 
 
+def _read(name: str, rhos: np.ndarray) -> np.ndarray:
+    """The :data:`QUANTITIES` entry ``name`` of a stack ``(B, d, d)``, validated first."""
+    return QUANTITIES[name](_Evaluation(validate_densities(rhos), (name,)))
+
+
+@_per_state
+def purity(rhos):
+    """Tr(rho^2) of a density matrix of any dimension."""
+    return _read("purity", rhos)
+
+
 @_per_state
 def tr_rho_rhotilde(rhos):
     """Overlap Tr(rho rho~) with the spin-flipped state."""
-    rho = _require_two_qubits(rhos)
-    return np.trace(rho @ spin_flip_matrix(rho), axis1=-2, axis2=-1).real
+    return _read("tr_rho_rhotilde", _require_two_qubits(rhos))
 
 
 def _largest_minus_rest(v: np.ndarray) -> np.ndarray:
@@ -152,8 +161,7 @@ def concurrence_wootters(rhos):
     max(0, l1 - l2 - l3 - l4) over the descending singular values of
     tau (:func:`_flip_factor`), the square roots of the eigenvalues of rho rho~.
     """
-    rhos = validate_densities(_require_two_qubits(rhos))
-    return _Evaluation(rhos, ("concurrence_wootters",)).concurrences[0]
+    return _read("concurrence_wootters", _require_two_qubits(rhos))
 
 
 @_per_state
@@ -167,8 +175,7 @@ def concurrence_variant(rhos):
     states can exceed the mixture of their values (by 0.119 for the pair
     pinned in ``tests/test_invariants.py``).
     """
-    rhos = validate_densities(_require_two_qubits(rhos))
-    return _Evaluation(rhos, ("concurrence_variant",)).concurrences[1]
+    return _read("concurrence_variant", _require_two_qubits(rhos))
 
 
 @_per_state
@@ -181,12 +188,7 @@ def d_measure(rhos):
     0.041 for the separable state and channel pinned in
     ``tests/test_invariants.py``).
     """
-    return d_from_covariance_invariant(quadratic_invariant(_require_two_qubits(rhos), "covariance"))
-
-
-def d_from_covariance_invariant(f2_covariance):
-    """:func:`d_measure` from an already evaluated two-qubit covariance invariant."""
-    return f2_covariance / 8.0 - 0.5
+    return _read("d_measure", _require_two_qubits(rhos))
 
 
 def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
@@ -303,7 +305,7 @@ class _Evaluation:
     The stack must have passed :func:`validate_densities`: nothing here checks it
     again, and a matrix that is not a state can give a plausible wrong value.
 
-    ``names``, the ``sweep.QUANTITIES`` that will be read, decide the Jacobi
+    ``names``, the :data:`QUANTITIES` that will be read, decide the Jacobi
     calls.  With ``verdict`` the cascade's call also solves tau^H tau when a
     concurrence is read, and both concurrences come from it; without it they
     come from one solve of tau^H tau, which carries tau only for
@@ -314,7 +316,7 @@ class _Evaluation:
     def __init__(self, rhos: np.ndarray, names=("verdict",), tol: float = DEFAULT_TOL):
         self.rhos, self.names, self.tol = rhos, frozenset(names), tol
 
-    purity = cached_property(lambda self: purity(self.rhos))
+    purity = cached_property(lambda self: (self.rhos @ self.rhos).trace(axis1=1, axis2=2).real)
     moments = cached_property(lambda self: moments(self.rhos))
     fano = cached_property(lambda self: self.moments.fano())
     sym_antisym = cached_property(lambda self: split_sym_antisym(self.moments.second))
@@ -394,6 +396,28 @@ class _Evaluation:
             "pt_min_eigenvalue": pt_min,
         }
         return code, witnesses, tau_values
+
+
+VERDICT_CODE = {SEPARABLE: 1.0, ENTANGLED: -1.0}
+# The column value of each cascade decider code: VERDICT_CODE of its status, 0 where undecided.
+_VERDICT_BY_DECIDER = np.array([VERDICT_CODE.get(status, 0.0) for status, _ in _DECIDERS])
+
+# Each quantity reads its B values from the one evaluation of a validated state stack
+# (B, d, d), which every quantity read of a sweep block or an analysis shares.
+QUANTITIES = {
+    "purity": lambda ev: ev.purity,
+    "linear_entropy": lambda ev: 1.0 - ev.purity,
+    "tr_rho_rhotilde": lambda ev: (
+        (ev.rhos @ spin_flip_matrix(ev.rhos)).trace(axis1=1, axis2=2).real
+    ),
+    "f2_linear": lambda ev: inner_product(ev.moments.second),
+    "f2_covariance": lambda ev: ev.f2_covariance,
+    "d_measure": lambda ev: ev.f2_covariance / 8.0 - 0.5,
+    "concurrence_wootters": lambda ev: ev.concurrences[0],
+    "concurrence_variant": lambda ev: ev.concurrences[1],
+    "kyfan_c": lambda ev: kyfan_norm(ev.moments.correlation_block()),
+    "verdict": lambda ev: _VERDICT_BY_DECIDER[ev.cascade[0]],
+}
 
 
 def _verdict(code: np.ndarray, witnesses: dict) -> SeparabilityVerdict:

@@ -371,12 +371,6 @@ def convex_combine(terms) -> DensityOperator:
     return DensityOperator(out)
 
 
-@_per_state
-def purity(rhos):
-    """Tr(rho^2): a float for one matrix, shape ``(B,)`` for a stack ``(B, d, d)``."""
-    return np.trace(rhos @ rhos, axis1=-2, axis2=-1).real
-
-
 # -- random ensembles (used by the test and acceptance suites) ---------------
 
 def random_density(dim: int, rank: int | None = None, rng=None) -> DensityOperator:
@@ -438,8 +432,11 @@ def state_from_dict(doc) -> DensityOperator:
 
 
 def save_state(state, path) -> None:
+    """Write a state file that :func:`load_state` accepts; anything else raises its error."""
+    doc = state_to_dict(state)
+    state_from_dict(doc)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(state_to_dict(state), fh)
+        json.dump(doc, fh, allow_nan=False)
         fh.write("\n")
 
 

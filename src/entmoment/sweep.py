@@ -14,37 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import (
-    ENTANGLED,
-    SEPARABLE,
-    _DECIDERS,
-    _Evaluation,
-    d_from_covariance_invariant,
-    kyfan_norm,
-    tr_rho_rhotilde,
-)
+from .entanglement import QUANTITIES, _Evaluation
 from .errors import ConfigurationError, DomainError, ResolutionError
 from .states import schmidt_mix, standard_form_state, werner
-from .tensors import inner_product
-
-VERDICT_CODE = {SEPARABLE: 1.0, ENTANGLED: -1.0}
-# The column value of each cascade decider code: VERDICT_CODE of its status, 0 where undecided.
-_VERDICT_BY_DECIDER = np.array([VERDICT_CODE.get(status, 0.0) for status, _ in _DECIDERS])
-
-# Each quantity reads its B values from the one evaluation (entanglement._Evaluation)
-# of a validated state stack (B, d, d) that all the quantities of a block share.
-QUANTITIES = {
-    "purity": lambda ev: ev.purity,
-    "linear_entropy": lambda ev: 1.0 - ev.purity,
-    "tr_rho_rhotilde": lambda ev: tr_rho_rhotilde(ev.rhos),
-    "f2_linear": lambda ev: inner_product(ev.moments.second),
-    "f2_covariance": lambda ev: ev.f2_covariance,
-    "d_measure": lambda ev: d_from_covariance_invariant(ev.f2_covariance),
-    "concurrence_wootters": lambda ev: ev.concurrences[0],
-    "concurrence_variant": lambda ev: ev.concurrences[1],
-    "kyfan_c": lambda ev: kyfan_norm(ev.moments.correlation_block()),
-    "verdict": lambda ev: _VERDICT_BY_DECIDER[ev.cascade[0]],
-}
 
 # Grid points per evaluated block: bounds the memory of the state stacks.
 _BLOCK = 1024

@@ -240,35 +240,36 @@ def inner_product(t: TensorCoefficients):
     return float(norms) if flat.ndim == 1 else norms
 
 
-@_per_state
-def quadratic_invariant(rhos, mode: str = "linear"):
-    """Local-unitary invariant sum of squared order-2 coefficients.
+def quadratic_invariant(state, mode: str = "linear"):
+    """Local-unitary invariant sum of squared order-2 coefficients of a density matrix.
 
     ``mode='linear'`` uses the plain second moments; ``mode='covariance'``
     subtracts first moments first.  Both are invariant under conjugation
-    by local unitaries.
+    by local unitaries.  This is :func:`monotone_candidate` of order 2 with
+    coefficients (0, 1).
     """
-    if mode not in ("linear", "covariance"):
-        raise DomainError(f"mode must be 'linear' or 'covariance', got {mode!r}")
-    mom = moments(rhos)
-    return inner_product(mom.second if mode == "linear" else mom.covariance())
+    return monotone_candidate(state, mode, 2, (0.0, 1.0))
 
 
 @_per_state
 def monotone_candidate(rhos, mode: str, order: int, coefficients):
-    """Polynomial sum_i a_i * <T,T>^i in the order-k coefficient norm.
+    """Polynomial sum_i a_i * <T,T>^i in the order-k coefficient norm of a density matrix.
 
-    ``coefficients`` is the sequence (a_0, a_1, ...); the plain quadratic
-    invariant is recovered with ``mode='linear'``, ``order=2``,
-    ``coefficients=(0, 1)``.  A candidate, not a certified monotone:
+    ``coefficients`` is the sequence (a_0, a_1, ...); ``mode='linear'``
+    takes T from the plain order-k moments, ``mode='covariance'`` (order 2
+    only) from K.  A candidate, not a certified monotone:
     local-unitary invariance is all that holds in general, and
     ``d_measure``, the covariance polynomial (-1/2, 1/8), rises under a
     local channel (see :func:`entmoment.entanglement.d_measure`).
     """
+    rhos = validate_densities(rhos)
     if mode == "linear":
-        ip = inner_product(tensor_coefficients(rhos, representation_for(rhos), order=order))
-    elif mode == "covariance" and order != 2:
+        t = tensor_coefficients(rhos, representation_for(rhos), order=order)
+    elif mode != "covariance":
+        raise DomainError(f"mode must be 'linear' or 'covariance', got {mode!r}")
+    elif order != 2:
         raise DomainError("covariance coefficients are defined for order 2 only")
     else:
-        ip = quadratic_invariant(rhos, mode)  # rejects unknown modes
+        t = moments(rhos).covariance()
+    ip = inner_product(t)
     return sum((a * ip**i for i, a in enumerate(coefficients)), np.zeros_like(ip))

@@ -486,10 +486,11 @@ def _reference_report(state, tol):
         classify,
         concurrence_variant,
         concurrence_wootters,
-        d_from_covariance_invariant,
+        d_measure,
+        purity,
         tr_rho_rhotilde,
     )
-    from entmoment.states import complex_pairs, local_dimension, purity
+    from entmoment.states import complex_pairs, local_dimension
     from entmoment.tensors import inner_product, moments, split_sym_antisym
 
     n = local_dimension(state.dim)
@@ -508,7 +509,7 @@ def _reference_report(state, tol):
     }
     if n == 2:
         report["tr_rho_rhotilde"] = tr_rho_rhotilde(state)
-        report["d_measure"] = d_from_covariance_invariant(report["f2_covariance"])
+        report["d_measure"] = d_measure(state)
         report["concurrence_wootters"] = concurrence_wootters(state)
         report["concurrence_variant"] = concurrence_variant(state)
     report["bloch_a"] = [float(v) for v in fano.nvec]
@@ -586,7 +587,7 @@ def test_report_scalars_are_the_sweep_columns_of_one_evaluation(n):
         d_measure,
         tr_rho_rhotilde,
     )
-    from entmoment.states import purity
+    from entmoment import purity
     from entmoment.sweep import QUANTITIES
     from entmoment.tensors import quadratic_invariant
 
@@ -692,10 +693,9 @@ def test_json_writer_rejects_non_finite_values(bad):
 
 def test_sweep_svg_of_non_finite_column_fails(capsys, tmp_path, monkeypatch):
     from entmoment import sweep
-    from entmoment.states import purity
 
     def with_nan(ev):
-        values = purity(ev.rhos)
+        values = ev.purity.copy()
         values[1] = np.nan
         return values
 

@@ -1,6 +1,7 @@
 """Concurrences, separability criteria, and the verdict cascade."""
 
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from entmoment.entanglement import (
     tr_rho_rhotilde,
     werner_ltilde_signature,
 )
-from entmoment import entanglement, linalg
+from entmoment import entanglement, linalg, purity
 from entmoment.errors import (
     CrossCheckError,
     DimensionError,
@@ -36,7 +37,6 @@ from entmoment.states import (
     bell_state,
     maximally_mixed,
     partial_transpose,
-    purity,
     random_density,
     random_pure,
     random_unitary,
@@ -774,15 +774,15 @@ def test_classify_takes_one_matrix():
             classify(stack)
 
 
-def _not_a_state(case: str) -> np.ndarray:
-    """A 4x4 array that breaks one density-matrix invariant."""
+def _not_a_state(case: str, dim: int = 4) -> np.ndarray:
+    """A ``dim`` x ``dim`` array (4 or 9) that breaks one density-matrix invariant."""
     if case == "trace":
-        return np.eye(4)
+        return np.eye(dim)
     if case == "double":
-        return 2.0 * bell_state().matrix
+        return 2.0 * (bell_state() if dim == 4 else maximally_mixed(dim)).matrix
     if case == "negative":
-        return np.diag([0.7, -0.1, 0.2, 0.2])
-    rho = werner(0.5).matrix.copy()
+        return np.diag(np.pad([0.7, -0.1, 0.2, 0.2], (0, dim - 4)))
+    rho = (werner(0.5) if dim == 4 else maximally_mixed(dim)).matrix.copy()
     if case == "hermiticity":
         rho[0, 3] += 1e-11  # above HERMITICITY_TOL (1e-12), below the solvers' 1e-10
     else:
@@ -790,7 +790,7 @@ def _not_a_state(case: str) -> np.ndarray:
     return rho
 
 
-@pytest.mark.parametrize(
+NON_STATES = pytest.mark.parametrize(
     "case, error",
     [
         ("trace", NormalizationError),
@@ -802,16 +802,42 @@ def _not_a_state(case: str) -> np.ndarray:
     ],
     ids=["trace", "double", "negative", "nan", "inf", "hermiticity"],
 )
+
+
+@NON_STATES
 @pytest.mark.parametrize(
     "check",
-    [classify, concurrence_wootters, concurrence_variant, ppt_check],
-    ids=["classify", "concurrence_wootters", "concurrence_variant", "ppt_check"],
+    [
+        classify,
+        concurrence_wootters,
+        concurrence_variant,
+        ppt_check,
+        purity,
+        tr_rho_rhotilde,
+        d_measure,
+        quadratic_invariant,
+        partial(quadratic_invariant, mode="covariance"),
+        partial(monotone_candidate, mode="linear", order=2, coefficients=(0.0, 1.0)),
+    ],
+    ids=[
+        "classify",
+        "concurrence_wootters",
+        "concurrence_variant",
+        "ppt_check",
+        "purity",
+        "tr_rho_rhotilde",
+        "d_measure",
+        "quadratic_invariant_linear",
+        "quadratic_invariant_covariance",
+        "monotone_candidate",
+    ],
 )
 def test_public_two_qubit_functions_reject_non_states(check, case, error):
     # Each validates its input where it enters (states.validate_densities, one matrix as
-    # a stack of one): the pivoted Cholesky and the kernel behind it check nothing, and
-    # would give classify(I) = separable, a concurrence of 2 for 2|phi+><phi+| and 0 for
-    # the indefinite diag(0.7, -0.1, 0.2, 0.2).
+    # a stack of one): the solvers and moment sums behind it check nothing, and would
+    # give classify(I) = separable, a concurrence of 2 for 2|phi+><phi+|, 0 for the
+    # indefinite diag(0.7, -0.1, 0.2, 0.2), and 11.5, 4.0 and 96 for d_measure, purity
+    # and quadratic_invariant of I.
     bad = _not_a_state(case)
     with np.errstate(invalid="raise"), pytest.raises(error):
         check(bad)
@@ -820,6 +846,18 @@ def test_public_two_qubit_functions_reject_non_states(check, case, error):
         with np.errstate(invalid="raise"), pytest.raises(error):
             check(np.stack([werner(0.2).matrix, bad]))
     assert not hasattr(entanglement, "_check_hermitian")
+
+
+@NON_STATES
+@pytest.mark.parametrize(
+    "check", [purity, quadratic_invariant], ids=["purity", "quadratic_invariant"]
+)
+def test_public_qutrit_functions_reject_non_states(check, case, error):
+    # The same six cases at n = 3, where the two-qubit functions do not apply.
+    bad = _not_a_state(case, 9)
+    for state in (bad, np.stack([maximally_mixed(9).matrix, bad])):
+        with np.errstate(invalid="raise"), pytest.raises(error):
+            check(state)
 
 
 def test_classify_rejects_a_non_hermitian_two_qubit_matrix():

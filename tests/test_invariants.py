@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from entmoment import purity
 from entmoment.entanglement import (
     SEPARABLE,
     _Evaluation,
@@ -22,7 +23,6 @@ from entmoment.entanglement import (
 )
 from entmoment.states import (
     partial_transpose,
-    purity,
     random_density,
     random_unitary,
     validate_densities,

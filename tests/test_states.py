@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entmoment import purity
 from entmoment.errors import (
     DimensionError,
     DomainError,
@@ -28,7 +29,6 @@ from entmoment.states import (
     maximally_mixed,
     partial_trace,
     partial_transpose,
-    purity,
     random_density,
     random_pure,
     save_state,
@@ -549,6 +549,20 @@ def test_state_file_round_trip(tmp_path):
     save_state(rho, path)
     loaded = load_state(path)
     assert np.array_equal(loaded.matrix, rho.matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix, error",
+    [(np.full((4, 4), np.nan), NonFiniteError), (np.eye(4), NormalizationError)],
+    ids=["nan", "trace"],
+)
+def test_save_state_refuses_what_load_state_refuses(tmp_path, matrix, error):
+    # NaN tokens are not JSON, and a trace-4 matrix is not a state: load_state would
+    # refuse either file, so save_state raises the load error and writes nothing.
+    path = tmp_path / "state.json"
+    with pytest.raises(error):
+        save_state(matrix, path)
+    assert not path.exists()
 
 
 def test_state_file_structural_errors(tmp_path):

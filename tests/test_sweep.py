@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from entmoment import sweep
+from entmoment import purity, sweep
 from entmoment.entanglement import (
+    VERDICT_CODE,
     classify,
     concurrence_variant,
     concurrence_wootters,
@@ -13,10 +14,9 @@ from entmoment.entanglement import (
     tr_rho_rhotilde,
 )
 from entmoment.errors import ConfigurationError, DomainError, ResolutionError
-from entmoment.states import DensityOperator, purity, schmidt_mix, standard_form_state, werner
+from entmoment.states import DensityOperator, schmidt_mix, standard_form_state, werner
 from entmoment.sweep import (
     QUANTITIES,
-    VERDICT_CODE,
     AxisSpec,
     SweepGrid,
     format_float,

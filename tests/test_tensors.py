@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entmoment import purity
 from entmoment.basis import generate_basis
 from entmoment.errors import DomainError, ShapeError
 from entmoment.states import (
@@ -12,7 +13,6 @@ from entmoment.states import (
     convex_combine,
     maximally_mixed,
     partial_trace,
-    purity,
     random_density,
     random_unitary,
     schmidt_mix,
