@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CrossCheckError, DimensionError, DomainError, ShapeError
+from .errors import CrossCheckError, DimensionError, DomainError
 from .linalg import (
     _carried_norms,
     _gram,
@@ -31,9 +31,9 @@ from .linalg import (
 )
 from .states import (
     _YY_SIGNS,
+    _one_matrix,
     _per_state,
     _tetrahedron_triples,
-    as_matrix,
     bell_state,
     maximally_mixed,
     partial_transpose,
@@ -99,12 +99,11 @@ class LtildeSignature(NamedTuple):
     classification: str
 
 
-def _require_two_qubits(state) -> np.ndarray:
-    """The state's matrix (or stack of matrices), checked to be two-qubit."""
-    rho = as_matrix(state)
-    if rho.shape[-2:] != (4, 4):
-        raise DimensionError(f"operation requires 4x4 matrices, got matrix shape {rho.shape[-2:]}")
-    return rho
+def _require_two_qubits(rhos: np.ndarray) -> np.ndarray:
+    """The stack ``rhos``, checked to hold two-qubit matrices."""
+    if rhos.shape[-2:] != (4, 4):
+        raise DimensionError(f"operation requires 4x4 matrices, got matrix shape {rhos.shape[-2:]}")
+    return rhos
 
 
 def _require_tolerance(tol: float) -> None:
@@ -113,13 +112,14 @@ def _require_tolerance(tol: float) -> None:
         raise DomainError(f"tolerance must be a finite number >= 0, got {tol!r}")
 
 
-@partial(_per_state, convert=np.asarray)
 def kyfan_norm(c):
-    """Ky Fan (trace) norm: the sum of the singular values of a matrix.
+    """Ky Fan (trace) norm: the sum of the singular values of a matrix ``(r, c)`` (a float)
+    or of each matrix of a stack ``(..., r, c)``.
 
     The array is taken as given, so a real block is solved in real arithmetic.
     """
-    return singular_values(c).sum(axis=-1)
+    norms = singular_values(c).sum(axis=-1)
+    return norms if norms.ndim else norms.item()
 
 
 def _read(name: str, rhos: np.ndarray) -> np.ndarray:
@@ -191,17 +191,15 @@ def d_measure(rhos):
     return _read("d_measure", _require_two_qubits(rhos))
 
 
-def ppt_check(state, tol: float = DEFAULT_TOL) -> PptResult:
+@_per_state
+def ppt_check(rhos, tol: float = DEFAULT_TOL) -> PptResult:
     """Positivity under partial transposition; decisive for two qubits.
 
     One matrix gives a bool and a float, a stack ``(B, 4, 4)`` gives ``(B,)`` arrays.
     """
     _require_tolerance(tol)
-    rho = _require_two_qubits(state)
-    rhos = validate_densities(rho[None] if rho.ndim == 2 else rho)
+    rhos = validate_densities(_require_two_qubits(rhos))
     low = hermitian_eigenvalues(partial_transpose(rhos))[:, 0]
-    if rho.ndim == 2:
-        return PptResult(separable=bool(low[0] >= -tol), min_eigenvalue=float(low[0]))
     return PptResult(separable=low >= -tol, min_eigenvalue=low)
 
 
@@ -437,7 +435,5 @@ def classify(state, tol: float = DEFAULT_TOL) -> SeparabilityVerdict:
     the decisive partial-transpose test.  One matrix goes through
     :attr:`_Evaluation.cascade` as a validated stack of one; a stack raises ``ShapeError``.
     """
-    rho = as_matrix(state)
-    if rho.ndim != 2:
-        raise ShapeError(f"classify takes one matrix, got shape {rho.shape}")
-    return _verdict(*_Evaluation(validate_densities(rho[None]), tol=tol).cascade[:2])
+    rhos = validate_densities(_one_matrix(state)[None])
+    return _verdict(*_Evaluation(rhos, tol=tol).cascade[:2])

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NonFiniteError, SymmetryError
+from .errors import ConvergenceError, DimensionError, NonFiniteError, ShapeError, SymmetryError
 
 MAX_DIM = 64
 SOLVER_HERMITICITY_TOL = 1e-10
@@ -32,15 +32,18 @@ _COMPACTION_ENTRIES = 2048
 
 
 def _real_or_complex(matrix) -> np.ndarray:
-    """``matrix`` as a float64 array, or complex128 when its entries are complex."""
+    """``matrix``, a matrix or a stack ``(..., r, c)``, as a float64 array, or complex128
+    when its entries are complex."""
     a = np.asarray(matrix)
+    if a.ndim < 2:
+        raise ShapeError(f"expected a matrix or a stack of them, got shape {a.shape}")
     return a.astype(complex if a.dtype.kind in "cO" else float, copy=False)
 
 
 def _check_hermitian(matrix: np.ndarray) -> np.ndarray:
     a = _real_or_complex(matrix)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise SymmetryError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if a.shape[-2] != a.shape[-1]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFiniteError("matrix has NaN or infinite entries")
     dev = float(np.abs(a - np.swapaxes(a, -1, -2).conj()).max()) if a.size else 0.0
@@ -108,13 +111,14 @@ def _round_views(work: np.ndarray) -> tuple:
     )
 
 
-class _RotationRounds:
+def _rotation_rounds(work: np.ndarray, skip: np.ndarray, step: np.ndarray):
     """Round-robin Jacobi rounds on a stack; the round state is allocated once.
 
     ``work`` is ``(rows, m, B)``, the stack axis last so that every ufunc loops
     over the whole stack: A in the first m rows and the carried rows X below
-    it.  It is the first of two round buffers.  ``self(rounds)`` applies that
-    many rounds and returns the working array, in whichever buffer it ends.
+    it.  It is the first of two round buffers.  The returned ``run(rounds)``
+    applies that many rounds and returns the working array, in whichever buffer
+    it ends.
 
     A round rotates every pair j, (p, q) = (j, j + m/2): with J the direct
     sum of the m/2 2x2 rotations it applies ``A <- J^H A J`` and ``X <- X J``,
@@ -147,94 +151,88 @@ class _RotationRounds:
     bit: each real part is the same product or sum up to the sign of a zero,
     and the diagonal (so every tau and copysign) is set from closed forms.
     """
+    rows, m, count = work.shape
+    k = m // 2
+    real = not np.iscomplexobj(work)
+    works = (work, np.empty_like(work))
+    views = [_round_views(w) for w in works]
+    current = 0
+    one = np.ones((k, count))
+    floats = np.empty((10, k, count))
+    mag, keep, safe, tau, t, tmp, shift, hyp = floats[:8]
+    new_diag, new_p, new_q = floats[8:].reshape(m, count), floats[8], floats[9]
+    # The columns take (c, c) and (s, conj s), the rows the same with the second axis
+    # reversed: (c, c) and (conj s, s).  Complex work writes c and keep as complex
+    # numbers, the same values as numpy's implicit cast, and reads their real parts.
+    coef = np.empty((2, 1 if real else 2, k, count), work.dtype)
+    cc, s, sbar, c = coef[0], coef[1, 0], coef[1, -1], coef[0, 0].real
+    keepz = keep if real else np.empty((k, count), work.dtype)
+    keep = keepz.real
+    col_coef, row_coef = coef[:, None], coef[:, ::-1, :, None]
+    col = np.empty((2, rows, 2, k, count), work.dtype)
+    row = np.empty((2, 2, k, m, count), work.dtype)
+    # The products of x and y with c, and with s (columns: y with conj s; rows: x).
+    (col_cx, col_cy), (col_sx, col_sy) = col.swapaxes(1, 2)
+    (row_cx, row_cy), (row_sx, row_sy) = row
+    # The ufuncs as locals: a round is ~30 calls on small arrays.
+    absolute, less, add, subtract, divide, hypot, copysign, multiply, conjugate = (
+        np.abs, np.less, np.add, np.subtract, np.divide, np.hypot, np.copysign,
+        np.multiply, np.conjugate,
+    )
 
-    def __init__(self, work: np.ndarray, skip: np.ndarray, step: np.ndarray):
-        rows, m, count = work.shape
-        k = m // 2
-        real = not np.iscomplexobj(work)
-        works = (work, np.empty_like(work))
-        views = [_round_views(w) for w in works]
-        current = 0
-        one = np.ones((k, count))
-        floats = np.empty((10, k, count))
-        mag, keep, safe, tau, t, tmp, shift, hyp = floats[:8]
-        new_diag, new_p, new_q = floats[8:].reshape(m, count), floats[8], floats[9]
-        # The columns take (c, c) and (s, conj s), the rows the same with the second axis
-        # reversed: (c, c) and (conj s, s).  Complex work writes c and keep as complex
-        # numbers, the same values as numpy's implicit cast, and reads their real parts.
-        coef = np.empty((2, 1 if real else 2, k, count), work.dtype)
-        cc, s, sbar, c = coef[0], coef[1, 0], coef[1, -1], coef[0, 0].real
-        keepz = keep if real else np.empty((k, count), work.dtype)
-        keep = keepz.real
-        col_coef, row_coef = coef[:, None], coef[:, ::-1, :, None]
-        col = np.empty((2, rows, 2, k, count), work.dtype)
-        row = np.empty((2, 2, k, m, count), work.dtype)
-        # The products of x and y with c, and with s (columns: y with conj s; rows: x).
-        (col_cx, col_cy), (col_sx, col_sy) = col.swapaxes(1, 2)
-        (row_cx, row_cy), (row_sx, row_sy) = row
-        # The ufuncs as locals: a round is ~30 calls on small arrays.
-        absolute, less, add, subtract, divide, hypot, copysign, multiply, conjugate = (
-            np.abs, np.less, np.add, np.subtract, np.divide, np.hypot, np.copysign,
-            np.multiply, np.conjugate,
-        )
+    # The rounds close over the buffers and temporaries, so a round reads no attribute.
+    def run(rounds: int) -> np.ndarray:
+        nonlocal current
+        for _ in range(rounds):
+            flat, diag, app, aqq, pq, pairs, cols, x_col, y_col, halves, x_row, y_row = (
+                views[current]
+            )
+            # Each ufunc writes into its last argument: a positional output costs
+            # less per call than out=.
+            absolute(pq, mag)
+            # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
+            less(mag, skip, keepz)
+            # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.
+            # A skipped pair divides by |a_pq| + 1 (never by 0); its t is zeroed: c = 1,
+            # s = 0.
+            add(mag, keep, safe)
+            subtract(aqq, app, tau)
+            add(safe, safe, tmp)
+            divide(tau, tmp, tau)
+            hypot(one, tau, tmp)
+            absolute(tau, t)
+            add(t, tmp, t)
+            subtract(one, keep, tmp)
+            divide(tmp, t, t)
+            copysign(t, tau, t)
+            hypot(one, t, hyp)
+            divide(one, hyp, cc)
+            multiply(t, c, tmp)
+            divide(tmp, safe, tmp)
+            multiply(tmp, pq, s)
+            multiply(t, mag, shift)
+            subtract(app, shift, new_p)
+            add(aqq, shift, new_q)
+            if not real:
+                conjugate(s, sbar)
+            # Columns of A and of the carried rows: A <- A J, X <- X J, from products
+            # of the old x and y.
+            multiply(cols, col_coef, col)
+            subtract(col_cx, col_sy, x_col)
+            add(col_sx, col_cy, y_col)
+            # Rows of A: A <- J^H A.
+            multiply(row_coef, halves, row)
+            subtract(row_cx, row_sy, x_row)
+            add(row_sx, row_cy, y_row)
+            diag[...] = new_diag
+            multiply(pairs, keepz, pairs)
+            # mode "clip" lets take write straight into its output; every index is
+            # valid.
+            flat.take(step, 0, views[1 - current][0], "clip")
+            current = 1 - current
+        return works[current]
 
-        # The rounds close over the buffers and temporaries, so a round reads no
-        # attribute, and not over self, so no reference cycle keeps the buffers alive.
-        def run(rounds: int) -> np.ndarray:
-            nonlocal current
-            for _ in range(rounds):
-                flat, diag, app, aqq, pq, pairs, cols, x_col, y_col, halves, x_row, y_row = (
-                    views[current]
-                )
-                # Each ufunc writes into its last argument: a positional output costs
-                # less per call than out=.
-                absolute(pq, mag)
-                # keep is 1 on skipped pairs (|a_pq| < skip) and 0 on rotated ones.
-                less(mag, skip, keepz)
-                # tau = (a_qq - a_pp) / (2 |a_pq|) and t = tan(theta) of the smaller angle.
-                # A skipped pair divides by |a_pq| + 1 (never by 0); its t is zeroed: c = 1,
-                # s = 0.
-                add(mag, keep, safe)
-                subtract(aqq, app, tau)
-                add(safe, safe, tmp)
-                divide(tau, tmp, tau)
-                hypot(one, tau, tmp)
-                absolute(tau, t)
-                add(t, tmp, t)
-                subtract(one, keep, tmp)
-                divide(tmp, t, t)
-                copysign(t, tau, t)
-                hypot(one, t, hyp)
-                divide(one, hyp, cc)
-                multiply(t, c, tmp)
-                divide(tmp, safe, tmp)
-                multiply(tmp, pq, s)
-                multiply(t, mag, shift)
-                subtract(app, shift, new_p)
-                add(aqq, shift, new_q)
-                if not real:
-                    conjugate(s, sbar)
-                # Columns of A and of the carried rows: A <- A J, X <- X J, from products
-                # of the old x and y.
-                multiply(cols, col_coef, col)
-                subtract(col_cx, col_sy, x_col)
-                add(col_sx, col_cy, y_col)
-                # Rows of A: A <- J^H A.
-                multiply(row_coef, halves, row)
-                subtract(row_cx, row_sy, x_row)
-                add(row_sx, row_cy, y_row)
-                diag[...] = new_diag
-                multiply(pairs, keepz, pairs)
-                # mode "clip" lets take write straight into its output; every index is
-                # valid.
-                flat.take(step, 0, views[1 - current][0], "clip")
-                current = 1 - current
-            return works[current]
-
-        self.run = run
-
-    def __call__(self, rounds: int) -> np.ndarray:
-        return self.run(rounds)
+    return run
 
 
 def _jacobi(a: np.ndarray, carry=None, size=None):
@@ -260,10 +258,8 @@ def _jacobi(a: np.ndarray, carry=None, size=None):
     # max(1, largest |entry|) of each matrix.
     tol = OFF_DIAGONAL_TOL * np.abs(a.reshape(count, n * n)).max(axis=-1, initial=1.0)
     # Rotations below this threshold cannot push the off-norm above tol.
-    if size is None:
-        skip = tol * (0.25 / max(n, 1))
-    else:
-        skip = (tol.reshape(batch) * (0.25 / np.maximum(size, 1))).reshape(count)
+    size = n if size is None else size
+    skip = (tol.reshape(batch) * (0.25 / np.maximum(size, 1))).reshape(count)
     # Odd sizes get a zero padding index; its rotations are all identities.
     m = n + n % 2
     position, step = _round_robin(m, m + k)
@@ -273,7 +269,7 @@ def _jacobi(a: np.ndarray, carry=None, size=None):
     work[position[:, None], position] = a.transpose(1, 2, 0)
     if k:
         work[m:, position] = carry.reshape(-1, k, n).transpose(1, 2, 0)
-    rounds = _RotationRounds(work, skip, step)
+    rounds = _rotation_rounds(work, skip, step)
     # Each matrix's working array as it stopped, in the same layout; allocated only
     # when some matrices stop before the others.
     final = None
@@ -300,7 +296,7 @@ def _jacobi(a: np.ndarray, carry=None, size=None):
                 going = np.flatnonzero(tol >= 0.0)
                 work = work.take(going, 2)
                 held, tol, skip = held[going], tol[going], skip[going]
-                rounds = _RotationRounds(work, skip, step)
+                rounds = _rotation_rounds(work, skip, step)
         if sweep == MAX_SWEEPS:
             raise ConvergenceError(f"Jacobi iteration did not converge in {MAX_SWEEPS} sweeps")
         work = rounds(m - 1)
@@ -332,6 +328,8 @@ def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Raises
     ------
+    ShapeError
+        If the input is not a square matrix or a stack of them.
     NonFiniteError
         If an input holds a NaN or infinite entry.
     SymmetryError
@@ -382,8 +380,6 @@ def _pivoted_cholesky(matrix: np.ndarray) -> np.ndarray:
 def _gram_factor(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X (X^H when X is wide) scaled by 2^-e, and e, for :func:`_gram`; real X stays real."""
     x = _real_or_complex(matrix)
-    if x.ndim < 2:
-        raise SymmetryError(f"expected a matrix, got shape {x.shape}")
     if x.shape[-1] > x.shape[-2]:
         x = np.swapaxes(x, -1, -2).conj()
     # G squares the scale of X and Jacobi stops relative to max(1, max |G|):

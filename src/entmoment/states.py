@@ -40,24 +40,37 @@ def as_matrix(state) -> np.ndarray:
     return np.asarray(getattr(state, "matrix", state), dtype=complex)
 
 
-def _per_state(quantity, convert=as_matrix):
+def _square_matrices(state) -> np.ndarray:
+    """The matrix ``(d, d)`` or stack ``(B, d, d)`` of ``state``; anything else raises."""
+    rho = as_matrix(state)
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
+    return rho
+
+
+def _one_matrix(state) -> np.ndarray:
+    """The square matrix ``(d, d)`` of ``state``; a stack or any other shape raises."""
+    rho = _square_matrices(state)
+    if rho.ndim != 2:
+        raise ShapeError(f"expected one matrix, got shape {rho.shape}")
+    return rho
+
+
+def _per_state(quantity):
     """Let ``quantity``, written for a stack ``(B, d, d)``, also take one matrix ``(d, d)``.
 
     One matrix goes through as a stack of one, so it gets exactly the
-    arithmetic it would get in any stack; its value (or each value of a
-    tuple) comes back as a float.  ``convert`` turns the argument into an
-    array: by default the complex matrix of :func:`as_matrix`.
+    arithmetic it would get in any stack; its value (or each field of a
+    named tuple) comes back as a Python scalar.
     """
 
     @wraps(quantity)
     def one_or_stack(state, *args, **kwargs):
-        rho = convert(state)
-        if rho.ndim not in (2, 3):
-            raise ShapeError(f"expected a matrix or a stack of matrices, got shape {rho.shape}")
+        rho = _square_matrices(state)
         if rho.ndim == 3:
             return quantity(rho, *args, **kwargs)
-        values = quantity(rho[None], *args, **kwargs)
-        return tuple(float(v[0]) for v in values) if isinstance(values, tuple) else float(values[0])
+        one = quantity(rho[None], *args, **kwargs)
+        return one._make(v.item() for v in one) if isinstance(one, tuple) else one.item()
 
     return one_or_stack
 
@@ -74,10 +87,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-        m = validate_densities(m[None])[0].copy()
+        m = validate_densities(_one_matrix(self.matrix)[None])[0].copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -171,14 +181,6 @@ def bloch_encode(n: int, m) -> np.ndarray:
     return (sigma[0] + np.einsum("j,jab->ab", m, sigma[1:])) / n
 
 
-def _square_matrices(state) -> np.ndarray:
-    """The matrix ``(d, d)`` or stack ``(B, d, d)`` of ``state``; anything else raises."""
-    rho = as_matrix(state)
-    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
-        raise ShapeError(f"expected a square matrix or a stack of them, got shape {rho.shape}")
-    return rho
-
-
 def bloch_decode(state) -> BlochVector:
     """Expansion coefficients m_j = (n/2) Tr(rho sigma_j), per state of a stack ``(B, n, n)``."""
     rho = _square_matrices(state)
@@ -222,7 +224,7 @@ def spin_flip_matrix(m: np.ndarray) -> np.ndarray:
 
 def spin_flip(state) -> DensityOperator:
     """Two-qubit spin flip (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
-    return DensityOperator(spin_flip_matrix(as_matrix(state)))
+    return DensityOperator(spin_flip_matrix(_one_matrix(state)))
 
 
 def partial_transpose(state, subsystem: str = "B") -> np.ndarray:
@@ -360,12 +362,13 @@ def convex_combine(terms) -> DensityOperator:
         raise NormalizationError(f"weights must be nonnegative, got {weights.tolist()}")
     if abs(weights.sum() - 1.0) > TRACE_TOL:
         raise NormalizationError(f"weights sum to {weights.sum():.15g}, expected 1")
-    mats = [as_matrix(s) for _, s in terms]
-    dim = mats[0].shape[0]
+    mats = [_one_matrix(s) for _, s in terms]
     for m in mats:
-        if m.shape != (dim, dim):
-            raise ShapeError("all states in a mixture must share one dimension")
-    out = np.zeros((dim, dim), dtype=complex)
+        if m.shape != mats[0].shape:
+            raise ShapeError(
+                f"mixed states must share one dimension, got shapes {mats[0].shape} and {m.shape}"
+            )
+    out = np.zeros(mats[0].shape, dtype=complex)
     for w, m in zip(weights, mats):
         out += w * m
     return DensityOperator(out)
@@ -408,7 +411,7 @@ def random_unitary(dim: int, rng=None) -> np.ndarray:
 # -- state files --------------------------------------------------------------
 
 def state_to_dict(state) -> dict:
-    rho = as_matrix(state)
+    rho = _one_matrix(state)
     return {"dim": int(rho.shape[0]), "matrix": complex_pairs(rho)}
 
 

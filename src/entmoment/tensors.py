@@ -24,7 +24,14 @@ import numpy as np
 
 from .basis import basis_matrices
 from .errors import DomainError, ShapeError
-from .states import DensityOperator, _per_state, as_matrix, local_dimension, validate_densities
+from .states import (
+    DensityOperator,
+    _per_state,
+    _square_matrices,
+    as_matrix,
+    local_dimension,
+    validate_densities,
+)
 
 MAX_ORDER = 4
 
@@ -105,19 +112,6 @@ def _coefficient_stack(rhos: np.ndarray, rep: Representation, order: int) -> np.
     return values.reshape((count,) + (m,) * order)
 
 
-def _stack_of(state, rep: Representation) -> np.ndarray:
-    """``state``'s matrix as a stack ``(B, d, d)``, checked against ``rep``."""
-    rho = as_matrix(state)
-    if rho.ndim not in (2, 3):
-        raise ShapeError(f"expected a matrix or a stack of matrices, got shape {rho.shape}")
-    if rho.shape[-2:] != rep.ops.shape[1:]:
-        raise ShapeError(
-            f"state matrix shape {rho.shape[-2:]} does not match representation "
-            f"dimension {rep.ops.shape[1]}"
-        )
-    return rho[None] if rho.ndim == 2 else rho
-
-
 def tensor_coefficients(state, rep: Representation, order: int = 2) -> TensorCoefficients:
     """Order-k coefficients Tr(rho R_{i1} ... R_{ik}), products in index order.
 
@@ -126,8 +120,13 @@ def tensor_coefficients(state, rep: Representation, order: int = 2) -> TensorCoe
     integer = isinstance(order, (int, np.integer)) and not isinstance(order, bool)
     if not (integer and 1 <= order <= MAX_ORDER):
         raise DomainError(f"tensor order must be an integer from 1 to {MAX_ORDER}, got {order!r}")
-    rho = as_matrix(state)
-    values = _coefficient_stack(_stack_of(rho, rep), rep, order)
+    rho = _square_matrices(state)
+    d = rep.ops.shape[-1]
+    if rho.shape[-1] != d:
+        raise ShapeError(
+            f"state matrix shape {rho.shape[-2:]} does not match representation dimension {d}"
+        )
+    values = _coefficient_stack(rho.reshape(-1, d, d), rep, order)
     return TensorCoefficients(order=order, values=values[0] if rho.ndim == 2 else values)
 
 
@@ -184,10 +183,11 @@ class Moments:
 
 def moments(state) -> Moments:
     """Evaluate the first and second moments of ``state`` (or of each state of a stack) once."""
-    rep = representation_for(state)
+    rho = _square_matrices(state)
+    rep = representation_for(rho)
     # Tr(rho R_j) is real for Hermitian generators.
-    first = tensor_coefficients(state, rep, order=1).values.real
-    return Moments(rep, first, tensor_coefficients(state, rep))
+    first = tensor_coefficients(rho, rep, order=1).values.real
+    return Moments(rep, first, tensor_coefficients(rho, rep))
 
 
 def fano_decompose(state) -> FanoForm:

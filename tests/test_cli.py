@@ -206,6 +206,25 @@ def test_selftest_rejects_unknown_criteria(capsys, only):
     assert "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]" in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [("0:1", "range for x must be start:stop:count, got '0:1'"),
+     ("a:b:3", "malformed range 'a:b:3' for x")],
+)
+def test_sweep_refuses_a_malformed_range(capsys, spec, message):
+    code, out, err = invoke(
+        capsys, "sweep", "--family", "werner", "--x", spec, "--quantities", "purity"
+    )
+    assert code == 64 and out == ""
+    assert err == f"error: usage: {message}\n"
+
+
+def test_analyze_needs_a_state_or_a_family(capsys):
+    code, out, err = invoke(capsys, "analyze")
+    assert code == 64 and out == ""
+    assert err == "error: usage: analyze needs --state or --family\n"
+
+
 def test_exit_codes(capsys, tmp_path):
     # unknown flag -> usage error
     code, _, err = invoke(capsys, "analyze", "--nonsense")

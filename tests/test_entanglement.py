@@ -258,6 +258,14 @@ def test_kyfan_norm_of_a_stack_equals_per_matrix_norms():
     assert np.array_equal(kyfan_norm(wide), [kyfan_norm(m) for m in wide])
 
 
+def test_kyfan_norm_takes_a_stack_of_any_rank_and_no_state_object():
+    wide = np.random.default_rng(13).standard_normal((2, 2, 2, 5))
+    assert np.array_equal(kyfan_norm(wide), kyfan_norm(wide.reshape(4, 2, 5)).reshape(2, 2))
+    # A DensityOperator is not an array of matrices.
+    with pytest.raises(ShapeError, match=r"got shape \(\)"):
+        kyfan_norm(bell_state())
+
+
 def test_shared_sqrt_concurrences_match_public_functions():
     states = [werner(x) for x in (0.0, 0.2, 1 / 3, 0.6, 1.0)]
     states += [schmidt_mix(x, a) for x in (0.1, 0.5, 0.9) for a in (0.2, np.pi / 4, 1.3)]

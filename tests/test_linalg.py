@@ -261,7 +261,7 @@ def test_rotation_round_refuses_a_layout_that_needs_a_copy():
     # instead of losing the writes.
     work = np.zeros((4, 4, 3), dtype=complex).transpose(1, 0, 2)
     with pytest.raises(ValueError):
-        linalg._RotationRounds(work, np.zeros(3), np.arange(4))
+        linalg._rotation_rounds(work, np.zeros(3), np.arange(4))
 
 
 def _bitwise(a, b):
@@ -279,13 +279,13 @@ def test_real_input_is_solved_in_real_arithmetic_bit_for_bit(monkeypatch):
     from entmoment.tensors import moments
 
     dtypes = []
-    rounds = linalg._RotationRounds
+    rounds = linalg._rotation_rounds
 
     def recording(work, *args):
         dtypes.append(work.dtype)
         return rounds(work, *args)
 
-    monkeypatch.setattr(linalg, "_RotationRounds", recording)
+    monkeypatch.setattr(linalg, "_rotation_rounds", recording)
     rng = np.random.default_rng(41)
     fano = [moments(random_density(n * n, rng=rng).matrix).fano().C for n in (3, 4, 6, 8)]
     symmetric = []
@@ -357,7 +357,7 @@ def test_ky_fan_solves_of_real_blocks_run_in_float64(monkeypatch):
 
 
 def _reference_round(work, skip, step):
-    """One round written pair by pair from the formulas of ``linalg._RotationRounds``,
+    """One round written pair by pair from the formulas of ``linalg._rotation_rounds``,
     each product and sum with the operands in the documented order."""
     rows, m, count = work.shape
     k = m // 2
@@ -408,30 +408,37 @@ def test_one_rotation_round_equals_the_pair_by_pair_formulas_bit_for_bit(dtype, 
     work = np.ascontiguousarray(g.transpose(1, 2, 0)).astype(dtype)
     _, step = linalg._round_robin(m, rows)
     expected = _reference_round(work, skip, step)
-    result = linalg._RotationRounds(work.copy(), skip, step)(1)
+    result = linalg._rotation_rounds(work.copy(), skip, step)(1)
     assert result.dtype == expected.dtype and result.tobytes() == expected.tobytes()
 
 
-class _CountingRounds(linalg._RotationRounds):
-    """The kernel's round state, counting how often it is built and run."""
+_ROTATION_ROUNDS = linalg._rotation_rounds
+
+
+class _CountingRounds:
+    """The kernel's round builder, counting how often it builds the rounds and how many
+    rounds each run applies."""
 
     built = 0
     rounds = []
 
-    def __init__(self, *args):
-        type(self).built += 1
-        super().__init__(*args)
+    @classmethod
+    def build(cls, *args):
+        cls.built += 1
+        run = _ROTATION_ROUNDS(*args)
 
-    def __call__(self, rounds):
-        type(self).rounds.append(rounds)
-        return super().__call__(rounds)
+        def counted(rounds):
+            cls.rounds.append(rounds)
+            return run(rounds)
+
+        return counted
 
 
 @pytest.fixture
 def counting_rounds(monkeypatch):
     _CountingRounds.built = 0
     _CountingRounds.rounds = []
-    monkeypatch.setattr(linalg, "_RotationRounds", _CountingRounds)
+    monkeypatch.setattr(linalg, "_rotation_rounds", _CountingRounds.build)
     return _CountingRounds
 
 

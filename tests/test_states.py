@@ -565,6 +565,14 @@ def test_save_state_refuses_what_load_state_refuses(tmp_path, matrix, error):
     assert not path.exists()
 
 
+def test_save_state_refuses_a_stack_or_a_vector_before_opening_the_file(tmp_path):
+    path = tmp_path / "state.json"
+    for bad in (np.stack([werner(0.2).matrix] * 2), np.ones(4) / 4):
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {bad.shape}")):
+            save_state(bad, path)
+        assert not path.exists()
+
+
 def test_state_file_structural_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2}))
@@ -665,3 +673,81 @@ def test_empty_stacks_give_empty_results():
         values = call()
         values = values if isinstance(values, tuple) else (values,)
         assert [np.shape(v) for v in values] == shapes, name
+
+
+# -- malformed shapes ---------------------------------------------------------
+
+def test_state_builders_refuse_what_they_cannot_build():
+    with pytest.raises(ShapeError, match=r"got shape \(4, 3\)"):
+        DensityOperator(np.zeros((4, 3)))
+    # bloch_decode reads a 4x4 state as one 4-level system: its vector is for n = 4.
+    with pytest.raises(ShapeError, match="Bloch vector is for n=4, requested n=3"):
+        bloch_encode(3, bloch_decode(bell_state()))
+    with pytest.raises(NormalizationError, match="empty sequence"):
+        convex_combine([])
+    with pytest.raises(ShapeError, match=r"got shapes \(4, 4\) and \(9, 9\)"):
+        convex_combine([(0.5, maximally_mixed(4)), (0.5, maximally_mixed(9))])
+
+
+_VECTOR, _NESTED, _RECTANGULAR = (4,), (1, 2, 4, 4), (4, 3)
+
+
+def _shape_checked(path):
+    """Every public function that takes a matrix or a stack, as a call on one array."""
+    import entmoment as em
+    from entmoment.linalg import hermitian_eigenvalues, singular_values
+    from entmoment.tensors import moments
+
+    rep = em.product_representation(2)
+    return {
+        "purity": em.purity,
+        "tr_rho_rhotilde": em.tr_rho_rhotilde,
+        "d_measure": em.d_measure,
+        "concurrence_wootters": em.concurrence_wootters,
+        "concurrence_variant": em.concurrence_variant,
+        "quadratic_invariant": em.quadratic_invariant,
+        "monotone_candidate": lambda a: em.monotone_candidate(a, "linear", 2, (0.0, 1.0)),
+        "ppt_check": em.ppt_check,
+        "classify": em.classify,
+        "tensor_coefficients": lambda a: em.tensor_coefficients(a, rep),
+        "moments": moments,
+        "fano_decompose": em.fano_decompose,
+        "bloch_decode": em.bloch_decode,
+        "partial_trace": em.partial_trace,
+        "partial_transpose": em.partial_transpose,
+        "spin_flip": em.spin_flip,
+        "convex_combine": lambda a: em.convex_combine([(1.0, a)]),
+        "save_state": lambda a: save_state(a, path),
+        "hermitian_eigensystem": em.hermitian_eigensystem,
+        "hermitian_eigenvalues": hermitian_eigenvalues,
+        "kyfan_norm": em.kyfan_norm,
+        "singular_values": singular_values,
+    }
+
+
+_STATE_FUNCTIONS = [
+    "purity", "tr_rho_rhotilde", "d_measure", "concurrence_wootters", "concurrence_variant",
+    "quadratic_invariant", "monotone_candidate", "ppt_check", "classify",
+    "tensor_coefficients", "moments", "fano_decompose", "bloch_decode", "partial_trace",
+    "partial_transpose", "spin_flip", "convex_combine", "save_state",
+]
+# The eigensolvers take stacks of any rank, and the Ky Fan norm and singular values
+# rectangular ones.
+_SHAPE_CASES = [
+    pytest.param(name, shape, id=f"{name}-{'x'.join(map(str, shape))}")
+    for names, shapes in [
+        (_STATE_FUNCTIONS, (_VECTOR, _NESTED, _RECTANGULAR)),
+        (("hermitian_eigensystem", "hermitian_eigenvalues"), (_VECTOR, _RECTANGULAR)),
+        (("kyfan_norm", "singular_values"), (_VECTOR,)),
+    ]
+    for name in names
+    for shape in shapes
+]
+
+
+@pytest.mark.parametrize("name, shape", _SHAPE_CASES)
+def test_every_shape_fault_is_a_shape_error_naming_the_shape(name, shape, tmp_path):
+    call = _shape_checked(tmp_path / "state.json")[name]
+    with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+        call(np.ones(shape) / 4)
+    assert not any(tmp_path.iterdir())

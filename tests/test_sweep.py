@@ -125,6 +125,12 @@ def test_wedge_requires_resolution():
         wedge_field(grid, "d_measure", "bogus")
 
 
+def test_wedge_refuses_a_table_that_lacks_a_quantity():
+    grid = schmidt_grid(7, 7, ("d_measure",))
+    with pytest.raises(ConfigurationError, match="supplied table lacks quantity 'purity'"):
+        wedge_field(grid, "d_measure", "purity", table=grid_sweep(grid))
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_wedge_refuses_a_zero_width_axis_before_evaluating(monkeypatch, axis):
     # A zero spacing would divide every central difference by 0: NaN rows, not an error.

@@ -163,7 +163,7 @@ def test_dimension_mismatch():
     with pytest.raises(ShapeError, match=r"\(4, 4\) does not match representation dimension 9"):
         tensor_coefficients(maximally_mixed(4), rep, order=2)
     # A stack with two leading axes is not a dimension mismatch.
-    with pytest.raises(ShapeError, match=r"stack of matrices, got shape \(2, 2, 4, 4\)"):
+    with pytest.raises(ShapeError, match=r"stack of them, got shape \(2, 2, 4, 4\)"):
         tensor_coefficients(np.zeros((2, 2, 4, 4)), product_representation(2))
 
 
